@@ -24,17 +24,25 @@ answer.  Payloads are pickled dicts with an ``"op"`` key; pickle is an
 explicit trust statement: this protocol connects nodes of *one* cluster
 under one operator, it is not an internet-facing surface.
 
-State install happens in one of two modes:
+State install is **key-first** (protocol version 2): the ``install`` op
+carries only the coordinator's ``state_key``.  A worker already holding
+that key answers ``installed`` and the sweep goes straight to its work
+units; a worker that does not answers ``need_state``, and only then does
+the coordinator send one ``state`` frame.  That frame is built and
+pickled at most once per sweep and shared by every worker that asked.
+Its content depends on the install mode:
 
-* ``inline`` — the coordinator ships matcher, queries and schema table
-  in the install frame, exactly the pool initializer's payload.
-* ``store`` — the coordinator ships only the matcher configuration plus
-  the path of a shared :class:`~repro.schema.store.SnapshotStore` and
-  the expected content digests; the worker **pulls** the repository,
-  queries and the persisted substrate/kernel payload by digest from the
-  store (every read byte-digest-verified) and refuses digests that do
-  not match the coordinator's.  This is how heavy substrate/kernel
-  payloads reach many workers without N copies crossing one socket.
+* ``inline`` — matcher, queries and schema table, exactly the pool
+  initializer's payload.
+* ``store`` — only the matcher configuration plus the path of a shared
+  :class:`~repro.schema.store.SnapshotStore` and the expected content
+  digests; the worker **pulls** the repository, queries and the
+  persisted substrate/kernel payload by digest from the store (every
+  read byte-digest-verified) and refuses digests that do not match the
+  coordinator's.  This is how heavy substrate/kernel payloads reach many
+  workers without N copies crossing one socket.  The coordinator checks
+  (and if needed writes) the snapshot only when building this frame, so
+  a sweep over warm workers never touches the store.
 
 Failure semantics on the coordinator: a worker that dies mid-unit gets
 its unit re-enqueued and picked up by a healthy worker (answers are
@@ -114,7 +122,9 @@ __all__ = [
 ]
 
 MAGIC = b"RPW1"
-PROTOCOL_VERSION = 1
+#: 2 = key-first install (``install`` names the key; ``state`` ships it
+#: on demand); version-1 peers are refused at ``hello``
+PROTOCOL_VERSION = 2
 #: frame size cap — far above any real install payload, far below
 #: anything that could be a desynchronised stream read as a length
 MAX_FRAME = 1 << 30
@@ -130,16 +140,26 @@ def _digest(payload: bytes) -> bytes:
     return hashlib.blake2b(payload, digest_size=16).digest()
 
 
-def send_message(sock: socket.socket, message: object) -> None:
-    """Pickle ``message`` and send it as one digest-framed frame."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+def _dumps(message: object) -> bytes:
+    return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _frame_header(payload: bytes) -> bytes:
+    """The magic/length/digest header of ``payload``; refuses oversize."""
     if len(payload) > MAX_FRAME:
         raise TransportError(
             f"refusing to send a {len(payload)}-byte frame "
             f"(MAX_FRAME is {MAX_FRAME})"
         )
+    return _HEADER.pack(MAGIC, len(payload), _digest(payload))
+
+
+def send_message(sock: socket.socket, message: object) -> None:
+    """Pickle ``message`` and send it as one digest-framed frame."""
+    payload = _dumps(message)
+    header = _frame_header(payload)
     try:
-        sock.sendall(_HEADER.pack(MAGIC, len(payload), _digest(payload)))
+        sock.sendall(header)
         sock.sendall(payload)
     except OSError as exc:
         raise TransportError(f"send failed: {exc}") from exc
@@ -274,13 +294,18 @@ async def async_send_message(
     writer: asyncio.StreamWriter, message: object
 ) -> None:
     """:func:`send_message` over an asyncio stream — same frame, same checks."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_FRAME:
-        raise TransportError(
-            f"refusing to send a {len(payload)}-byte frame "
-            f"(MAX_FRAME is {MAX_FRAME})"
-        )
-    writer.write(_HEADER.pack(MAGIC, len(payload), _digest(payload)))
+    await _async_send_frame(writer, _dumps(message))
+
+
+async def _async_send_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
+    """Send already-pickled ``payload`` as one frame.
+
+    Same framing and checks as :func:`async_send_message`: the state
+    frame is pickled once per sweep and sent as-is to every worker that
+    asks for it.
+    """
+    header = _frame_header(payload)
+    writer.write(header)
     writer.write(payload)
     try:
         await writer.drain()
@@ -354,9 +379,12 @@ class WorkerServer:
 
     The socket twin of a pooled worker process.  Connections are served
     concurrently (one thread each — a coordinator opens one per
-    fan-out coroutine).  Install is one-shot server-wide, keyed by the
-    coordinator's ``state_key`` — a second connection installing the
-    same key reuses the live state and re-ships nothing.
+    fan-out coroutine).  Install is one-shot server-wide and key-first:
+    an ``install`` op names only the coordinator's ``state_key``, and
+    the worker answers ``installed`` when it already holds that key or
+    ``need_state`` when it does — only then does the coordinator ship
+    the ``state`` frame.  A second connection installing the same key
+    reuses the live state and re-ships nothing.
 
     ``parallel_units`` is the worker's own shard parallelism: the
     install builds that many private state **slots** (the installed
@@ -540,6 +568,8 @@ class WorkerServer:
                 }
             return {"op": "ready", "version": PROTOCOL_VERSION}
         if op == "install":
+            return self._install_key(message["state_key"])
+        if op == "state":
             return self._install(message)
         if op == "run":
             return self._run(message)
@@ -549,9 +579,19 @@ class WorkerServer:
             return {"op": "bye"}
         return {"op": "error", "error": f"unknown op {op!r}"}
 
+    def _install_key(self, state_key: tuple) -> dict:
+        """Key-first install: reuse the live state, or ask for it."""
+        with self._lock:
+            if self._state_key == state_key:
+                self.stats.installs_reused += 1
+                return {"op": "installed", "reused": True}
+        return {"op": "need_state"}
+
     def _install(self, message: dict) -> dict:
         state_key = message["state_key"]
         with self._lock:
+            # another coordinator may have installed this key since
+            # this one was told ``need_state``
             if self._state_key == state_key:
                 self.stats.installs_reused += 1
                 return {"op": "installed", "reused": True}
@@ -589,11 +629,12 @@ class WorkerServer:
     def _install_from_store(self, message: dict) -> dict[str, object]:
         """Pull repository/queries/substrate by digest from a shared store.
 
-        The coordinator sent only digests and the matcher configuration;
-        every payload read here is byte-digest-verified by the store,
-        and the loaded content digests are compared to the
-        coordinator's — a store holding any other repository version is
-        refused, so a worker can never serve against drifted state.
+        The coordinator sent only digests and the matcher configuration
+        (without its substrate); every payload read here is
+        byte-digest-verified by the store, and the loaded content
+        digests are compared to the coordinator's — a store holding any
+        other repository version is refused, so a worker can never
+        serve against drifted state.
         """
         store = SnapshotStore(message["store_path"])
         manifest = store.manifest()
@@ -611,7 +652,7 @@ class WorkerServer:
                 "snapshot store holds a different query list than the "
                 "coordinator expects (content digests differ)"
             )
-        matcher = pickle.loads(message["matcher_config"])
+        matcher = message["matcher"]
         substrate_section = manifest.get("substrate_section")
         if substrate_section is not None:
             substrate = matcher.objective.substrate()
@@ -686,7 +727,9 @@ class DeadlineBudget:
     connect: float | None = 10.0
     #: the hello/ready version handshake
     hello: float | None = 10.0
-    #: state install (may ship or pull a large payload)
+    #: each state-install round trip: the key check, and the ``state``
+    #: frame when the worker asks for it (may ship or pull a large
+    #: payload)
     install: float | None = 120.0
     #: one work unit (request sent → result received)
     run: float | None = 120.0
@@ -758,7 +801,10 @@ class RemoteShardExecutor(ShardExecutor):
     workers in ``store`` mode: the snapshot is written once (if the
     store does not already hold this repository version) and each worker
     pulls repository/queries/substrate **by digest**; otherwise the full
-    state ships inline per worker, exactly like the pool initializer.
+    state ships inline, exactly like the pool initializer's payload.
+    Either way a worker gets state only when it answers the key-only
+    ``install`` with ``need_state``: a sweep over warm workers ships
+    nothing but work units and never touches the store.
 
     The fan-out is one asyncio event loop on one background thread —
     one coroutine per worker, N workers cost one thread — pulling units
@@ -962,20 +1008,37 @@ class RemoteShardExecutor(ShardExecutor):
 
     # -- install payloads ----------------------------------------------------
 
-    def _install_message(self, state: ExecutionState) -> dict:
+    def _state_payload(self, state: ExecutionState) -> bytes:
+        """The pickled ``state`` frame a ``need_state`` worker is sent.
+
+        Built only when a worker asks, and at most once per sweep: the
+        fan-out shares these bytes among every worker that asked.  It
+        runs on the fan-out thread: the pipeline's consumer
+        (:meth:`MatchingPipeline.run`) does not touch the matcher until
+        the sweep drains, so pickling it there races nothing.
+        """
+        message = {
+            "op": "state",
+            "state_key": state.state_key,
+            "switches": state.switches,
+            "matcher": state.matcher,
+        }
         if self.store is None:
-            return {
-                "op": "install",
-                "mode": "inline",
-                "state_key": state.state_key,
-                "switches": state.switches,
-                "matcher": state.matcher,
-                "queries": state.queries,
-                "schema_table": state.schema_table,
-            }
+            message.update(
+                mode="inline",
+                queries=state.queries,
+                schema_table=state.schema_table,
+            )
+            return _dumps(message)
         repository_digest = state.repository.content_digest()
         query_digests = tuple(q.content_digest() for q in state.queries)
         self._ensure_snapshot(state, repository_digest, query_digests)
+        message.update(
+            mode="store",
+            store_path=str(self.store.root),
+            repository_digest=repository_digest,
+            query_digests=query_digests,
+        )
         # The matcher configuration ships *without* its substrate — the
         # whole point of store mode is that workers pull the heavy
         # similarity payloads by digest instead of N copies crossing
@@ -984,21 +1047,9 @@ class RemoteShardExecutor(ShardExecutor):
         substrate = objective._substrate
         objective._substrate = None
         try:
-            matcher_config = pickle.dumps(
-                state.matcher, protocol=pickle.HIGHEST_PROTOCOL
-            )
+            return _dumps(message)
         finally:
             objective._substrate = substrate
-        return {
-            "op": "install",
-            "mode": "store",
-            "state_key": state.state_key,
-            "switches": state.switches,
-            "store_path": str(self.store.root),
-            "repository_digest": repository_digest,
-            "query_digests": query_digests,
-            "matcher_config": matcher_config,
-        }
 
     def _ensure_snapshot(
         self,
@@ -1041,15 +1092,13 @@ class RemoteShardExecutor(ShardExecutor):
                 "cooldown, probe() a recovered worker, or fix the "
                 "addresses"
             )
-        install = self._install_message(state)
         with self._health_lock:
             self.stats.sweeps += 1
         events: Queue = Queue()
         abandoned = threading.Event()
         thread = threading.Thread(
             target=self._fanout_thread,
-            args=(addresses, install, state.state_key, units, delta_max,
-                  events, abandoned),
+            args=(addresses, state, units, delta_max, events, abandoned),
             name="repro-remote-fanout",
             daemon=True,
         )
@@ -1074,13 +1123,11 @@ class RemoteShardExecutor(ShardExecutor):
             thread.join(timeout=10)
 
     def _fanout_thread(
-        self, addresses, install, state_key, units, delta_max, events,
-        abandoned,
+        self, addresses, state, units, delta_max, events, abandoned,
     ) -> None:
         try:
             asyncio.run(self._fanout(
-                addresses, install, state_key, units, delta_max, events,
-                abandoned,
+                addresses, state, units, delta_max, events, abandoned,
             ))
         except BaseException as exc:  # pragma: no cover - loop-level safety net
             events.put(("fatal", TransportError(f"fan-out loop failed: {exc}")))
@@ -1100,8 +1147,7 @@ class RemoteShardExecutor(ShardExecutor):
             ) from None
 
     async def _fanout(
-        self, addresses, install, state_key, units, delta_max, events,
-        abandoned,
+        self, addresses, state, units, delta_max, events, abandoned,
     ) -> None:
         """One coroutine per worker, all on this (background) event loop.
 
@@ -1109,17 +1155,29 @@ class RemoteShardExecutor(ShardExecutor):
         loop ends when every unit completed, every worker is gone, or
         the consumer abandoned the sweep.  Exactly one terminal event
         reaches the consumer: per-unit ``("ok", ...)`` results and, if
-        units remain with no workers left, one ``("fatal", ...)``.
-        Every remote op runs under its :class:`DeadlineBudget` bound,
-        and abandonment cancels the worker coroutines outright, so the
-        loop's lifetime is bounded even against hung peers.
+        units remain with no workers left (or the state frame could not
+        be built), one ``("fatal", ...)``.  Idle coroutines block on the
+        unit queue — a dying peer's re-enqueued unit wakes one, and the
+        last completed unit releases them all.  Every remote op runs
+        under its :class:`DeadlineBudget` bound, and abandonment cancels
+        the worker coroutines outright, so the loop's lifetime is
+        bounded even against hung peers.
         """
         unit_queue: asyncio.Queue = asyncio.Queue()
         for unit in units:
             unit_queue.put_nowait(unit)
-        progress = {"remaining": len(units)}
+        progress = {"remaining": len(units), "failed": False}
         errors: list[Exception] = []
         budget = self.deadlines
+        state_key = state.state_key
+        built: list[bytes] = []
+
+        def state_frame() -> bytes:
+            # built on the first ``need_state``, then shared by every
+            # worker that asks during this sweep
+            if not built:
+                built.append(self._state_payload(state))
+            return built[0]
 
         async def handshake(reader, writer, address):
             await async_send_message(
@@ -1129,8 +1187,18 @@ class RemoteShardExecutor(ShardExecutor):
                 address, await async_recv_message(reader), "ready"
             )
 
-        async def install_state(reader, writer, address):
-            await async_send_message(writer, install)
+        async def needs_state(reader, writer, address) -> bool:
+            await async_send_message(
+                writer, {"op": "install", "state_key": state_key}
+            )
+            reply = self._check_reply(
+                address, await async_recv_message(reader),
+                "installed", "need_state",
+            )
+            return reply["op"] == "need_state"
+
+        async def ship_state(reader, writer, address, payload):
+            await _async_send_frame(writer, payload)
             self._check_reply(
                 address, await async_recv_message(reader), "installed"
             )
@@ -1173,20 +1241,34 @@ class RemoteShardExecutor(ShardExecutor):
                     handshake(reader, writer, address),
                     budget.hello, address, "hello",
                 )
-                await self._op(
-                    install_state(reader, writer, address),
+                if await self._op(
+                    needs_state(reader, writer, address),
                     budget.install, address, "install",
-                )
+                ):
+                    if progress["failed"]:
+                        return  # the state frame already failed to build
+                    try:
+                        payload = state_frame()
+                    except Exception as exc:
+                        # The coordinator cannot build its own state
+                        # (store write, unpicklable matcher): the sweep
+                        # fails with that error; the worker is not at
+                        # fault, so its breaker is left alone.
+                        progress["failed"] = True
+                        events.put(("fatal", exc))
+                        return
+                    await self._op(
+                        ship_state(reader, writer, address, payload),
+                        budget.install, address, "install",
+                    )
                 # connect + handshake + install round-tripped: the
                 # worker is provably healthy — close a half-open breaker
                 self._record_success(address)
                 while progress["remaining"] and not abandoned.is_set():
-                    try:
-                        unit = unit_queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        # stay subscribed: a dying peer may re-enqueue
-                        await asyncio.sleep(0.01)
-                        continue
+                    # stay subscribed: a dying peer may re-enqueue
+                    unit = await unit_queue.get()
+                    if unit is None:
+                        break  # released: the last unit completed
                     reply = await self._op(
                         run_unit(reader, writer, address, unit),
                         budget.run, address, "run",
@@ -1194,6 +1276,9 @@ class RemoteShardExecutor(ShardExecutor):
                     progress["remaining"] -= 1
                     events.put(("ok", unit, reply["pairs"]))
                     unit = None
+                    if not progress["remaining"]:
+                        for _ in addresses:
+                            unit_queue.put_nowait(None)
             except (TransportError, OSError) as exc:
                 # This worker is gone mid-unit: give the unit back for
                 # a healthy peer, record the death, bow out.
@@ -1231,7 +1316,11 @@ class RemoteShardExecutor(ShardExecutor):
             await watch
         except asyncio.CancelledError:
             pass
-        if progress["remaining"] and not abandoned.is_set():
+        if (
+            progress["remaining"]
+            and not progress["failed"]
+            and not abandoned.is_set()
+        ):
             events.put(("fatal", TransportError(
                 f"all {len(addresses)} remote workers are gone with "
                 f"{progress['remaining']} unit(s) outstanding "
@@ -1239,7 +1328,9 @@ class RemoteShardExecutor(ShardExecutor):
             )))
 
     @staticmethod
-    def _check_reply(address: tuple[str, int], reply: object, op: str) -> dict:
+    def _check_reply(
+        address: tuple[str, int], reply: object, *ops: str
+    ) -> dict:
         if not isinstance(reply, dict) or "op" not in reply:
             raise TransportError(
                 f"malformed reply from {address}: {reply!r}"
@@ -1249,8 +1340,9 @@ class RemoteShardExecutor(ShardExecutor):
                 f"worker {address[0]}:{address[1]} refused: "
                 f"{reply.get('error')}"
             )
-        if reply["op"] != op:
+        if reply["op"] not in ops:
             raise TransportError(
-                f"expected {op!r} from {address}, got {reply['op']!r}"
+                f"expected {' or '.join(map(repr, ops))} from {address}, "
+                f"got {reply['op']!r}"
             )
         return reply

@@ -17,7 +17,9 @@ Two fault surfaces, one helper each:
   into a loud timeout, since no EOF ever arrives).  The digest framing
   of :mod:`repro.matching.remote` must turn every damage fault into a
   loud :class:`~repro.errors.TransportError` — never a silently wrong
-  answer.
+  answer.  :class:`ByteCounter` is the pass-through "fault": it damages
+  nothing and counts every byte it forwards, so a test can assert what
+  crossed the wire.
 
 * :class:`DeltaLogFaults` is a scriptable
   :class:`~repro.matching.replication.ReplicaGroup` delivery hook that
@@ -46,6 +48,7 @@ from dataclasses import dataclass, field
 from repro.matching.replication import DeltaRecord, ReplicaGroup
 
 __all__ = [
+    "ByteCounter",
     "ByteFault",
     "DelayProxy",
     "DeltaLogFaults",
@@ -69,6 +72,26 @@ class ByteFault:
     """
 
     def transform(self, chunk: bytes, offset: int) -> tuple[bytes, bool]:
+        return chunk, True
+
+
+@dataclass
+class ByteCounter(ByteFault):
+    """Forwards every byte untouched; :attr:`total` counts them.
+
+    The count spans every connection the proxy relays in this
+    direction, so a test reads it between sweeps to get one sweep's
+    bytes.
+    """
+
+    total: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def transform(self, chunk: bytes, offset: int) -> tuple[bytes, bool]:
+        with self._lock:
+            self.total += len(chunk)
         return chunk, True
 
 

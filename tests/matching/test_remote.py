@@ -11,6 +11,10 @@ Three layers of the remote transport, bottom up:
   :class:`~repro.matching.remote.WorkerServer` instances, in both
   ``inline`` and ``store`` install modes, are byte-identical to the
   serial in-process path, and installed state is reused across sweeps.
+* **Key-first install** — a warm sweep sends no state upstream, cold
+  workers share one state frame built once per sweep, a restarted
+  worker is re-shipped the state, a warm store-mode sweep never touches
+  the store, and a ``run`` under a stale key is refused.
 * **Fault injection** — a worker crashing mid-shard gets its unit
   retried on a healthy worker with identical answers; a tampered or
   truncated stream (through :class:`helpers.faults.TamperProxy`) fails
@@ -27,8 +31,14 @@ import time
 
 import pytest
 
-from helpers.faults import TamperProxy, cut_after, flip_byte, rewrite_frame
-from repro.errors import TransportError
+from helpers.faults import (
+    ByteCounter,
+    TamperProxy,
+    cut_after,
+    flip_byte,
+    rewrite_frame,
+)
+from repro.errors import SnapshotError, TransportError
 from repro.matching import RemoteShardExecutor, WorkerServer, make_matcher
 from repro.matching import remote as remote_module
 from repro.matching.executor import (
@@ -46,6 +56,7 @@ from repro.matching.remote import (
     recv_message,
     send_message,
 )
+from repro.schema.store import SnapshotStore
 
 pytestmark = pytest.mark.network
 
@@ -307,6 +318,202 @@ class TestRemoteByteIdentity:
 
 
 # ---------------------------------------------------------------------------
+# Key-first install: state crosses the wire only when a worker asks
+# ---------------------------------------------------------------------------
+
+def _inline_install_bytes(small_workload, queries) -> int:
+    """Size of one pickled inline install payload (matcher, queries, table)."""
+    matcher = make_matcher("exhaustive", small_workload.objective)
+    matcher.prepare(small_workload.repository)
+    return len(pickle.dumps(
+        {
+            "matcher": matcher,
+            "queries": queries,
+            "schema_table": {
+                schema.schema_id: schema
+                for schema in small_workload.repository
+            },
+        },
+        protocol=pickle.HIGHEST_PROTOCOL,
+    ))
+
+
+def _run_message(state_key: tuple) -> dict:
+    return {
+        "op": "run",
+        "state_key": state_key,
+        "query_index": 0,
+        "schema_ids": (),
+        "delta_max": 0.3,
+    }
+
+
+@pytest.fixture()
+def state_builds(monkeypatch):
+    """Records the ``state_key`` of every state frame the coordinator builds."""
+    builds: list[tuple] = []
+    build = RemoteShardExecutor._state_payload
+
+    def counting(executor, state):
+        builds.append(state.state_key)
+        return build(executor, state)
+
+    monkeypatch.setattr(RemoteShardExecutor, "_state_payload", counting)
+    return builds
+
+
+class TestKeyFirstInstall:
+    def test_warm_sweep_ships_no_state(self, small_workload, queries):
+        """The second sweep's coordinator→worker bytes carry no install.
+
+        A worker counting a same-key install as a reuse is not enough:
+        the bytes must not cross the wire either.  Only hello, the
+        key-only install and the work units go upstream.
+        """
+        worker = WorkerServer().start()
+        upstream = ByteCounter()
+        with TamperProxy(worker.address, upstream=upstream) as proxy:
+            try:
+                executor = RemoteShardExecutor([proxy.address])
+                first = _remote_answers(small_workload, queries, executor)
+                cold = upstream.total
+                second = _remote_answers(small_workload, queries, executor)
+                warm = upstream.total - cold
+            finally:
+                worker.stop()
+        install = _inline_install_bytes(small_workload, queries)
+        assert cold > install, "the first sweep never shipped the state"
+        assert warm < install, (
+            f"a warm sweep sent {warm} bytes upstream, more than one "
+            f"{install}-byte install payload"
+        )
+        assert _canonical(first) == _canonical(second)
+        assert worker.stats.installs == 1
+        assert worker.stats.installs_reused == 1
+
+    def test_cold_workers_share_one_state_frame(
+        self, small_workload, queries, state_builds
+    ):
+        """Two cold workers ask; the state is built and pickled once."""
+        workers = [WorkerServer().start() for _ in range(2)]
+        try:
+            executor = RemoteShardExecutor([w.address for w in workers])
+            cold = _remote_answers(small_workload, queries, executor)
+            assert len(state_builds) == 1
+            warm = _remote_answers(small_workload, queries, executor)
+        finally:
+            for worker in workers:
+                worker.stop()
+        assert len(state_builds) == 1, "a warm sweep rebuilt the state"
+        assert [w.stats.installs for w in workers] == [1, 1]
+        serial = _canonical(_serial_answers(small_workload, queries))
+        assert _canonical(cold) == serial
+        assert _canonical(warm) == serial
+
+    def test_restarted_worker_gets_state_again(
+        self, small_workload, queries, state_builds
+    ):
+        """A worker back with empty state asks for, and gets, the state."""
+        worker = WorkerServer().start()
+        address = worker.address
+        executor = RemoteShardExecutor([address])
+        try:
+            _remote_answers(small_workload, queries, executor)
+        finally:
+            worker.stop()
+        revived = WorkerServer(address[0], address[1]).start()
+        try:
+            remote = _remote_answers(small_workload, queries, executor)
+        finally:
+            revived.stop()
+        assert len(state_builds) == 2
+        assert revived.stats.installs == 1
+        assert revived.stats.installs_reused == 0
+        assert _canonical(remote) == _canonical(
+            _serial_answers(small_workload, queries)
+        )
+
+    def test_warm_store_sweep_never_touches_store(
+        self, small_workload, queries, tmp_path, monkeypatch
+    ):
+        """Store mode: a warm sweep neither reads nor writes the snapshot."""
+        worker = WorkerServer().start()
+        try:
+            executor = RemoteShardExecutor(
+                [worker.address], store=tmp_path / "snap"
+            )
+            _remote_answers(small_workload, queries, executor)
+
+            def untouchable(*args, **kwargs):
+                raise SnapshotError("a warm sweep touched the snapshot store")
+
+            monkeypatch.setattr(SnapshotStore, "manifest", untouchable)
+            monkeypatch.setattr(remote_module, "save_snapshot", untouchable)
+            remote = _remote_answers(small_workload, queries, executor)
+        finally:
+            worker.stop()
+        assert _canonical(remote) == _canonical(
+            _serial_answers(small_workload, queries)
+        )
+        assert worker.stats.installs == 1
+        assert worker.stats.installs_reused == 1
+
+    def test_state_build_failure_fails_sweep(
+        self, small_workload, queries, tmp_path, monkeypatch
+    ):
+        """A coordinator that cannot write its snapshot fails loudly.
+
+        The error is the coordinator's own, so it surfaces as itself —
+        not as a dead worker — and the worker's breaker stays closed.
+        """
+        worker = WorkerServer().start()
+
+        def unwritable(*args, **kwargs):
+            raise SnapshotError("snapshot store is read-only")
+
+        monkeypatch.setattr(remote_module, "save_snapshot", unwritable)
+        try:
+            executor = RemoteShardExecutor(
+                [worker.address], store=tmp_path / "snap"
+            )
+            with pytest.raises(SnapshotError, match="read-only"):
+                _remote_answers(small_workload, queries, executor)
+        finally:
+            worker.stop()
+        assert executor.worker_health(worker.address).state == "closed"
+        assert worker.stats.installs == 0
+        assert worker.stats.units == 0
+
+    def test_run_under_stale_key_refused(self, small_workload, queries):
+        """Asking by key installs nothing; a replaced key is refused."""
+        worker = WorkerServer().start()
+        try:
+            executor = RemoteShardExecutor([worker.address])
+            _remote_answers(small_workload, queries, executor)
+            matcher = make_matcher("exhaustive", small_workload.objective)
+            matcher.prepare(small_workload.repository)
+            live = _execution_state(small_workload, queries, matcher)
+            unknown = _execution_state(small_workload, queries[:1], matcher)
+            sock = socket.create_connection(worker.address, timeout=5)
+            send_message(sock, {"op": "install", "state_key": unknown.state_key})
+            asked = recv_message(sock)
+            send_message(sock, _run_message(unknown.state_key))
+            never_installed = recv_message(sock)
+            # a sweep over one query replaces the live state
+            _remote_answers(small_workload, queries[:1], executor)
+            send_message(sock, _run_message(live.state_key))
+            stale = recv_message(sock)
+            sock.close()
+        finally:
+            worker.stop()
+        assert asked == {"op": "need_state"}
+        for reply in (never_installed, stale):
+            assert reply["op"] == "error"
+            assert "no state installed" in reply["error"]
+        assert worker.stats.installs == 2
+
+
+# ---------------------------------------------------------------------------
 # Fault injection
 # ---------------------------------------------------------------------------
 
@@ -418,28 +625,26 @@ class TestFaultInjection:
 
 class TestVersionAndState:
     def test_version_mismatch_refused(self):
+        """Any other version is refused at hello — v1 peers included."""
         worker = WorkerServer().start()
+        replies = []
         try:
-            sock = socket.create_connection(worker.address, timeout=5)
-            send_message(sock, {"op": "hello", "version": 999})
-            reply = recv_message(sock)
-            sock.close()
+            for version in (1, 999):
+                sock = socket.create_connection(worker.address, timeout=5)
+                send_message(sock, {"op": "hello", "version": version})
+                replies.append(recv_message(sock))
+                sock.close()
         finally:
             worker.stop()
-        assert reply["op"] == "error"
-        assert "version mismatch" in reply["error"]
+        for reply in replies:
+            assert reply["op"] == "error"
+            assert "version mismatch" in reply["error"]
 
     def test_run_without_install_refused(self):
         worker = WorkerServer().start()
         try:
             sock = socket.create_connection(worker.address, timeout=5)
-            send_message(sock, {
-                "op": "run",
-                "state_key": ("nope",),
-                "query_index": 0,
-                "schema_ids": (),
-                "delta_max": 0.3,
-            })
+            send_message(sock, _run_message(("nope",)))
             reply = recv_message(sock)
             sock.close()
         finally:
