@@ -1,57 +1,21 @@
 """Benchmarks of the pluggable similarity backends.
 
-Two questions with teeth:
-
-* **Does the backend seam cost anything?**  The default objective now
-  routes its name-cost term through a :class:`LexicalBackend` instead of
-  calling :class:`NameSimilarity` directly.  The contract —
-  ``test_backend_seam_sweep_identical_and_cheap`` — replays a
-  repository sweep with the seam on and off (the fifth A/B switch,
-  :func:`~repro.matching.similarity.backends.backends_disabled`),
-  asserting **byte-identical answers always** and, when
-  ``BENCH_TIMING_ASSERTS`` is not ``0`` (the convention in
-  ``benchmarks/README.md``), that the seam adds no more than 25 %
-  wall clock to the sweep it refactored.
-* **What does each backend cost per pair, and per corpus?**  The micro
-  benches time each backend's cold ``similarity`` over the same label
-  pairs, BM25's corpus preparation, and one registry-variant match per
-  family — their relative means in ``BENCH_backends.json`` track how
-  the alternative name planes price against the lexical default.
+What does each backend cost per pair, and per corpus?  The micro
+benches time each backend's cold ``similarity`` over the same label
+pairs, BM25's corpus preparation, and one registry-variant match per
+family — their relative means in ``BENCH_backends.json`` track how the
+alternative name planes price against the lexical default.
 """
-
-import gc
-import os
-from time import perf_counter
 
 import pytest
 
-from repro.evaluation import build_workload
-from repro.evaluation.workloads import WorkloadConfig
 from repro.matching import (
-    BeamMatcher,
     EnsembleBackend,
-    ExhaustiveMatcher,
     HashedVectorBackend,
     LexicalBackend,
     SparseBM25Backend,
-    canonical_answers,
     make_matcher,
-    set_backends_enabled,
 )
-
-#: the seam-contract workload: repository scale, so the per-pair name
-#: scoring the seam wraps actually dominates the measured sweep
-_SEAM_CONFIG = WorkloadConfig(
-    num_schemas=160,
-    min_schema_size=10,
-    max_schema_size=20,
-    num_queries=8,
-    query_size=5,
-)
-_SEAM_THRESHOLDS = (0.2, 0.35)
-
-#: the seam may not add more than this factor to the sweep wall clock
-_SEAM_OVERHEAD_FACTOR = 1.25
 
 
 def _label_pairs(workload, limit: int = 400):
@@ -148,69 +112,3 @@ def test_bench_variant_match(benchmark, warmed_bundle, family):
         return matcher.match(query, workload.repository, 0.3)
 
     benchmark(run)
-
-
-# -- the seam contract -------------------------------------------------------
-
-def _seam_arm(seam_on: bool):
-    """One timed sweep in a fresh universe; returns (answers, seconds).
-
-    A fresh workload per arm keeps substrates and kernels cold so both
-    arms pay identical scoring work; the only difference inside the
-    timed region is the dispatch under test — name costs through the
-    ``LexicalBackend`` seam versus the direct pre-backend path.  GC is
-    paused around the timed window, symmetrically.
-    """
-    workload = build_workload(_SEAM_CONFIG)
-    matchers = [
-        ExhaustiveMatcher(workload.objective),
-        BeamMatcher(workload.objective, beam_width=8),
-    ]
-    previous = set_backends_enabled(seam_on)
-    gc.collect()
-    gc.disable()
-    try:
-        started = perf_counter()
-        answers = [
-            matcher.match(scenario.query, workload.repository, delta)
-            for matcher in matchers
-            for delta in _SEAM_THRESHOLDS
-            for scenario in workload.suite.scenarios
-        ]
-        seconds = perf_counter() - started
-    finally:
-        gc.enable()
-        set_backends_enabled(previous)
-    return canonical_answers(answers), seconds
-
-
-def test_backend_seam_sweep_identical_and_cheap():
-    """The acceptance check: same bytes through the seam, ≤ 25 % overhead.
-
-    Two interleaved trials (fresh universes each); every trial asserts
-    the seam-on sweep byte-identical to the pre-backend path,
-    unconditionally.  Each side then takes its best total for the
-    wall-clock comparison (measured overhead is ~0 on a quiet core —
-    the seam is one method-call indirection under the substrate's
-    memoisation).  The timing half is skipped when
-    ``BENCH_TIMING_ASSERTS=0`` (CI's setting, where shared runners make
-    single-shot timings flaky).
-    """
-    on_seconds = []
-    off_seconds = []
-    for _ in range(2):
-        on_answers, on_time = _seam_arm(seam_on=True)
-        off_answers, off_time = _seam_arm(seam_on=False)
-        assert on_answers == off_answers, (
-            "backend-seam answers differ from the pre-backend name path"
-        )
-        on_seconds.append(on_time)
-        off_seconds.append(off_time)
-    fast_on = min(on_seconds)
-    fast_off = min(off_seconds)
-    if os.environ.get("BENCH_TIMING_ASSERTS", "1") != "0":
-        assert fast_on <= _SEAM_OVERHEAD_FACTOR * fast_off, (
-            f"backend seam sweep ({fast_on:.3f}s) exceeds "
-            f"{_SEAM_OVERHEAD_FACTOR}x the pre-backend path "
-            f"({fast_off:.3f}s)"
-        )

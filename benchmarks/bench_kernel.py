@@ -11,11 +11,11 @@ the clustering matchers share one interned cluster build per repository.
 
 The headline contract — ``test_kernel_sweep_speedup_and_identical`` —
 replays the standard matcher × threshold repository sweep on a
-repository-scale workload twice: once on the PR-4 scoring path (kernel
-off, recursive reference search — the exact code paths kept behind
-:func:`~repro.matching.similarity.kernel.kernel_disabled` and
-:func:`~repro.matching.engine.flat_search_disabled`) and once on the
-kernel path, asserting **byte-identical answers always** and **≥ 2×**
+repository-scale workload twice: once on the PR-4 scoring path (no
+kernel, recursive reference search, python loops — the test oracles
+``helpers.oracles.kernel_off``, ``flat_search_off`` and ``numpy_off``
+swap those specs in) and once on the production path, asserting
+**byte-identical answers always** and **≥ 2×**
 wall clock (measured ~2.8× on a quiet core; the timing half is skipped
 when ``BENCH_TIMING_ASSERTS=0`` — CI's setting — per the convention in
 ``benchmarks/README.md``).
@@ -29,10 +29,12 @@ commits.
 
 import gc
 import os
+from contextlib import ExitStack
 from time import perf_counter
 
 import pytest
 
+from helpers import oracles
 from repro.evaluation import build_workload
 from repro.evaluation.workloads import WorkloadConfig
 from repro.matching import (
@@ -45,12 +47,7 @@ from repro.matching import (
     ScoreMatrix,
     TopKCandidateMatcher,
     canonical_answers,
-    flat_search_disabled,
-    kernel_disabled,
     numpy_available,
-    numpy_disabled,
-    set_numpy_enabled,
-    substrate_disabled,
 )
 from repro.matching.clustering import ElementClusterer
 
@@ -162,7 +159,7 @@ def test_bench_exhaustive_flat(benchmark, warmed_bundle):
     benchmark(run)
 
 
-def test_bench_exhaustive_reference(benchmark, warmed_bundle):
+def test_bench_exhaustive_recursive(benchmark, warmed_bundle):
     """The recursive reference generator on the identical search."""
     workload = warmed_bundle.workload
     query, schema = _search_heavy_pair(workload)
@@ -172,7 +169,7 @@ def test_bench_exhaustive_reference(benchmark, warmed_bundle):
         search = SchemaSearch(
             query, schema, workload.objective, substrate=substrate
         )
-        return list(search.exhaustive_reference(0.45))
+        return list(oracles.recursive_exhaustive(search, 0.45))
 
     benchmark(run)
 
@@ -184,11 +181,11 @@ def test_bench_cluster_interned(benchmark, warmed_bundle):
     benchmark(clusterer._cluster_interned, workload.repository)
 
 
-def test_bench_cluster_scan(benchmark, warmed_bundle):
+def test_bench_cluster_full_scan(benchmark, warmed_bundle):
     """The reference per-element cluster scan (the PR-4 path)."""
     workload = warmed_bundle.workload
     clusterer = ElementClusterer(workload.objective.name_similarity)
-    benchmark(clusterer._cluster_scan, workload.repository)
+    benchmark(oracles.cluster_scan, clusterer, workload.repository)
 
 
 # -- the contract ------------------------------------------------------------
@@ -207,33 +204,35 @@ def _contract_arm(pre_kernel: bool, numpy_on: bool = True):
     outside the single-shot measurement.
     """
     workload = build_workload(_CONTRACT_CONFIG)
-    with substrate_disabled(), kernel_disabled(), flat_search_disabled():
+    with (
+        oracles.substrate_off(),
+        oracles.kernel_off(),
+        oracles.flat_search_off(),
+    ):
         _repository_sweep(workload, _CONTRACT_THRESHOLDS[:1])
-    previous_numpy = set_numpy_enabled(numpy_on and not pre_kernel)
-    gc.collect()
-    gc.disable()
-    try:
+    with ExitStack() as specs:
         if pre_kernel:
-            with kernel_disabled(), flat_search_disabled():
-                started = perf_counter()
-                answers = _repository_sweep(workload, _CONTRACT_THRESHOLDS)
-                seconds = perf_counter() - started
-        else:
+            specs.enter_context(oracles.kernel_off())
+            specs.enter_context(oracles.flat_search_off())
+        if pre_kernel or not numpy_on:
+            specs.enter_context(oracles.numpy_off())
+        gc.collect()
+        gc.disable()
+        try:
             started = perf_counter()
             answers = _repository_sweep(workload, _CONTRACT_THRESHOLDS)
             seconds = perf_counter() - started
-    finally:
-        gc.enable()
-        set_numpy_enabled(previous_numpy)
+        finally:
+            gc.enable()
     return canonical_answers(answers), seconds
 
 
 def test_kernel_sweep_numpy_axis_identical():
-    """The numpy axis of the contract sweep: same bytes with the switch off.
+    """The numpy axis of the contract sweep: same bytes on the python loops.
 
-    One full contract sweep on the kernel path with the numpy switch
-    disabled must produce answer sets byte-identical to the vectorised
-    run — the third axis of the A/B grid (``bench_substrate`` covers
+    One full contract sweep on the kernel path with numpy hidden must
+    produce answer sets byte-identical to the vectorised run — the third
+    axis of the oracle grid (``bench_substrate`` covers
     the substrate axis, ``test_kernel_sweep_speedup_and_identical`` the
     kernel and flat-search axes).  Identity only: the numpy timing
     contract lives in ``test_numpy_gather_sweep_speedup_and_identical``
@@ -297,26 +296,27 @@ def _gather_sweep_trial(kernel, elements, schemas, numpy_on: bool):
     "Cold" means the gather caches are emptied first — the cost rows
     stay warm (row construction is the same python objective loop on
     both paths and both arms share the kernel), so the timed window
-    isolates exactly what the numpy switch changes: gathering every
+    isolates exactly what the numpy path changes: gathering every
     (query element, schema) matrix row and its candidate order.  GC
     pauses land outside the window, symmetrically.
     """
     kernel._gathers.clear()
     kernel._vgathers.clear()
-    previous_numpy = set_numpy_enabled(numpy_on)
-    gc.collect()
-    gc.disable()
-    try:
-        started = perf_counter()
-        gathers = [
-            kernel.gather(name, datatype, schema)
-            for name, datatype in elements
-            for schema in schemas
-        ]
-        seconds = perf_counter() - started
-    finally:
-        gc.enable()
-        set_numpy_enabled(previous_numpy)
+    with ExitStack() as specs:
+        if not numpy_on:
+            specs.enter_context(oracles.numpy_off())
+        gc.collect()
+        gc.disable()
+        try:
+            started = perf_counter()
+            gathers = [
+                kernel.gather(name, datatype, schema)
+                for name, datatype in elements
+                for schema in schemas
+            ]
+            seconds = perf_counter() - started
+        finally:
+            gc.enable()
     return repr(gathers), seconds
 
 

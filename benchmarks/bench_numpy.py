@@ -2,9 +2,10 @@
 
 The numpy PR threads an optional vector layer through the scoring
 stack — batched kernel gathers, stable-argsort candidate orders,
-cumsum suffix-sum bounds, argpartition top-k cuts — behind the fourth
-A/B switch (:func:`~repro.matching.similarity.vectors.numpy_disabled`),
-with the pure-python code kept as the executable specification.  These
+cumsum suffix-sum bounds, argpartition top-k cuts — whenever numpy is
+available, with the pure-python code kept as the executable
+specification (the spec arms hide numpy in-process through
+``helpers.oracles.numpy_off``).  These
 benches time each primitive against its spec twin on identical inputs,
 so the paired means in ``BENCH_numpy.json`` track the vector layer's
 advantage across commits the same way ``BENCH_kernel.json``'s pairs
@@ -25,11 +26,14 @@ The whole module skips when numpy is not installed (or hidden via
 ``REPRO_NO_NUMPY=1``): every pair needs both arms to mean anything.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
+from helpers.oracles import numpy_off
 from repro.evaluation import build_workload
 from repro.evaluation.workloads import WorkloadConfig
-from repro.matching import numpy_available, set_numpy_enabled
+from repro.matching import numpy_available
 from repro.matching.similarity import vectors
 from repro.matching.similarity.matrix import suffix_cost_sums
 
@@ -74,7 +78,7 @@ def test_bench_stable_order_spec(benchmark):
 def test_bench_suffix_sums_vector(benchmark):
     """Suffix-sum admissible bounds: reversed cumsum."""
     minima = _cost_row()
-    with vectors.numpy_disabled():
+    with numpy_off():
         spec = suffix_cost_sums(minima)
     result = benchmark(vectors.suffix_sums, minima)
     assert result == spec
@@ -85,7 +89,7 @@ def test_bench_suffix_sums_spec(benchmark):
     minima = _cost_row()
 
     def spec_sums():
-        with vectors.numpy_disabled():
+        with numpy_off():
             return suffix_cost_sums(minima)
 
     benchmark(spec_sums)
@@ -143,15 +147,12 @@ def gather_universe():
 def _cold_gather_sweep(kernel, elements, schemas, numpy_on):
     kernel._gathers.clear()
     kernel._vgathers.clear()
-    previous = set_numpy_enabled(numpy_on)
-    try:
+    with nullcontext() if numpy_on else numpy_off():
         return [
             kernel.gather(name, datatype, schema)
             for name, datatype in elements
             for schema in schemas
         ]
-    finally:
-        set_numpy_enabled(previous)
 
 
 def test_bench_gather_sweep_vector(benchmark, gather_universe):

@@ -11,6 +11,7 @@ here (``test_substrate_sweep_speedup_and_identical``), not assumed.
 import os
 from time import perf_counter
 
+from helpers.oracles import substrate_off
 from repro.core.incremental import (
     SizeProfile,
     SystemProfile,
@@ -26,7 +27,6 @@ from repro.matching import (
     HybridMatcher,
     ScoreMatrix,
     TopKCandidateMatcher,
-    substrate_disabled,
 )
 from repro.util import rng as rng_util
 from repro.util.text import jaro_winkler, levenshtein, ngram_similarity
@@ -173,7 +173,7 @@ def test_bench_repository_sweep_direct(benchmark, warmed_bundle):
     workload = warmed_bundle.workload
 
     def direct():
-        with substrate_disabled():
+        with substrate_off():
             return _repository_sweep(workload)
 
     benchmark.pedantic(direct, rounds=2, iterations=1)
@@ -190,9 +190,10 @@ def test_substrate_sweep_speedup_and_identical():
     """The acceptance check: ≥ 1.5× on the repository sweep, same bytes.
 
     A fresh full workload (fresh objective, cold substrate) so the
-    comparison is honest: one warm-up sweep runs with the substrate off
-    to heat the name-similarity memo both paths share, then the direct
-    path and the substrate path are timed on identical work.  Measured
+    comparison is honest: one warm-up sweep runs on the substrate-less
+    direct path (the substrate oracle) to heat the name-similarity memo
+    both paths share, then the direct path and the substrate path are
+    timed on identical work.  Measured
     headroom is ~3× on a laptop-class core; 1.5 is the floor we assert.
 
     Byte-identity is always asserted; the wall-clock comparison is
@@ -200,7 +201,7 @@ def test_substrate_sweep_speedup_and_identical():
     runners make single-shot timing comparisons flaky).
     """
     workload = build_workload(None)
-    with substrate_disabled():
+    with substrate_off():
         _repository_sweep(workload)  # warm the shared similarity memo
 
         started = perf_counter()

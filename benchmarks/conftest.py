@@ -11,11 +11,16 @@ cache; a session-scoped fixture warms it so benchmark timings measure the
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The spec arms of the kernel, numpy and substrate benches run the test
+# oracles (``helpers.oracles``), which live under tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture(scope="session")

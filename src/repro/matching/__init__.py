@@ -40,18 +40,15 @@ kernel** (:mod:`repro.matching.similarity.kernel`): every distinct
 (normalised label, datatype) cost is computed once per repository into
 interned flat rows, matrices gather from them, clustering runs over the
 same interned surface, and the branch-and-bound itself is a flattened
-explicit-stack loop over bitmasks — all byte-identical to the reference
-paths kept behind :func:`kernel_disabled` / :func:`flat_search_disabled`.
-When numpy is installed, the hot gather/sort/bound arithmetic
+explicit-stack loop over bitmasks.  When numpy is installed
+(:func:`numpy_available`), the hot gather/sort/bound arithmetic
 additionally runs **vectorised** (:mod:`repro.matching.similarity
-.vectors`) behind the fourth A/B switch, :func:`numpy_disabled` /
-:func:`set_numpy_enabled` — same floats, same orders, same bytes, with
-the pure-python spec exercised whenever numpy is absent or the switch
-is off.  The fifth switch, :func:`backends_disabled` /
-:func:`set_backends_enabled`, covers the backend refactoring seam: off,
-a default objective scores names through the direct pre-backend
-:class:`~repro.matching.similarity.name.NameSimilarity` path,
-byte-identical to the lexical backend route.
+.vectors`), with the pure-python loops as the path when it is not.
+Each layer has one production path; the code it replaced (direct
+per-pair scoring, the per-matrix build, the recursive search, the
+per-element cluster scan, the python loops) serves as a test oracle in
+``tests/helpers/oracles.py``, and the tests assert byte-identical
+answers against every combination of them.
 
 Evolving repositories go through :mod:`repro.matching.evolution`: an
 :class:`~repro.matching.evolution.EvolutionSession` replays
@@ -89,9 +86,6 @@ from repro.matching.clustering import ClusteringMatcher, ElementClusterer
 from repro.matching.engine import (
     SchemaSearch,
     count_assignments,
-    flat_search_disabled,
-    flat_search_enabled,
-    set_flat_search_enabled,
     threshold_unreachable,
 )
 from repro.matching.evolution import EvolutionSession
@@ -155,20 +149,8 @@ from repro.matching.similarity import (
     Thesaurus,
     TokenIndex,
     ancestry_violations,
-    backends_disabled,
-    backends_enabled,
     datatype_penalty,
-    kernel_disabled,
-    kernel_enabled,
     numpy_available,
-    numpy_disabled,
-    numpy_enabled,
-    set_backends_enabled,
-    set_kernel_enabled,
-    set_numpy_enabled,
-    set_substrate_enabled,
-    substrate_disabled,
-    substrate_enabled,
 )
 from repro.matching.similarity.persist import (
     Snapshot,
@@ -225,36 +207,21 @@ __all__ = [
     "WorkerServer",
     "ancestry_violations",
     "available_matchers",
-    "backends_disabled",
-    "backends_enabled",
     "batch_match",
     "best_case_subset",
     "canonical_answers",
     "count_assignments",
     "datatype_penalty",
     "evolution_session",
-    "flat_search_disabled",
-    "flat_search_enabled",
-    "kernel_disabled",
-    "kernel_enabled",
     "load_snapshot",
     "make_matcher",
     "matching_service",
     "numpy_available",
-    "numpy_disabled",
-    "numpy_enabled",
     "random_subset_like",
     "replica_group",
     "save_snapshot",
-    "set_backends_enabled",
-    "set_flat_search_enabled",
-    "set_kernel_enabled",
-    "set_numpy_enabled",
-    "set_substrate_enabled",
     "shard_repository",
     "shutdown_workers",
-    "substrate_disabled",
-    "substrate_enabled",
     "threshold_unreachable",
     "worst_case_subset",
 ]

@@ -32,7 +32,7 @@ from repro.core.answers import AnswerSet
 from repro.errors import MatchingError
 from repro.matching.mapping import Mapping
 from repro.matching.objective import ObjectiveFunction
-from repro.matching.similarity.matrix import SimilaritySubstrate, substrate_enabled
+from repro.matching.similarity.matrix import SimilaritySubstrate
 from repro.schema.model import Schema
 from repro.schema.repository import ElementHandle, SchemaRepository
 
@@ -70,17 +70,16 @@ class Matcher(abc.ABC):
         """Yield ``(target_ids, score)`` for one repository schema."""
 
     def _substrate(self) -> SimilaritySubstrate | None:
-        """The shared similarity substrate, or ``None`` when disabled.
+        """The shared similarity substrate.
 
         One substrate hangs off the objective function, so every matcher
         built against the same objective — the bounds precondition —
         shares precomputed score matrices and the repository token
-        index.  Honours the process-wide switch
-        (:func:`~repro.matching.similarity.matrix.substrate_enabled`):
-        disabled, matchers fall back to the direct per-search
-        computation path.
+        index.  Callers keep a direct per-search branch for ``None``:
+        it is the substrate-less specification, which the tests reach
+        by faking this method.
         """
-        return self.objective.substrate() if substrate_enabled() else None
+        return self.objective.substrate()
 
     def prepare(self, repository: SchemaRepository) -> None:
         """Repository-level precomputation hook (e.g. clustering).
@@ -91,10 +90,10 @@ class Matcher(abc.ABC):
         repository-global state of their own should call ``super()``.
 
         Corpus-sensitive similarity backends (docs/backends.md) freeze
-        their repository statistics here even when the substrate switch
-        is off — the statistics are part of the *score definition*, not
-        an optimisation, so the substrate-on and substrate-off paths
-        must see the identical frozen corpus.
+        their repository statistics here even without a substrate — the
+        statistics are part of the *score definition*, not an
+        optimisation, so the substrate and substrate-less paths must see
+        the identical frozen corpus.
         """
         substrate = self._substrate()
         if substrate is not None:

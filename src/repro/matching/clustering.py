@@ -27,7 +27,6 @@ from repro.errors import MatchingError
 from repro.matching.base import Matcher
 from repro.matching.engine import SchemaSearch
 from repro.matching.objective import ObjectiveFunction
-from repro.matching.similarity.kernel import kernel_enabled
 from repro.matching.similarity.name import NameSimilarity
 from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
@@ -40,8 +39,7 @@ __all__ = ["ElementCluster", "ElementClusterer", "ClusteringMatcher"]
 #: clusters shared across matcher instances per NameSimilarity (the
 #: dependency clustering output is a pure function of, together with the
 #: join threshold and repository content) — keyed weakly so a retired
-#: objective's universe is collectable.  Only consulted with the scoring
-#: kernel on; kernel-off preserves the per-matcher PR-4 scans.
+#: objective's universe is collectable.
 _SHARED_CLUSTERS: "weakref.WeakKeyDictionary[NameSimilarity, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -79,22 +77,19 @@ class ElementClusterer:
     def cluster(self, repository: SchemaRepository) -> list[ElementCluster]:
         """Greedy leader clustering of every repository element.
 
-        Dispatches on the scoring-kernel switch: with the kernel on, the
-        interned distinct-label path below runs (the repository's
-        repeated labels scan clusters once per *distinct* normalised
-        label, not once per element) and the result is shared across
-        every matcher built on the same name similarity — clustering is
-        a pure function of (similarity configuration, join threshold,
+        Runs the interned distinct-label path (the repository's repeated
+        labels scan clusters once per *distinct* normalised label, not
+        once per element) and shares the result across every matcher
+        built on the same name similarity — clustering is a pure
+        function of (similarity configuration, join threshold,
         repository content), so the clustering and hybrid matchers of
-        one universe cluster a repository once between them.  Off, the
-        original per-matcher full scan runs.  All paths produce
-        identical clusters — the kernel-on/off property suite covers
-        the clustering matchers.  Every call returns its own cluster
-        objects (cache hits copy leader and members), so a caller
-        mutating its result cannot corrupt other matchers.
+        one universe cluster a repository once between them.  The
+        clusters are identical to the per-element full scan the tests
+        keep as the specification (``cluster_scan`` in
+        ``tests/helpers/oracles.py``).  Every call returns its own
+        cluster objects (cache hits copy leader and members), so a
+        caller mutating its result cannot corrupt other matchers.
         """
-        if not kernel_enabled():
-            return self._cluster_scan(repository)
         cache = _SHARED_CLUSTERS.setdefault(self.name_similarity, {})
         key = (self.join_threshold, repository.content_digest())
         clusters = cache.get(key)
@@ -106,28 +101,10 @@ class ElementClusterer:
             for cluster in clusters
         ]
 
-    def _cluster_scan(self, repository: SchemaRepository) -> list[ElementCluster]:
-        """The reference greedy scan: every element against every cluster."""
-        clusters: list[ElementCluster] = []
-        for handle in repository.all_elements():
-            best_cluster: ElementCluster | None = None
-            best_score = self.join_threshold
-            for cluster in clusters:
-                score = self.name_similarity.similarity(
-                    cluster.leader_name, handle.name
-                )
-                if score >= best_score:
-                    best_cluster, best_score = cluster, score
-            if best_cluster is None:
-                best_cluster = ElementCluster(leader_name=handle.name)
-                clusters.append(best_cluster)
-            best_cluster.members.add(handle.key)
-        return clusters
-
     def _cluster_interned(
         self, repository: SchemaRepository
     ) -> list[ElementCluster]:
-        """Distinct-label compaction of :meth:`_cluster_scan`, exactly.
+        """Distinct-label compaction of the full greedy scan, exactly.
 
         Name similarity is a pure function of the *normalised* labels,
         so two elements with the same normalised label score identically
@@ -254,13 +231,8 @@ class ClusteringMatcher(Matcher):
         *full* repository's clusters — also under the sharded pipeline,
         which prepares on the whole repository before fanning shards out.
         Nominations are memoised per query *content* against the current
-        clusters (kernel on — the same switch that gates the shared
-        cluster build), so a threshold sweep re-ranks nothing; kernel
-        off replays the PR-4 per-call ranking.
+        clusters, so a threshold sweep re-ranks nothing.
         """
-        if not kernel_enabled():
-            self._current_allowed = self.allowed_element_keys(query)
-            return
         digest = query.content_digest()
         allowed = self._nominations.get(digest)
         if allowed is None:

@@ -38,7 +38,8 @@ dynamic bound the search computes at expansion time (the actual prefix
 cost is at least the prefix of minima, and structure violations only
 add), so every trimmed candidate is one branch-and-bound provably never
 expands: the emitted mapping set is identical, candidate for candidate,
-to the untrimmed search — property-tested with the substrate on vs. off.
+to the untrimmed search — property-tested against the substrate-less
+path (``SchemaSearch`` without a ``substrate``).
 
 Flattened search
 ----------------
@@ -48,17 +49,15 @@ ancestry checks are one shift against the schema's precomputed
 per-target ancestor bitsets
 (:meth:`~repro.schema.model.Schema.ancestor_masks`), and candidate rows
 are flat tuples.  The bound arithmetic is expression-for-expression that
-of :meth:`SchemaSearch.exhaustive_reference` — the recursive generator
-kept as the executable specification — so the emitted sequence is
-byte-identical; :func:`flat_search_disabled` switches the process back
-to the reference for A/B runs.
+of the recursive generator it replaced, which the tests keep as the
+executable specification (``recursive_exhaustive`` in
+``tests/helpers/oracles.py``), so the emitted sequence is byte-identical.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.errors import MatchingError
@@ -70,9 +69,6 @@ from repro.schema.model import Schema
 __all__ = [
     "SchemaSearch",
     "count_assignments",
-    "flat_search_disabled",
-    "flat_search_enabled",
-    "set_flat_search_enabled",
     "threshold_unreachable",
 ]
 
@@ -80,38 +76,6 @@ _EPSILON = 1e-9
 # Extra slack on the static pruning bound so float non-associativity can
 # only ever keep a candidate the dynamic bound would also have kept.
 _TRIM_SLACK = 1e-12
-
-_FLAT_ENABLED = True
-
-
-def flat_search_enabled() -> bool:
-    """Whether :meth:`SchemaSearch.exhaustive` runs the flattened loop."""
-    return _FLAT_ENABLED
-
-
-def set_flat_search_enabled(enabled: bool) -> bool:
-    """Set the process-wide flat-search switch; returns the previous value."""
-    global _FLAT_ENABLED
-    previous = _FLAT_ENABLED
-    _FLAT_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def flat_search_disabled() -> Iterator[None]:
-    """Run a block on the recursive reference search (the PR-4 engine).
-
-    For A/B benchmarks and the property suite: the flattened
-    explicit-stack loop and :meth:`SchemaSearch.exhaustive_reference`
-    must emit the identical mapping sequence — same assignments, same
-    scores, same order.
-    """
-    previous = set_flat_search_enabled(False)
-    try:
-        yield
-    finally:
-        set_flat_search_enabled(previous)
-
 
 def count_assignments(query_size: int, schema_size: int) -> int:
     """Number of injective assignments: the falling factorial m!/(m−k)!.
@@ -219,7 +183,7 @@ class SchemaSearch:
         else:
             costs = self.objective.cost_matrix(query, schema)
         aligned_matrix = None
-        use_vectors = vectors.numpy_enabled()
+        use_vectors = vectors.numpy_available()
         if allowed is None and matrix is not None:
             # Unrestricted search over a precomputed matrix: the context
             # aliases the matrix's candidate orders and suffix sums
@@ -305,7 +269,7 @@ class SchemaSearch:
         """
         if not self._prune:
             return ctx.candidates
-        if ctx.aligned_matrix is not None and vectors.numpy_enabled():
+        if ctx.aligned_matrix is not None and vectors.numpy_available():
             vectorised = self._trimmed_candidates_vector(ctx, cutoff)
             if vectorised is not NotImplemented:
                 return vectorised
@@ -340,15 +304,12 @@ class SchemaSearch:
         instead — for matrices below the 2-D dispatch floor
         (:data:`~repro.matching.similarity.vectors.VECTOR_MIN_AREA`,
         checked *before* any ndarray view is built, so small matrices
-        pay nothing here) and when the views are unavailable (numpy
-        raced off between checks).
+        pay nothing here).
         """
         matrix = ctx.aligned_matrix
         if matrix.query_size * matrix.schema_size < vectors.VECTOR_MIN_AREA:
             return NotImplemented
         sorted_costs = matrix.np_sorted_costs()
-        if sorted_costs is None:
-            return NotImplemented
         np = vectors._np
         min_rest = ctx.min_rest
         total_min = min_rest[0]
@@ -384,18 +345,13 @@ class SchemaSearch:
         preallocated arrays with ``used`` as an integer bitmask and
         ancestry read from the schema's precomputed
         :meth:`~repro.schema.model.Schema.ancestor_masks` — with bound
-        arithmetic identical, expression for expression, to
-        :meth:`exhaustive_reference` (the recursive generator this loop
-        replaced, kept as the executable specification).  The emitted
-        mapping sequence is candidate-for-candidate identical to the
-        reference — same assignments, same floats, same order —
-        property-tested in ``tests/properties/test_prop_kernel.py``.
-        Honours :func:`flat_search_enabled` so A/B runs can time the
-        reference path.
+        arithmetic identical, expression for expression, to the recursive
+        generator this loop replaced (kept as the executable
+        specification in the tests).  The emitted mapping sequence is
+        candidate-for-candidate identical to the reference — same
+        assignments, same floats, same order — property-tested in
+        ``tests/properties/test_prop_kernel.py``.
         """
-        if not flat_search_enabled():
-            yield from self.exhaustive_reference(delta_max)
-            return
         ctx = self._context
         if ctx is None:
             return
@@ -489,69 +445,6 @@ class SchemaSearch:
             )
             positions[next_depth] = 0
             depth = next_depth
-
-    def exhaustive_reference(
-        self, delta_max: float
-    ) -> Iterator[tuple[tuple[int, ...], float]]:
-        """The recursive branch-and-bound: :meth:`exhaustive`'s spec.
-
-        This is the PR-4 engine, kept verbatim as the executable
-        specification the flattened loop is property-tested against and
-        as the baseline half of ``benchmarks/bench_kernel.py``.  Both
-        searches evaluate the same bound expressions on the same floats
-        in the same order; only the control flow differs.
-        """
-        ctx = self._context
-        if ctx is None:
-            return
-        cutoff = delta_max + _EPSILON
-        candidates = self._trimmed_candidates(ctx, cutoff)
-        if candidates is None:
-            return
-        k = len(ctx.query)
-        assignment: list[int | None] = [None] * k
-        used: set[int] = set()
-
-        def recurse(
-            depth: int, cost_sum: float, violations: int
-        ) -> Iterator[tuple[tuple[int, ...], float]]:
-            if depth == k:
-                score = self.objective.combine(
-                    cost_sum,
-                    k,
-                    (violations / ctx.num_edges) if ctx.num_edges else 0.0,
-                )
-                if score <= delta_max + _EPSILON:
-                    yield tuple(assignment), score  # type: ignore[arg-type]
-                return
-            parent = ctx.parents[depth]
-            parent_target = assignment[parent] if parent is not None else None
-            structure_so_far = ctx.structure_share * violations
-            for target in candidates[depth]:
-                if target in used:
-                    continue
-                cost = ctx.costs[depth][target]
-                base_bound = (
-                    ctx.element_share
-                    * (cost_sum + cost + ctx.min_rest[depth + 1])
-                    + structure_so_far
-                )
-                if base_bound > cutoff:
-                    break  # candidates are cost-sorted; the rest only worse
-                new_violations = violations
-                if parent_target is not None and not ctx.schema.is_ancestor(
-                    parent_target, target
-                ):
-                    new_violations += 1
-                    if base_bound + ctx.structure_share > cutoff:
-                        continue  # violation pushed this one out; others may fit
-                assignment[depth] = target
-                used.add(target)
-                yield from recurse(depth + 1, cost_sum + cost, new_violations)
-                used.discard(target)
-                assignment[depth] = None
-
-        yield from recurse(0, 0.0, 0)
 
     # -- beam search ---------------------------------------------------------
 

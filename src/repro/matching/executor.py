@@ -23,9 +23,13 @@ back, for each unit, the exact ``(schema_id, match_pair result)`` list
 the serial path would produce — transports move bytes, never answers,
 so the pipeline's byte-identity contract holds for any executor.
 
-The pool's module-level lifecycle (:func:`shutdown_workers`,
-:func:`current_switches`) lives here; :mod:`repro.matching.pipeline`
-re-exports ``shutdown_workers`` for backwards compatibility.
+The pool's module-level lifecycle (:func:`shutdown_workers`) and the
+state-key recipe (:meth:`ExecutionState.build`, over
+:func:`matcher_fingerprint`) live here; :mod:`repro.matching.pipeline`
+re-exports both functions for backwards compatibility.  Workers mirror
+no process-wide settings: every process runs the same code paths
+(numpy availability may differ, which by the vector layer's contract
+changes no answer), so the installed state is all a worker holds.
 """
 
 from __future__ import annotations
@@ -39,20 +43,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.matching.base import Matcher
-from repro.matching.engine import (
-    flat_search_enabled,
-    set_flat_search_enabled,
-)
-from repro.matching.similarity.backends import (
-    backends_enabled,
-    set_backends_enabled,
-)
-from repro.matching.similarity.kernel import kernel_enabled, set_kernel_enabled
-from repro.matching.similarity.matrix import (
-    set_substrate_enabled,
-    substrate_enabled,
-)
-from repro.matching.similarity.vectors import numpy_enabled, set_numpy_enabled
 from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
 
@@ -62,9 +52,8 @@ __all__ = [
     "SerialExecutor",
     "ShardExecutor",
     "WorkUnit",
-    "apply_switches",
     "clone_worker_state",
-    "current_switches",
+    "matcher_fingerprint",
     "shutdown_workers",
 ]
 
@@ -72,36 +61,18 @@ __all__ = [
 PairResult = list[tuple[tuple[int, ...], float]]
 
 
-def current_switches() -> tuple[bool, bool, bool, bool, bool]:
-    """The process-wide A/B switches, in worker-install order.
+def matcher_fingerprint(matcher: Matcher) -> str:
+    """Configuration identity of a matcher, for cache and state keys.
 
-    (substrate, kernel, flat search, numpy, backends) — the five toggles
-    of the differential-testing harness.  Workers must mirror the
-    coordinator's values or a toggle flip would silently test nothing.
+    :meth:`Matcher.describe` covers the system name, its parameters and
+    the objective fingerprint — which itself folds in the thesaurus
+    content digest (:meth:`NameSimilarity.fingerprint`), so same-size,
+    different-content thesauri cannot collide here.
     """
-    return (
-        substrate_enabled(),
-        kernel_enabled(),
-        flat_search_enabled(),
-        numpy_enabled(),
-        backends_enabled(),
+    description = sorted(
+        (key, repr(value)) for key, value in matcher.describe().items()
     )
-
-
-def apply_switches(switches: Sequence[bool]) -> None:
-    """Set the process-wide A/B switches from :func:`current_switches` order.
-
-    The numpy flag carries the coordinator's *switch*; a worker without
-    numpy importable still runs the spec path (``numpy_enabled()`` stays
-    false there), which is byte-identical by the vector layer's
-    contract, so mixed availability cannot skew answers.
-    """
-    substrate_on, kernel_on, flat_on, numpy_on, backends_on = switches
-    set_substrate_enabled(substrate_on)
-    set_kernel_enabled(kernel_on)
-    set_flat_search_enabled(flat_on)
-    set_numpy_enabled(numpy_on)
-    set_backends_enabled(backends_on)
+    return repr(description)
 
 
 @dataclass(frozen=True)
@@ -125,17 +96,42 @@ class ExecutionState:
     ``matcher`` arrives already ``prepare()``d on ``repository`` (so
     repository-global state such as clusters rides along), ``queries``
     and ``schema_table`` are the shared lookup tables units index into,
-    ``switches`` mirrors the coordinator's A/B toggles and ``state_key``
-    identifies the whole bundle — executors that keep live workers
-    (pool, remote) reinstall state only when it changes.
+    and ``state_key`` identifies the whole bundle — executors that keep
+    live workers (pool, remote) reinstall state only when it changes.
+    Build it with :meth:`build`, the one owner of the key recipe.
     """
 
     matcher: Matcher
     queries: list[Schema]
     repository: SchemaRepository
     schema_table: dict[str, Schema]
-    switches: tuple[bool, bool, bool, bool, bool]
     state_key: tuple
+
+    @classmethod
+    def build(
+        cls,
+        matcher: Matcher,
+        queries: list[Schema],
+        repository: SchemaRepository,
+    ) -> "ExecutionState":
+        """The state of one run, keyed by everything a worker observes.
+
+        ``state_key`` is (matcher fingerprint, repository content
+        digest, query content digests): two runs with equal keys hold
+        interchangeable state, so a live worker may keep serving units
+        from its installed copy.
+        """
+        return cls(
+            matcher=matcher,
+            queries=queries,
+            repository=repository,
+            schema_table={schema.schema_id: schema for schema in repository},
+            state_key=(
+                matcher_fingerprint(matcher),
+                repository.content_digest(),
+                tuple(query.content_digest() for query in queries),
+            ),
+        )
 
 
 def run_unit_with(
@@ -258,15 +254,8 @@ def _init_worker(
     matcher: Matcher,
     queries: list[Schema],
     schemas: dict[str, Schema],
-    switches: tuple[bool, bool, bool, bool, bool] = (
-        True, True, True, True, True,
-    ),
 ) -> None:
     global _WORKER_STATE
-    # Mirror the coordinator's process-wide A/B switches — worker
-    # processes otherwise boot with the module defaults regardless of
-    # what the coordinator toggled.
-    apply_switches(switches)
     _WORKER_STATE = {"matcher": matcher, "queries": queries, "schemas": schemas}
 
 
@@ -311,8 +300,8 @@ def _acquire_pool(max_workers: int, state: ExecutionState) -> ProcessPoolExecuto
     The matcher, the query list and the repository's schema table are
     installed **one-shot per worker process** through the pool
     initializer; while ``state.state_key`` — matcher fingerprint,
-    repository and query content digests, the A/B switches — stays the
-    same, later pipeline runs (a threshold sweep, repeated experiments)
+    repository and query content digests — stays the same, later
+    pipeline runs (a threshold sweep, repeated experiments)
     reuse the live processes and re-pickle *nothing*: tasks carry only
     indices, schema ids and the threshold.  Before this, every run
     spawned a fresh pool and re-shipped the full repository and matcher
@@ -329,12 +318,7 @@ def _acquire_pool(max_workers: int, state: ExecutionState) -> ProcessPoolExecuto
     executor = ProcessPoolExecutor(
         max_workers=max_workers,
         initializer=_init_worker,
-        initargs=(
-            state.matcher,
-            state.queries,
-            state.schema_table,
-            state.switches,
-        ),
+        initargs=(state.matcher, state.queries, state.schema_table),
     )
     _POOL = _WorkerPool(executor, max_workers, state.state_key)
     return executor

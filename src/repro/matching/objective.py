@@ -23,11 +23,7 @@ from dataclasses import dataclass
 
 from repro.errors import MatchingError, ObjectiveMismatchError
 from repro.matching.mapping import Mapping
-from repro.matching.similarity.backends import (
-    LexicalBackend,
-    SimilarityBackend,
-    backends_enabled,
-)
+from repro.matching.similarity.backends import LexicalBackend, SimilarityBackend
 from repro.matching.similarity.datatype import datatype_penalty
 from repro.matching.similarity.name import NameSimilarity
 from repro.matching.similarity.structure import ancestry_violations, query_edges
@@ -197,16 +193,7 @@ class ObjectiveFunction:
         them), which is what licenses the kernel to compute one cost per
         distinct (normalised label, datatype) pair per repository.
         """
-        backend = self.backend
-        if backend.kind == "lexical" and not backends_enabled():
-            # the pre-backend direct path, kept live as the A/B
-            # reference of the refactoring seam; identical to the
-            # LexicalBackend route by construction (it delegates), which
-            # the backend property suite asserts byte for byte
-            name_score = self.name_similarity.similarity(query_name, target_name)
-        else:
-            name_score = backend.similarity(query_name, target_name)
-        name_cost = 1.0 - name_score
+        name_cost = 1.0 - self.backend.similarity(query_name, target_name)
         type_cost = datatype_penalty(query_datatype, target_datatype)
         return self._name_share * name_cost + self._datatype_share * type_cost
 

@@ -64,7 +64,7 @@ from repro.matching.executor import (
     SerialExecutor,
     ShardExecutor,
     WorkUnit,
-    current_switches,
+    matcher_fingerprint,
     shutdown_workers,
 )
 from repro.matching.similarity.matrix import suffix_cost_sums
@@ -110,20 +110,6 @@ def schema_digest(schema: Schema) -> str:
     matchers (clustering) depend on all schemas, not just the pair's.
     """
     return schema.content_digest()
-
-
-def matcher_fingerprint(matcher: Matcher) -> str:
-    """Configuration identity of a matcher, for cache keys.
-
-    :meth:`Matcher.describe` covers the system name, its parameters and
-    the objective fingerprint — which itself folds in the thesaurus
-    content digest (:meth:`NameSimilarity.fingerprint`), so same-size,
-    different-content thesauri cannot collide here.
-    """
-    description = sorted(
-        (key, repr(value)) for key, value in matcher.describe().items()
-    )
-    return repr(description)
 
 
 # ---------------------------------------------------------------------------
@@ -723,24 +709,8 @@ class MatchingPipeline:
         # rides along; the repository's full schema table is one copy
         # shared by all shards.  Stateful transports (the shared pool,
         # remote workers) install this bundle one-shot and reuse it
-        # across runs while the state key matches; the A/B switches
-        # enter the key because workers hold a copy of the matcher (and
-        # its substrate/kernel), so a toggle flip must re-install state
-        # rather than reuse workers warmed on the other code path.
-        switches = current_switches()
-        state = ExecutionState(
-            matcher=matcher,
-            queries=queries,
-            repository=repository,
-            schema_table={schema.schema_id: schema for schema in repository},
-            switches=switches,
-            state_key=(
-                matcher_fingerprint(matcher),
-                repository.content_digest(),
-                tuple(schema_digest(query) for query in queries),
-                *switches,
-            ),
-        )
+        # across runs while the state key matches.
+        state = ExecutionState.build(matcher, queries, repository)
         units = [
             WorkUnit(query_index, shard_index, tuple(missing))
             for query_index, shard_index, _, missing in pending

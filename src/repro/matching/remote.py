@@ -4,8 +4,8 @@ This module extends the :class:`~repro.matching.executor.ShardExecutor`
 seam across machine boundaries.  A :class:`WorkerServer` (started by the
 ``repro worker`` CLI subcommand, or in-process for tests) holds exactly
 the state a pooled worker process holds — matcher, queries, the
-repository's schema table, the A/B switches — installed **one-shot** and
-reused while the coordinator's ``state_key`` matches; a
+repository's schema table — installed **one-shot** and reused while the
+coordinator's ``state_key`` matches; a
 :class:`RemoteShardExecutor` on the coordinator fans the same
 ``(query_index, schema_ids, delta_max)`` work units out to N workers and
 streams their results back in completion order.
@@ -22,9 +22,11 @@ desynchronised streams all surface as a loud
 :class:`~repro.errors.TransportError` — **never** as a silently wrong
 answer.  Payloads are pickled dicts with an ``"op"`` key; pickle is an
 explicit trust statement: this protocol connects nodes of *one* cluster
-under one operator, it is not an internet-facing surface.
+under one operator, it is not an internet-facing surface.  A
+connection opens with a ``hello`` naming :data:`PROTOCOL_VERSION`
+(currently 3); a worker refuses any other version.
 
-State install is **key-first** (protocol version 2): the ``install`` op
+State install is **key-first**: the ``install`` op
 carries only the coordinator's ``state_key``.  A worker already holding
 that key answers ``installed`` and the sweep goes straight to its work
 units; a worker that does not answers ``need_state``, and only then does
@@ -33,7 +35,8 @@ pickled at most once per sweep and shared by every worker that asked.
 Its content depends on the install mode:
 
 * ``inline`` — matcher, queries and schema table, exactly the pool
-  initializer's payload.
+  initializer's payload.  Nothing else: a worker mirrors no
+  process-wide settings of the coordinator.
 * ``store`` — only the matcher configuration plus the path of a shared
   :class:`~repro.schema.store.SnapshotStore` and the expected content
   digests; the worker **pulls** the repository, queries and the
@@ -56,9 +59,9 @@ event loop on one background thread, one coroutine per worker, with
 twins of the blocking framing helpers — so N workers cost one thread,
 not N.  A worker runs up to ``parallel_units`` units concurrently by
 keeping that many private state *slots* (eagerly cloned at install
-time); a reinstall waits for in-flight units to drain before flipping
-the process-wide A/B switches, so no unit ever runs under mixed
-switches.
+time); a reinstall waits for in-flight units to drain before it swaps
+in the new slots, so a worker holds one installed state's slots at a
+time.
 
 Liveness: every remote op runs under a per-op deadline from the
 coordinator's :class:`DeadlineBudget` — a hung socket can delay a sweep
@@ -94,7 +97,6 @@ from repro.errors import SnapshotError, TransportError
 from repro.matching.executor import (
     ExecutionState,
     ShardExecutor,
-    apply_switches,
     clone_worker_state,
     run_unit_with,
 )
@@ -123,8 +125,9 @@ __all__ = [
 
 MAGIC = b"RPW1"
 #: 2 = key-first install (``install`` names the key; ``state`` ships it
-#: on demand); version-1 peers are refused at ``hello``
-PROTOCOL_VERSION = 2
+#: on demand); 3 = the ``state`` frame carries no ``switches`` field.
+#: Peers speaking any other version are refused at ``hello``
+PROTOCOL_VERSION = 3
 #: frame size cap — far above any real install payload, far below
 #: anything that could be a desynchronised stream read as a length
 MAX_FRAME = 1 << 30
@@ -382,9 +385,11 @@ class WorkerServer:
     fan-out coroutine).  Install is one-shot server-wide and key-first:
     an ``install`` op names only the coordinator's ``state_key``, and
     the worker answers ``installed`` when it already holds that key or
-    ``need_state`` when it does — only then does the coordinator ship
+    ``need_state`` when it does not — only then does the coordinator ship
     the ``state`` frame.  A second connection installing the same key
-    reuses the live state and re-ships nothing.
+    reuses the live state and re-ships nothing.  The ``state`` frame is
+    the install payload alone (protocol version 3), and a ``hello``
+    naming any other version is refused before install.
 
     ``parallel_units`` is the worker's own shard parallelism: the
     install builds that many private state **slots** (the installed
@@ -394,10 +399,9 @@ class WorkerServer:
     concurrently instead of serializing on one state lock.  Answers
     are byte-identical whichever slot a unit lands on — clones carry
     exactly the install payload.  A reinstall (different ``state_key``)
-    waits for in-flight units to drain before flipping the
-    process-wide A/B switches; in-flight units of the old state finish
-    under the old switches, later ``run`` ops of the old key are
-    refused loudly.
+    waits for in-flight units to drain before swapping in the new
+    slots, so the worker holds one installed state's slots at a time;
+    later ``run`` ops of the old key are refused loudly.
 
     ``op_timeout`` bounds how long one peer may stall the connection
     **mid-conversation**: a frame that started must finish arriving —
@@ -595,14 +599,12 @@ class WorkerServer:
             if self._state_key == state_key:
                 self.stats.installs_reused += 1
                 return {"op": "installed", "reused": True}
-            # A reinstall flips the process-wide A/B switches; units of
-            # the previous state still running must finish under the
-            # switches they started under, so drain them first.  (Their
-            # coordinators' later ``run`` ops of the old key are then
-            # refused loudly by the state_key check.)
+            # Drain units of the previous state before replacing its
+            # slots: the worker holds one installed state's slots at a
+            # time.  (Their coordinators' later ``run`` ops of the old
+            # key are then refused loudly by the state_key check.)
             while self._inflight:
                 self._idle.wait(timeout=1.0)
-            apply_switches(message["switches"])
             mode = message.get("mode", "inline")
             if mode == "inline":
                 state = {
@@ -1020,7 +1022,6 @@ class RemoteShardExecutor(ShardExecutor):
         message = {
             "op": "state",
             "state_key": state.state_key,
-            "switches": state.switches,
             "matcher": state.matcher,
         }
         if self.store is None:

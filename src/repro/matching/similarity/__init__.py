@@ -8,8 +8,7 @@ paper builds on (Cupid, COMA, iMAP):
 * :mod:`~repro.matching.similarity.backends` — pluggable similarity
   backends: the protocol behind the objective's name plane, the default
   lexical backend, the BM25 sparse and hashed dense scorers, and the
-  weighted ensemble (with the ``backends`` A/B switch over the
-  refactoring seam);
+  weighted ensemble;
 * :mod:`~repro.matching.similarity.datatype` — datatype compatibility
   penalties;
 * :mod:`~repro.matching.similarity.structure` — ancestry preservation of
@@ -24,9 +23,9 @@ paper builds on (Cupid, COMA, iMAP):
   cost is computed once per repository and matrices become gathers;
 * :mod:`~repro.matching.similarity.vectors` — the optional numpy
   execution layer: batched gathers, vector candidate-order sorts,
-  suffix-sum folds and top-k cuts behind the ``numpy`` A/B switch, with
-  the pure-python code kept as the executable spec (and as the only
-  path when numpy is not installed).
+  suffix-sum folds and top-k cuts, with the pure-python code kept as
+  the executable spec (and as the only path when numpy is not
+  installed).
 """
 
 from repro.matching.similarity.backends import (
@@ -35,33 +34,17 @@ from repro.matching.similarity.backends import (
     LexicalBackend,
     SimilarityBackend,
     SparseBM25Backend,
-    backends_disabled,
-    backends_enabled,
-    set_backends_enabled,
 )
 from repro.matching.similarity.datatype import datatype_penalty
-from repro.matching.similarity.kernel import (
-    CostKernel,
-    kernel_disabled,
-    kernel_enabled,
-    set_kernel_enabled,
-)
+from repro.matching.similarity.kernel import CostKernel
 from repro.matching.similarity.matrix import (
     ScoreMatrix,
     SimilaritySubstrate,
     TokenIndex,
-    set_substrate_enabled,
-    substrate_disabled,
-    substrate_enabled,
 )
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
 from repro.matching.similarity.structure import ancestry_violations
-from repro.matching.similarity.vectors import (
-    numpy_available,
-    numpy_disabled,
-    numpy_enabled,
-    set_numpy_enabled,
-)
+from repro.matching.similarity.vectors import numpy_available
 
 __all__ = [
     "CostKernel",
@@ -76,18 +59,6 @@ __all__ = [
     "Thesaurus",
     "TokenIndex",
     "ancestry_violations",
-    "backends_disabled",
-    "backends_enabled",
     "datatype_penalty",
-    "kernel_disabled",
-    "kernel_enabled",
     "numpy_available",
-    "numpy_disabled",
-    "numpy_enabled",
-    "set_backends_enabled",
-    "set_kernel_enabled",
-    "set_numpy_enabled",
-    "set_substrate_enabled",
-    "substrate_disabled",
-    "substrate_enabled",
 ]

@@ -43,15 +43,10 @@ author-facing version):
 The default :class:`LexicalBackend` wraps the established
 :class:`~repro.matching.similarity.name.NameSimilarity` blend and its
 fingerprint *verbatim*, so refactoring the objective onto the backend
-seam changed no fingerprint, no score and no snapshot compatibility.
-Like every optimisation layer before it (substrate, kernel, flat
-search, numpy), the seam has a process-wide A/B switch:
-:func:`backends_disabled` routes the default objective through the
-pre-backend direct :class:`NameSimilarity` path, and the property suite
-asserts byte-identical answer sets either way.  The switch only covers
-the refactoring seam — non-lexical backends always score through
-themselves, so toggling it can never silently swap one scoring system
-for another.
+seam changed no fingerprint, no score and no snapshot compatibility:
+its :meth:`~LexicalBackend.similarity` delegates to the very
+:meth:`NameSimilarity.similarity` call the objective made before the
+seam existed.
 """
 
 from __future__ import annotations
@@ -59,8 +54,7 @@ from __future__ import annotations
 import hashlib
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
 
 from repro.errors import MatchingError
 from repro.matching.similarity.name import NameSimilarity
@@ -74,35 +68,7 @@ __all__ = [
     "LexicalBackend",
     "SimilarityBackend",
     "SparseBM25Backend",
-    "backends_disabled",
-    "backends_enabled",
-    "set_backends_enabled",
 ]
-
-_ENABLED = True
-
-
-def backends_enabled() -> bool:
-    """Whether the default objective scores names through its backend."""
-    return _ENABLED
-
-
-def set_backends_enabled(enabled: bool) -> bool:
-    """Set the process-wide backend switch; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def backends_disabled() -> Iterator[None]:
-    """Run a block on the pre-backend direct name-similarity path."""
-    previous = set_backends_enabled(False)
-    try:
-        yield
-    finally:
-        set_backends_enabled(previous)
 
 
 class SimilarityBackend(ABC):
@@ -113,7 +79,7 @@ class SimilarityBackend(ABC):
     additionally override :meth:`prepare` and :meth:`corpus_token`.
     """
 
-    #: short kind tag used in reports and the objective's dispatch
+    #: short tag naming the backend family
     kind: str = "backend"
 
     #: True when scores depend on repository-wide statistics frozen by

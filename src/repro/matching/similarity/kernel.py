@@ -32,8 +32,8 @@ pure, symmetric function of the normalised labels
 (:class:`~repro.matching.similarity.name.NameSimilarity`), so a gathered
 cost is the bit-identical float of the per-pair computation.  The
 property suite (``tests/properties/test_prop_kernel.py``) asserts
-byte-identical answer sets with the kernel on vs. off for every matcher
-across threshold sweeps and evolving-repository delta streams.
+byte-identical answer sets against the kernel-less build for every
+matcher across threshold sweeps and evolving-repository delta streams.
 
 Evolution and persistence
 -------------------------
@@ -46,15 +46,15 @@ are computed.  The kernel also exports/imports plain-data state
 the snapshot substrate payload persists so a warm-started service skips
 the recompute entirely (:mod:`repro.matching.similarity.persist`).
 
-The kernel can be switched off process-wide (for A/B tests and the
-property suite) with :func:`set_kernel_enabled` or the
-:func:`kernel_disabled` context manager; disabled, matrices build
-through the per-(query, schema) distinct-label path of PR 2.
+The kernel-less build — ``ScoreMatrix.build`` without a kernel, the
+per-(query, schema) distinct-label path of PR 2 — stays in production
+for schemas a kernel does not cover, and is the reference the tests
+diff the gathers against.
 
 Vectorised gathers
 ------------------
-With the numpy execution path on
-(:func:`~repro.matching.similarity.vectors.numpy_enabled`), the kernel
+When numpy is available
+(:func:`~repro.matching.similarity.vectors.numpy_available`), the kernel
 additionally keeps the schema label-id maps stacked into one padded 2-D
 ``ndarray``, and the first gather of a query label fancy-indexes its
 cost row through that stack and batch-argsorts **every schema's**
@@ -69,8 +69,6 @@ property suite (``tests/properties/test_prop_numpy.py``) pins it down.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
-from contextlib import contextmanager
 
 from repro.errors import SnapshotError
 from repro.matching.similarity import vectors
@@ -79,40 +77,10 @@ from repro.schema.repository import SchemaRepository
 from repro.util.caching import fifo_put
 from repro.util.text import normalise_label
 
-__all__ = [
-    "CostKernel",
-    "kernel_disabled",
-    "kernel_enabled",
-    "set_kernel_enabled",
-]
+__all__ = ["CostKernel"]
 
 #: one interned universe entry: (normalised label, datatype)
 LabelKey = tuple[str, Datatype]
-
-_ENABLED = True
-
-
-def kernel_enabled() -> bool:
-    """Whether score matrices gather from the repository cost kernel."""
-    return _ENABLED
-
-
-def set_kernel_enabled(enabled: bool) -> bool:
-    """Set the process-wide kernel switch; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def kernel_disabled() -> Iterator[None]:
-    """Run a block with the kernel off (the pre-kernel scoring path)."""
-    previous = set_kernel_enabled(False)
-    try:
-        yield
-    finally:
-        set_kernel_enabled(previous)
 
 
 class CostKernel:
@@ -328,10 +296,10 @@ class CostKernel:
         normalised = self._norms.get(name)
         if normalised is None:
             normalised = self._normalise(name)
-        # the inlined body of vectors.numpy_enabled() — this runs once
+        # the inlined body of vectors.numpy_available() — this runs once
         # per (query element, schema) pair, where a function call is
         # measurable against the ~µs of useful work per hit
-        if vectors._ENABLED and vectors._np is not None:
+        if vectors._np is not None:
             bucket = self._vgathers.get((normalised, datatype))
             if bucket is None:
                 return self._gather_vector(name, normalised, datatype, digest)

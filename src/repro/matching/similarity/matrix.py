@@ -46,24 +46,22 @@ assigning query element ``i`` to target ``j`` —
 threshold cutoff, i.e. exactly the pairs the branch-and-bound's own
 admissible bound would refuse to expand.  The property suite
 (``tests/properties/test_prop_substrate.py``) asserts byte-identical
-answer sets with the substrate on vs. off for every matcher across a
-threshold sweep.
-
-The substrate can be switched off process-wide (for A/B tests and the
-property suite) with :func:`set_substrate_enabled` or the
-:func:`substrate_disabled` context manager.
+answer sets against the substrate-less direct path for every matcher
+across a threshold sweep; that path stays in production
+(:class:`~repro.matching.engine.SchemaSearch` without a ``substrate``),
+and the tests reach it by faking
+:meth:`~repro.matching.base.Matcher._substrate`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.errors import MatchingError
 from repro.matching.similarity import vectors
-from repro.matching.similarity.kernel import CostKernel, kernel_enabled
+from repro.matching.similarity.kernel import CostKernel
 from repro.schema.model import Schema
 from repro.schema.repository import ElementHandle, SchemaRepository
 from repro.util.text import tokenize_label
@@ -73,41 +71,12 @@ __all__ = [
     "SimilaritySubstrate",
     "SubstrateStats",
     "TokenIndex",
-    "set_substrate_enabled",
-    "substrate_disabled",
-    "substrate_enabled",
     "suffix_cost_sums",
 ]
 
 #: (label, datatype) groups: representative element id -> all ids sharing
 #: the representative's exact label and datatype, in pre-order
 LabelGroups = tuple[tuple[int, tuple[int, ...]], ...]
-
-_ENABLED = True
-
-
-def substrate_enabled() -> bool:
-    """Whether matchers route similarity work through the substrate."""
-    return _ENABLED
-
-
-def set_substrate_enabled(enabled: bool) -> bool:
-    """Set the process-wide substrate switch; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def substrate_disabled() -> Iterator[None]:
-    """Run a block with the substrate off (the pre-substrate code path)."""
-    previous = set_substrate_enabled(False)
-    try:
-        yield
-    finally:
-        set_substrate_enabled(previous)
-
 
 def suffix_cost_sums(row_minima) -> tuple[float, ...]:
     """``out[i] = Σ row_minima[i:]``, accumulated last row to first.
@@ -119,16 +88,13 @@ def suffix_cost_sums(row_minima) -> tuple[float, ...]:
     construction — byte-identity of pruning decisions depends on it.
     Returns length ``len(row_minima) + 1`` (the trailing 0.0 included).
 
-    With the numpy path on, long inputs accumulate through
+    With numpy available, long inputs accumulate through
     :func:`~repro.matching.similarity.vectors.suffix_sums` — a strict
     sequential ``cumsum`` fold over the reversed minima, the identical
     float chain of the loop below (the loop stays as the executable
     spec, and is still what short inputs run).
     """
-    if (
-        len(row_minima) >= vectors.VECTOR_MIN
-        and vectors.numpy_enabled()
-    ):
+    if len(row_minima) >= vectors.VECTOR_MIN and vectors.numpy_available():
         return vectors.suffix_sums(row_minima)
     out = [0.0] * (len(row_minima) + 1)
     for i in range(len(row_minima) - 1, -1, -1):
@@ -145,7 +111,7 @@ def _candidate_order(row) -> tuple[int, ...]:
     target id *is* the ``(cost, id)`` tie-break — so both forms return
     the identical tuple.
     """
-    if len(row) >= vectors.VECTOR_MIN and vectors.numpy_enabled():
+    if len(row) >= vectors.VECTOR_MIN and vectors.numpy_available():
         return tuple(vectors.stable_order(row).tolist())
     return tuple(j for _, j in sorted(zip(row, range(len(row)))))
 
@@ -374,10 +340,10 @@ class ScoreMatrix:
 
         Built on first request and cached on the matrix, so the
         conversion amortises across every search the substrate's LRU
-        serves from this matrix.  ``None`` whenever the numpy path is
-        off — callers fall back to the tuple spec unconditionally.
+        serves from this matrix.  ``None`` whenever numpy is unavailable
+        — callers fall back to the tuple spec unconditionally.
         """
-        if not vectors.numpy_enabled():
+        if not vectors.numpy_available():
             return None
         if self._np_costs is None:
             np = vectors._np
@@ -391,7 +357,7 @@ class ScoreMatrix:
 
     def np_orders(self):
         """2-D intp ndarray of ``candidate_order``, else ``None`` (as above)."""
-        if not vectors.numpy_enabled():
+        if not vectors.numpy_available():
             return None
         if self._np_orders is None:
             np = vectors._np
@@ -409,9 +375,9 @@ class ScoreMatrix:
         """``costs`` gathered into candidate order (row i follows
         ``candidate_order[i]``), cached like the other ndarray views —
         what the engine's batched static trim broadcasts over.  ``None``
-        whenever the numpy path is off.
+        whenever numpy is unavailable.
         """
-        if not vectors.numpy_enabled():
+        if not vectors.numpy_available():
             return None
         if self._np_sorted is None:
             np = vectors._np
@@ -635,28 +601,38 @@ class SimilaritySubstrate:
             if objective.corpus_token() != before:
                 self._matrices.clear()
                 self._kernel = None
-        if kernel_enabled() and (
-            self._kernel is None or self._kernel.repository_digest != digest
-        ):
-            self._kernel = CostKernel(
-                self.objective, repository, previous=self._kernel
-            )
-            self.stats.kernel_builds += 1
-            self.stats.kernel_rows_migrated += self._kernel.rows_migrated
+        self.kernel(repository)
         return self._index
 
     def token_index(self) -> TokenIndex | None:
         """The prepared repository index, or ``None`` before ``prepare``."""
         return self._index
 
-    def kernel(self) -> CostKernel | None:
+    def kernel(
+        self, repository: SchemaRepository | None = None
+    ) -> CostKernel | None:
         """The repository cost kernel, or ``None`` before ``prepare``.
 
-        Also ``None`` while the process-wide kernel switch
-        (:func:`~repro.matching.similarity.kernel.kernel_enabled`) is
-        off — matrices then build through the pre-kernel path.
+        Given a ``repository`` (as :meth:`prepare` passes it), first
+        (re)builds the kernel when that repository version is not the
+        one the kernel was built for, migrating the previous version's
+        rows.  :meth:`matrix` and the snapshot payload read the kernel
+        through here too, so this one method decides whether a
+        substrate gathers; the tests' kernel oracle replaces it to get
+        the kernel-less build everywhere.
         """
-        return self._kernel if kernel_enabled() else None
+        if repository is not None:
+            kernel = self._kernel
+            if (
+                kernel is None
+                or kernel.repository_digest != repository.content_digest()
+            ):
+                self._kernel = CostKernel(
+                    self.objective, repository, previous=kernel
+                )
+                self.stats.kernel_builds += 1
+                self.stats.kernel_rows_migrated += self._kernel.rows_migrated
+        return self._kernel
 
     def cached_matrices(self) -> list[ScoreMatrix]:
         """All cached matrices, least recently used first (for snapshots)."""
@@ -697,7 +673,7 @@ class SimilaritySubstrate:
             self._matrices.move_to_end(key)
             self.stats.matrix_hits += 1
             return cached
-        kernel = self._kernel if kernel_enabled() else None
+        kernel = self.kernel()
         column_groups = None
         if kernel is None or kernel.schema_label_ids(schema) is None:
             column_groups = (

@@ -51,7 +51,7 @@ from repro.matching.pipeline import (
     PipelineStats,
     matcher_fingerprint,
 )
-from repro.matching.similarity.kernel import CostKernel, kernel_enabled
+from repro.matching.similarity.kernel import CostKernel
 from repro.matching.similarity.matrix import (
     ScoreMatrix,
     SimilaritySubstrate,
@@ -92,7 +92,7 @@ def substrate_payload(substrate: SimilaritySubstrate) -> str:
     """Serialize a substrate's index + kernel + matrices to a JSON section.
 
     The kernel section is optional in both directions: a substrate
-    prepared with the kernel switched off writes ``"kernel": null``, and
+    saved before its first ``prepare`` writes ``"kernel": null``, and
     payloads written before the kernel existed simply lack the key —
     :func:`restore_substrate` treats both as "rebuild on first
     ``prepare``", so snapshot format compatibility holds across the
@@ -155,7 +155,7 @@ def restore_substrate(
     kernel = None
     # Payloads written before the scoring kernel existed have no
     # "kernel" key; either way the kernel is rebuilt on first prepare().
-    if state.get("kernel") is not None and kernel_enabled():
+    if state.get("kernel") is not None:
         kernel = CostKernel.from_state(
             substrate.objective, repository, state["kernel"]
         )

@@ -1,14 +1,13 @@
-"""The optional numpy execution layer behind the ``numpy`` A/B switch.
+"""The optional numpy execution layer.
 
 The scoring stack's remaining per-expansion work after the kernel PR is
 pure-python arithmetic: gathering kernel rows into matrices, sorting
 candidate orders, accumulating suffix-sum admissible bounds, cutting
 top-k candidate lists.  This module provides vectorised forms of those
-primitives — and the process-wide switch that selects them — while the
-pure-python code keeps being the **executable specification**, exactly
-like :func:`~repro.matching.engine.flat_search_disabled` keeps the
-recursive search and :func:`~repro.matching.similarity.kernel
-.kernel_disabled` keeps the per-pair scoring path.
+primitives.  Every caller keeps its pure-python loop beside the vector
+form as the **executable specification**: it is the only path when
+numpy is absent, and the tests diff the two (``tests/helpers/oracles.py``
+hides numpy in-process by setting ``vectors._np`` to ``None``).
 
 Byte-identity discipline
 ------------------------
@@ -41,12 +40,8 @@ Optional dependency
 numpy is **optional**.  When it cannot be imported — or when the
 environment variable ``REPRO_NO_NUMPY=1`` forces the import to be
 skipped, which is how CI exercises the numpy-absent configuration
-without a second container image — :func:`numpy_available` is false,
-:func:`numpy_enabled` is false regardless of the switch, and every
-caller falls back to its spec path.  ``set_numpy_enabled(True)`` on a
-numpy-less process is a recorded no-op: the switch flips, but
-:func:`numpy_enabled` keeps answering false, so toggling code needs no
-availability checks of its own.
+without a second container image — :func:`numpy_available` is false and
+every caller runs its spec path.  That one check is the whole dispatch.
 """
 
 from __future__ import annotations
@@ -57,9 +52,6 @@ from contextlib import contextmanager
 
 __all__ = [
     "numpy_available",
-    "numpy_disabled",
-    "numpy_enabled",
-    "set_numpy_enabled",
     "stable_order",
     "suffix_sums",
     "topk_indices",
@@ -73,8 +65,6 @@ else:
         import numpy as _np
     except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
         _np = None
-
-_ENABLED = True
 
 #: adaptive dispatch floors: per-call vector forms only run at or above
 #: these sizes (elements for 1-D ops, total elements for 2-D ops) —
@@ -113,41 +103,8 @@ def numpy_available() -> bool:
     return _np is not None
 
 
-def numpy_enabled() -> bool:
-    """Whether the vectorised execution path is active.
-
-    True only when numpy is importable **and** the process-wide switch
-    is on; with numpy absent this is constantly false and the spec
-    paths run everywhere.
-    """
-    return _ENABLED and _np is not None
-
-
-def set_numpy_enabled(enabled: bool) -> bool:
-    """Set the process-wide numpy switch; returns the previous value.
-
-    The switch state is tracked even without numpy installed (so
-    save/restore idioms behave), but :func:`numpy_enabled` only ever
-    answers true when numpy is actually importable.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def numpy_disabled() -> Iterator[None]:
-    """Run a block on the pure-python spec paths (for A/B runs)."""
-    previous = set_numpy_enabled(False)
-    try:
-        yield
-    finally:
-        set_numpy_enabled(previous)
-
-
 # ---------------------------------------------------------------------------
-# Vector primitives (call only when ``numpy_enabled()``)
+# Vector primitives (call only when ``numpy_available()``)
 # ---------------------------------------------------------------------------
 
 def stable_order(values) -> "object":

@@ -63,7 +63,7 @@ class TopKCandidateMatcher(Matcher):
             for i in range(len(query)):
                 if (
                     len(schema) >= vectors.VECTOR_MIN
-                    and vectors.numpy_enabled()
+                    and vectors.numpy_available()
                 ):
                     # argpartition narrows to the k cheapest, then exact
                     # (cost, id) tie resolution at the pivot — the same

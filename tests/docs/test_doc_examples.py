@@ -50,7 +50,7 @@ class TestReferenceLinter:
         assert check_docs.resolve_reference(
             "repro.matching.similarity.backends"
         )
-        assert check_docs.resolve_reference("repro.matching.numpy_disabled")
+        assert check_docs.resolve_reference("repro.matching.numpy_available")
         assert check_docs.resolve_reference(
             "repro.matching.similarity.backends.SimilarityBackend.similarity"
         )

@@ -1,20 +1,12 @@
 """The differential-testing harness behind the byte-identity suite.
 
-The matching stack carries five process-wide A/B switches, each pairing
-an optimised (or refactored) execution path with the pure-python code
-kept as its executable specification:
+Each optimised layer of the matching stack has one production path,
+and the code it replaced lives on as a test oracle
+(:mod:`helpers.oracles` tabulates them).  The four toggles here —
+substrate, kernel, flat-search, numpy — each name the oracle context
+that swaps one spec in for the duration of a run.
 
-========== ====================================================== ==========
-toggle     path it disables                                       spec path
-========== ====================================================== ==========
-substrate  precomputed score matrices + exact candidate pruning   direct per-pair scoring
-kernel     interned label-universe cost rows + matrix gathers     per-matrix similarity
-flat-search flattened explicit-stack branch-and-bound             recursive generator
-numpy      vectorised gathers / sorts / bounds / top-k cuts       python loops
-backends   the pluggable-backend seam of the default objective    direct NameSimilarity call
-========== ====================================================== ==========
-
-The byte-identity contract says any *combination* of these switches
+The byte-identity contract says any *combination* of these toggles
 must produce byte-identical answer sets — same mappings, same score
 floats, same order.  This module is the one place that contract is
 mechanised: a seeded workload generator, the canonical answer encoding,
@@ -29,7 +21,7 @@ workloads instead of ducking under their adaptive dispatch floors.
 Each run builds a **fresh** :class:`ObjectiveFunction` (the workload's
 memoised :class:`NameSimilarity` is shared — it is a pure value cache
 both paths consume), so no run can serve another's cached matrices and
-blunt the A/B.
+blunt the comparison.
 """
 
 from __future__ import annotations
@@ -38,14 +30,9 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import combinations
 
-from repro.matching import (
-    backends_disabled,
-    flat_search_disabled,
-    kernel_disabled,
-    make_matcher,
-    numpy_disabled,
-    substrate_disabled,
-)
+from helpers import oracles
+
+from repro.matching import make_matcher
 from repro.matching.objective import ObjectiveFunction
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
 from repro.matching.similarity.vectors import vector_thresholds
@@ -66,13 +53,12 @@ __all__ = [
     "toggle_subsets",
 ]
 
-#: the named A/B switches, each mapping to its "run the spec" context
+#: the named toggles, each mapping to its "run the spec" context
 TOGGLE_CONTEXTS = {
-    "substrate": substrate_disabled,
-    "kernel": kernel_disabled,
-    "flat-search": flat_search_disabled,
-    "numpy": numpy_disabled,
-    "backends": backends_disabled,
+    "substrate": oracles.substrate_off,
+    "kernel": oracles.kernel_off,
+    "flat-search": oracles.flat_search_off,
+    "numpy": oracles.numpy_off,
 }
 ALL_TOGGLES = tuple(TOGGLE_CONTEXTS)
 

@@ -10,9 +10,8 @@ from repro.matching.similarity.backends import (
     HashedVectorBackend,
     LexicalBackend,
     SparseBM25Backend,
-    backends_disabled,
-    backends_enabled,
 )
+from repro.matching.similarity.datatype import datatype_penalty
 from repro.matching.similarity.kernel import CostKernel
 from repro.matching.similarity.matrix import TokenIndex
 from repro.matching.similarity.name import NameSimilarity
@@ -23,14 +22,6 @@ def _repository(seed=1, num_schemas=3):
     return generate_repository(
         GeneratorConfig(num_schemas=num_schemas, min_size=5, max_size=8, seed=seed)
     )
-
-
-class TestSwitch:
-    def test_context_manager_restores(self):
-        assert backends_enabled()
-        with backends_disabled():
-            assert not backends_enabled()
-        assert backends_enabled()
 
 
 class TestLexicalBackend:
@@ -197,20 +188,17 @@ class TestObjectiveIntegration:
         assert not base.corpus_sensitive
 
     def test_seam_off_matches_backend_route(self):
+        """The seam scores like the pre-backend direct name path."""
         objective = ObjectiveFunction(NameSimilarity())
-        on = objective.label_cost("customer name", None, "client name", None)
-        with backends_disabled():
-            off = objective.label_cost("customer name", None, "client name", None)
-        assert on == off
-
-    def test_non_lexical_ignores_seam_switch(self):
-        objective = ObjectiveFunction(
-            NameSimilarity(), backend=HashedVectorBackend()
+        routed = objective.label_cost("customer name", None, "client name", None)
+        name_score = objective.name_similarity.similarity(
+            "customer name", "client name"
         )
-        on = objective.label_cost("unit price", None, "unit cost", None)
-        with backends_disabled():
-            off = objective.label_cost("unit price", None, "unit cost", None)
-        assert on == off
+        direct = (
+            objective._name_share * (1.0 - name_score)
+            + objective._datatype_share * datatype_penalty(None, None)
+        )
+        assert routed == direct
 
 
 class TestKernelCorpusGate:

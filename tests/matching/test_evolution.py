@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers.oracles import substrate_off
 from repro.errors import MatchingError
 from repro.evaluation import (
     EvolutionConfig,
@@ -24,7 +25,6 @@ from repro.matching import (
     MatchingPipeline,
     evolution_session,
     make_matcher,
-    substrate_disabled,
 )
 from repro.schema import RepositoryDelta, churn_delta
 
@@ -110,7 +110,7 @@ class TestByteIdentity:
         assert _canonical(result.answer_sets) == _canonical(cold.answer_sets)
 
     def test_identical_without_substrate(self, workload, queries):
-        with substrate_disabled():
+        with substrate_off():
             matcher = ExhaustiveMatcher(workload.objective)
             session = EvolutionSession(matcher, queries, 0.3, cache=False)
             session.match(workload.repository)

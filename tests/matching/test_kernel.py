@@ -4,8 +4,9 @@ The kernel's contract is the substrate's, taken one level up: each
 distinct (normalised label, datatype) cost is computed once per
 *repository*, matrices gather from interned rows with bit-identical
 floats and candidate orders, rows migrate exactly across repository
-deltas and snapshot restores, and the whole thing switches off cleanly
-to the PR-4 path.  Answer-set identity under the kernel is covered by
+deltas and snapshot restores, and the kernel oracle
+(:func:`helpers.oracles.kernel_off`) runs the PR-4 path cleanly.
+Answer-set identity under the kernel is covered by
 ``tests/properties/test_prop_kernel.py``.
 """
 
@@ -13,16 +14,12 @@ import json
 
 import pytest
 
+from helpers import oracles
 from repro.errors import MatchingError, SnapshotError
 from repro.matching import ExhaustiveMatcher, HybridMatcher
 from repro.matching.clustering import ClusteringMatcher, ElementClusterer
 from repro.matching.objective import ObjectiveFunction
-from repro.matching.similarity.kernel import (
-    CostKernel,
-    kernel_disabled,
-    kernel_enabled,
-    set_kernel_enabled,
-)
+from repro.matching.similarity.kernel import CostKernel
 from repro.matching.similarity.matrix import ScoreMatrix
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
 from repro.schema import churn_delta
@@ -187,16 +184,6 @@ class TestCostKernel:
             ("order", Datatype.STRING)
         ]
 
-    def test_enable_toggle_and_context(self):
-        assert kernel_enabled()
-        previous = set_kernel_enabled(False)
-        assert previous is True
-        assert not kernel_enabled()
-        set_kernel_enabled(True)
-        with kernel_disabled():
-            assert not kernel_enabled()
-        assert kernel_enabled()
-
     def test_substrate_builds_kernel_on_prepare(self, setup):
         repo, _, _ = setup
         objective = ObjectiveFunction(NameSimilarity())
@@ -206,16 +193,15 @@ class TestCostKernel:
         assert substrate.stats.kernel_builds == 1
         substrate.prepare(repo)  # idempotent per content
         assert substrate.stats.kernel_builds == 1
-        with kernel_disabled():
-            assert substrate.kernel() is None  # switch honoured on reads
 
     def test_substrate_skips_kernel_when_disabled(self, setup):
+        """Under the kernel oracle, prepare builds no kernel at all."""
         repo, _, _ = setup
         objective = ObjectiveFunction(NameSimilarity())
         substrate = objective.substrate()
-        with kernel_disabled():
+        with oracles.kernel_off():
             substrate.prepare(repo)
-            assert substrate.kernel() is None
+        assert substrate.stats.kernel_builds == 0
         assert substrate.kernel() is None  # never built
 
     def test_kernel_rebuilds_after_evolution(self, setup):
@@ -274,7 +260,7 @@ class TestInternedClustering:
         )
         assert self._canonical(
             clusterer._cluster_interned(repo)
-        ) == self._canonical(clusterer._cluster_scan(repo))
+        ) == self._canonical(oracles.cluster_scan(clusterer, repo))
 
     def test_interned_equals_scan_adversarial(self):
         """Duplicate labels, empty normalisations, a 1.0 thesaurus."""
@@ -301,7 +287,7 @@ class TestInternedClustering:
                 clusterer = ElementClusterer(sim, join_threshold=threshold)
                 assert self._canonical(
                     clusterer._cluster_interned(repo)
-                ) == self._canonical(clusterer._cluster_scan(repo))
+                ) == self._canonical(oracles.cluster_scan(clusterer, repo))
 
     def test_cluster_build_shared_across_matchers(self, setup, monkeypatch):
         repo, _, _ = setup
@@ -340,13 +326,13 @@ class TestInternedClustering:
         clustering = ClusteringMatcher(objective, clusters_per_element=2)
         hybrid = HybridMatcher(objective, clusters_per_element=3)
         scans = []
-        original = ElementClusterer._cluster_scan
+        original = oracles.cluster_scan
         monkeypatch.setattr(
-            ElementClusterer,
-            "_cluster_scan",
+            oracles,
+            "cluster_scan",
             lambda self, repository: (scans.append(1), original(self, repository))[1],
         )
-        with kernel_disabled():
+        with oracles.kernel_off():
             clustering.prepare(repo)
             hybrid.prepare(repo)
         assert len(scans) == 2  # the PR-4 per-matcher behavior
@@ -355,7 +341,7 @@ class TestInternedClustering:
         repo, objective, query = setup
         matcher = ClusteringMatcher(objective, clusters_per_element=2)
         on = matcher.match(query, repo, 0.3)
-        with kernel_disabled():
+        with oracles.kernel_off():
             off = ClusteringMatcher(objective, clusters_per_element=2).match(
                 query, repo, 0.3
             )

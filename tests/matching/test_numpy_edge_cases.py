@@ -23,6 +23,7 @@ from helpers.differential import (
     assert_combinations_identical,
     match_canonical,
 )
+from helpers.oracles import numpy_off
 from repro.errors import SchemaError
 from repro.matching import numpy_available
 from repro.matching.objective import ObjectiveFunction
@@ -182,7 +183,7 @@ class TestKernelRowFiniteness:
                 gathered = kernel.gather(
                     element.name, element.datatype, schema
                 )
-                with vectors.numpy_disabled():
+                with numpy_off():
                     spec = spec_kernel.gather(
                         element.name, element.datatype, schema
                     )
@@ -213,7 +214,7 @@ class TestVectorPrimitives:
 
     def test_suffix_sums_match_spec_accumulation(self):
         for row in self.ROWS:
-            with vectors.numpy_disabled():
+            with numpy_off():
                 spec = suffix_cost_sums(row)
             assert vectors.suffix_sums(row) == spec
             assert vectors.suffix_sums(row)[len(row)] == 0.0
@@ -229,7 +230,7 @@ class TestVectorPrimitives:
     def test_suffix_sums_preserve_float_chain(self):
         """The cumsum fold replays the spec's exact addition order."""
         row = [0.1, 0.2, 0.3, 0.1, 0.7, 0.123456789, 1e-17, 0.5]
-        with vectors.numpy_disabled():
+        with numpy_off():
             spec = suffix_cost_sums(row)
         observed = vectors.suffix_sums(row)
         assert [repr(value) for value in observed] == [
@@ -241,12 +242,3 @@ class TestVectorPrimitives:
         with vectors.vector_thresholds(0, 0):
             assert (vectors.VECTOR_MIN, vectors.VECTOR_MIN_AREA) == (0, 0)
         assert (vectors.VECTOR_MIN, vectors.VECTOR_MIN_AREA) == before
-
-    def test_set_numpy_enabled_returns_previous(self):
-        previous = vectors.set_numpy_enabled(False)
-        try:
-            assert not vectors.numpy_enabled()
-            assert vectors.set_numpy_enabled(previous) is False
-        finally:
-            vectors.set_numpy_enabled(previous)
-        assert vectors.numpy_enabled() == (previous and numpy_available())

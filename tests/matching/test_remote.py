@@ -41,12 +41,7 @@ from helpers.faults import (
 from repro.errors import SnapshotError, TransportError
 from repro.matching import RemoteShardExecutor, WorkerServer, make_matcher
 from repro.matching import remote as remote_module
-from repro.matching.executor import (
-    ExecutionState,
-    WorkUnit,
-    current_switches,
-)
-from repro.matching.pipeline import matcher_fingerprint, schema_digest
+from repro.matching.executor import ExecutionState, WorkUnit
 from repro.matching.remote import (
     CLOSED,
     MAGIC,
@@ -492,8 +487,10 @@ class TestKeyFirstInstall:
             _remote_answers(small_workload, queries, executor)
             matcher = make_matcher("exhaustive", small_workload.objective)
             matcher.prepare(small_workload.repository)
-            live = _execution_state(small_workload, queries, matcher)
-            unknown = _execution_state(small_workload, queries[:1], matcher)
+            live = ExecutionState.build(matcher, queries, small_workload.repository)
+            unknown = ExecutionState.build(
+                matcher, queries[:1], small_workload.repository
+            )
             sock = socket.create_connection(worker.address, timeout=5)
             send_message(sock, {"op": "install", "state_key": unknown.state_key})
             asked = recv_message(sock)
@@ -625,11 +622,16 @@ class TestFaultInjection:
 
 class TestVersionAndState:
     def test_version_mismatch_refused(self):
-        """Any other version is refused at hello — v1 peers included."""
+        """Any other version is refused at hello — v1 and v2 peers included.
+
+        A v2 coordinator would otherwise pass ``hello`` and then fail its
+        install on the ``switches`` field v3 dropped from the ``state``
+        frame, with an opaque error reply.
+        """
         worker = WorkerServer().start()
         replies = []
         try:
-            for version in (1, 999):
+            for version in (1, 2, 999):
                 sock = socket.create_connection(worker.address, timeout=5)
                 send_message(sock, {"op": "hello", "version": version})
                 replies.append(recv_message(sock))
@@ -678,25 +680,6 @@ def _no_fanout_threads(timeout: float = 5.0) -> bool:
     return False
 
 
-def _execution_state(small_workload, queries, matcher):
-    switches = current_switches()
-    return ExecutionState(
-        matcher=matcher,
-        queries=queries,
-        repository=small_workload.repository,
-        schema_table={
-            schema.schema_id: schema for schema in small_workload.repository
-        },
-        switches=switches,
-        state_key=(
-            matcher_fingerprint(matcher),
-            small_workload.repository.content_digest(),
-            tuple(schema_digest(query) for query in queries),
-            *switches,
-        ),
-    )
-
-
 class TestCoordinatorShutdown:
     """``execute`` leaves nothing behind, however the sweep ends."""
 
@@ -730,7 +713,7 @@ class TestCoordinatorShutdown:
         try:
             matcher = make_matcher("exhaustive", small_workload.objective)
             matcher.prepare(small_workload.repository)
-            state = _execution_state(small_workload, queries, matcher)
+            state = ExecutionState.build(matcher, queries, small_workload.repository)
             schema_ids = tuple(
                 schema.schema_id for schema in small_workload.repository
             )

@@ -10,6 +10,7 @@ across matchers.  Answer-set identity under the substrate is covered by
 
 import pytest
 
+from helpers.oracles import substrate_off
 from repro.errors import MatchingError
 from repro.matching import ExhaustiveMatcher, SchemaSearch
 from repro.matching.objective import ObjectiveFunction
@@ -17,9 +18,6 @@ from repro.matching.similarity.matrix import (
     ScoreMatrix,
     SimilaritySubstrate,
     TokenIndex,
-    set_substrate_enabled,
-    substrate_disabled,
-    substrate_enabled,
 )
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
 from repro.schema.generator import GeneratorConfig, generate_repository
@@ -182,19 +180,11 @@ class TestSimilaritySubstrate:
         _, objective, _ = setup
         assert objective.substrate() is objective.substrate()
 
-    def test_enable_toggle_and_context(self):
-        assert substrate_enabled()
-        with substrate_disabled():
-            assert not substrate_enabled()
-        assert substrate_enabled()
-        previous = set_substrate_enabled(False)
-        assert previous is True and not substrate_enabled()
-        set_substrate_enabled(True)
-
     def test_matcher_skips_substrate_when_disabled(self, setup):
+        """The substrate oracle reaches every caller's direct branch."""
         repo, objective, _ = setup
         matcher = ExhaustiveMatcher(objective)
-        with substrate_disabled():
+        with substrate_off():
             assert matcher._substrate() is None
         assert matcher._substrate() is objective.substrate()
 

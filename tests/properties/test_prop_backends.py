@@ -2,17 +2,16 @@
 
 Four families, mirroring the kernel/numpy byte-identity suites:
 
-* **Seam on/off** — for random workloads, matchers and thresholds, a
-  default (lexical) objective must produce byte-identical answer sets
-  whether names score through the :class:`~repro.matching.similarity
-  .backends.LexicalBackend` or the direct pre-backend
-  :class:`~repro.matching.similarity.name.NameSimilarity` path — and in
-  combination with the kernel/substrate toggles, because the seam sits
-  under both optimisation layers.
-* **Backend variants under the optimisation toggles** — the ``bm25``,
-  ``dense`` and ``ensemble`` registry variants must be byte-identical
-  with the substrate/kernel/numpy optimisations on or off: the backend
-  defines the scores, the layers above must merely reproduce them.
+* **The seam under the optimisation layers** — a default objective,
+  whose names score through the :class:`~repro.matching.similarity
+  .backends.LexicalBackend` (which delegates to the pre-backend
+  :class:`~repro.matching.similarity.name.NameSimilarity` call), must
+  produce byte-identical answer sets across the substrate and kernel
+  oracles, because the seam sits under both optimisation layers.
+* **Backend variants under the oracles** — the ``bm25``, ``dense`` and
+  ``ensemble`` registry variants must be byte-identical with the
+  substrate and kernel layers or their oracles: the backend defines the
+  scores, the layers above must merely reproduce them.
 * **Evolving streams** — a corpus-sensitive backend (BM25) re-freezes
   its statistics after every repository delta; an incremental
   :class:`~repro.matching.evolution.EvolutionSession` over it must stay
@@ -24,7 +23,6 @@ Four families, mirroring the kernel/numpy byte-identity suites:
 """
 
 from helpers.differential import (
-    MATCHERS,
     assert_combinations_identical,
     canonical as _canonical,
     make_workload,
@@ -50,32 +48,6 @@ from repro.util import rng
 BACKEND_VARIANTS = [("bm25", {}), ("dense", {}), ("ensemble", {})]
 
 
-@st.composite
-def seam_cases(draw):
-    repo_seed = draw(st.integers(min_value=0, max_value=25))
-    num_schemas = draw(st.integers(min_value=2, max_value=5))
-    query_seed = draw(st.integers(min_value=0, max_value=25))
-    matcher = draw(st.sampled_from(MATCHERS))
-    with_thesaurus = draw(st.booleans())
-    return repo_seed, num_schemas, query_seed, matcher, with_thesaurus
-
-
-@settings(max_examples=20, deadline=None)
-@given(seam_cases())
-def test_backend_seam_byte_identical(case):
-    """Lexical backend route vs the direct pre-backend path: same bytes."""
-    repo_seed, num_schemas, query_seed, (name, params), with_thesaurus = case
-    workload = make_workload(
-        repo_seed,
-        num_schemas=num_schemas,
-        query_seed=query_seed,
-        with_thesaurus=with_thesaurus,
-    )
-    assert_combinations_identical(
-        name, params, workload, toggles=("backends",)
-    )
-
-
 @settings(max_examples=8, deadline=None)
 @given(
     repo_seed=st.integers(min_value=0, max_value=12),
@@ -84,13 +56,13 @@ def test_backend_seam_byte_identical(case):
 def test_backend_seam_composes_with_kernel_and_substrate(
     repo_seed, query_seed
 ):
-    """All subsets of {substrate, kernel, backends}: one answer set."""
+    """All subsets of {substrate, kernel}: one answer set."""
     workload = make_workload(repo_seed, query_seed=query_seed)
     assert_combinations_identical(
         "exhaustive",
         {},
         workload,
-        toggles=("substrate", "kernel", "backends"),
+        toggles=("substrate", "kernel"),
     )
 
 
@@ -106,12 +78,7 @@ def variant_cases(draw):
 @settings(max_examples=15, deadline=None)
 @given(variant_cases())
 def test_backend_variants_identical_across_toggles(case):
-    """bm25/dense/ensemble: optimisation layers reproduce backend scores.
-
-    The ``backends`` toggle is deliberately included: it must be inert
-    for non-lexical backends (they always score through themselves), so
-    flipping it alongside the optimisation switches must change nothing.
-    """
+    """bm25/dense/ensemble: optimisation layers reproduce backend scores."""
     repo_seed, num_schemas, query_seed, (name, params) = case
     workload = make_workload(
         repo_seed, num_schemas=num_schemas, query_seed=query_seed
@@ -121,7 +88,7 @@ def test_backend_variants_identical_across_toggles(case):
         params,
         workload,
         thresholds=(0.15, 0.3),
-        toggles=("substrate", "kernel", "backends"),
+        toggles=("substrate", "kernel"),
     )
 
 

@@ -2,22 +2,24 @@
 
 Three families:
 
-* **Kernel on/off** — for random repositories, queries, matchers and
-  thresholds, matching with the repository cost kernel enabled (interned
+* **Kernel vs. oracle** — for random repositories, queries, matchers
+  and thresholds, matching through the repository cost kernel (interned
   label-universe rows, matrix gathers, shared interned clustering) must
-  produce byte-identical answer sets to the kernel-off PR-4 path.
+  produce byte-identical answer sets to the PR-4 path the kernel oracle
+  (:func:`helpers.oracles.kernel_off`) swaps in.
 * **Evolving streams** — the same identity must survive a delta stream:
   an incremental :class:`~repro.matching.evolution.EvolutionSession`
-  with the kernel on (rows migrating across versions) stays
-  byte-identical to kernel-off cold re-matches of every version.
+  on the kernel (rows migrating across versions) stays byte-identical
+  to kernel-oracle cold re-matches of every version.
 * **Flat vs. reference search** — the flattened explicit-stack
   branch-and-bound must emit the *sequence* the recursive reference
   generator emits: same assignments, same score floats, same order —
   with and without the substrate, trimmed and untrimmed.
 
-The on/off family runs through :mod:`helpers.differential` (the shared
-byte-identity harness); the stream and search families keep bespoke
-drivers because their contracts compare more than final answer sets.
+The kernel-vs-oracle family runs through :mod:`helpers.differential`
+(the shared byte-identity harness); the stream and search families keep
+bespoke drivers because their contracts compare more than final answer
+sets.
 """
 
 from helpers.differential import (
@@ -26,6 +28,7 @@ from helpers.differential import (
     canonical as _canonical,
     make_workload,
 )
+from helpers.oracles import flat_search_off, kernel_off, recursive_exhaustive
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,10 +37,7 @@ from repro.matching import (
     MatchingPipeline,
     SchemaSearch,
     canonical_answers,
-    flat_search_disabled,
-    kernel_disabled,
     make_matcher,
-    substrate_disabled,
 )
 from repro.matching.evolution import EvolutionSession
 from repro.matching.objective import ObjectiveFunction
@@ -101,7 +101,7 @@ def test_kernel_identical_across_delta_stream(repo_seed, matcher, steps):
     for step in range(steps):
         delta = churn_delta(session.repository, churn=0.4, seed=step)
         result, _report = session.apply(delta)
-        with kernel_disabled():
+        with kernel_off():
             cold = MatchingPipeline(
                 make_matcher(name, objective, **params), cache=False
             ).run(queries, session.repository, 0.3)
@@ -138,12 +138,11 @@ def test_flat_search_emits_reference_sequence(
                 query, schema, objective, substrate=objective.substrate()
             )
         else:
-            with substrate_disabled():
-                search = SchemaSearch(query, schema, objective)
+            search = SchemaSearch(query, schema, objective)
         flat = list(search.exhaustive(delta))
-        reference = list(search.exhaustive_reference(delta))
+        reference = list(recursive_exhaustive(search, delta))
         assert flat == reference  # sequence equality: order and floats
-        with flat_search_disabled():
+        with flat_search_off():
             dispatched = list(search.exhaustive(delta))
         assert dispatched == reference
 

@@ -1,15 +1,16 @@
 """Property tests: the numpy execution path never changes an answer.
 
-The vectorised layer (:mod:`repro.matching.similarity.vectors`) is the
-fourth A/B switch of the matching stack.  Its licence is the same as
-the other three: it may only move work, never answers.  Four families
+The vectorised layer (:mod:`repro.matching.similarity.vectors`) runs
+whenever numpy is available.  Its licence is the same as the other
+optimised layers': it may only move work, never answers.  Four families
 pin it down:
 
-* **Numpy on/off** — for random repositories, queries, matchers and
+* **Numpy vs. spec** — for random repositories, queries, matchers and
   thresholds, the vectorised path must produce byte-identical answer
-  sets to the pure-python spec path.
-* **The full toggle grid** — all 2⁵ combinations of the five switches
-  (substrate, kernel, flat-search, numpy, backends) agree byte for
+  sets to the pure-python spec path (numpy hidden in-process by
+  :func:`helpers.oracles.numpy_off`).
+* **The full toggle grid** — all 2⁴ combinations of the four oracle
+  toggles (substrate, kernel, flat-search, numpy) agree byte for
   byte; this is the flagship run of the :mod:`helpers.differential`
   harness.
 * **Evolving streams** — an incremental
@@ -42,6 +43,7 @@ from helpers.differential import (
     canonical as _canonical,
     make_workload,
 )
+from helpers.oracles import numpy_off
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,7 +52,6 @@ from repro.matching import (
     canonical_answers,
     make_matcher,
     numpy_available,
-    numpy_disabled,
 )
 from repro.matching.evolution import EvolutionSession
 from repro.matching.objective import ObjectiveFunction
@@ -89,7 +90,7 @@ def test_numpy_answer_sets_byte_identical(case):
 @settings(max_examples=6, deadline=None)
 @given(numpy_cases())
 def test_all_toggle_combinations_byte_identical(case):
-    """All 2⁵ switch combinations agree — the full differential grid."""
+    """All 2⁴ toggle combinations agree — the full differential grid."""
     repo_seed, num_schemas, query_seed, (name, params), with_thesaurus = case
     workload = make_workload(
         repo_seed,
@@ -133,7 +134,7 @@ def test_numpy_identical_across_delta_stream(repo_seed, matcher, steps):
         for step in range(steps):
             delta = churn_delta(session.repository, churn=0.4, seed=step)
             result, _report = session.apply(delta)
-            with numpy_disabled():
+            with numpy_off():
                 cold = MatchingPipeline(
                     make_matcher(
                         name, ObjectiveFunction(NameSimilarity()), **params
@@ -168,7 +169,7 @@ def _matched_substrate(numpy_on: bool):
         if numpy_on:
             answers = matcher.match(query, repo, 0.3)
         else:
-            with numpy_disabled():
+            with numpy_off():
                 answers = matcher.match(query, repo, 0.3)
     return repo, objective, query, answers
 
@@ -194,7 +195,7 @@ def test_snapshot_payload_identical_across_numpy_modes():
     # save numpy-on -> restore & serve numpy-off
     fresh_off = ObjectiveFunction(NameSimilarity())
     persist.restore_substrate(fresh_off.substrate(), payload_on, repo_on)
-    with vector_thresholds(0, 0), numpy_disabled():
+    with vector_thresholds(0, 0), numpy_off():
         served_off = make_matcher("exhaustive", fresh_off).match(
             query, repo_on, 0.3
         )

@@ -140,7 +140,7 @@ def resolve_reference(reference: str) -> bool:
 
     Tries the longest importable module prefix, then walks the remaining
     parts as attributes — so ``repro.matching.similarity.backends``
-    (a module), ``repro.matching.numpy_disabled`` (an attribute) and
+    (a module), ``repro.matching.numpy_available`` (an attribute) and
     ``repro.core.bounds.bound_counts`` (module + attribute) all resolve.
     """
     parts = reference.split(".")

@@ -10,9 +10,14 @@ Usage (from the repository root)::
 
     PYTHONPATH=src python tools/profile_hotpath.py
     PYTHONPATH=src python tools/profile_hotpath.py --limit 30 --sort tottime
-    PYTHONPATH=src python tools/profile_hotpath.py --pre-kernel   # PR-4 path
-    PYTHONPATH=src python tools/profile_hotpath.py --no-numpy     # spec loops
     PYTHONPATH=src python tools/profile_hotpath.py --schemas 260  # repo scale
+    REPRO_NO_NUMPY=1 PYTHONPATH=src python tools/profile_hotpath.py  # python loops
+
+The pure-python loops behind the numpy path run whenever numpy is
+absent, so ``REPRO_NO_NUMPY=1`` profiles them.  The other replaced code
+paths (the pre-kernel scoring, the recursive search) are test oracles
+in ``tests/helpers/oracles.py``, not production modes, so this tool
+does not profile them.
 
 ``--warm`` first replays the sweep once un-timed so the name-similarity
 memo is hot and the profile shows steady-state scoring instead of
@@ -83,27 +88,10 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="replay the sweep once un-timed first (hot name memo)",
     )
-    parser.add_argument(
-        "--pre-kernel",
-        action="store_true",
-        help="profile the PR-4 scoring path (kernel + flat search off)",
-    )
-    parser.add_argument(
-        "--no-numpy",
-        action="store_true",
-        help="profile the pure-python spec loops (numpy path off)",
-    )
     args = parser.parse_args(argv)
-
-    from contextlib import ExitStack
 
     from repro.evaluation import build_workload
     from repro.evaluation.workloads import WorkloadConfig
-    from repro.matching import (
-        flat_search_disabled,
-        kernel_disabled,
-        numpy_disabled,
-    )
 
     config = None
     if args.schemas is not None:
@@ -119,15 +107,9 @@ def main(argv: list[str] | None = None) -> int:
         _sweep(workload, args.thresholds[:1])
 
     profiler = cProfile.Profile()
-    with ExitStack() as stack:
-        if args.pre_kernel:
-            stack.enter_context(kernel_disabled())
-            stack.enter_context(flat_search_disabled())
-        if args.no_numpy:
-            stack.enter_context(numpy_disabled())
-        profiler.enable()
-        _sweep(workload, args.thresholds)
-        profiler.disable()
+    profiler.enable()
+    _sweep(workload, args.thresholds)
+    profiler.disable()
 
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.limit)
