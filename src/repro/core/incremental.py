@@ -19,13 +19,14 @@ All arithmetic is exact (integers and :class:`~fractions.Fraction`).
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.core.answers import AnswerSet
 from repro.core.bounds import best_case_correct, worst_case_correct
-from repro.core.measures import Counts, measure
+from repro.core.measures import Counts
 from repro.core.pr_curve import PRCurve, PRPoint
 from repro.core.random_baseline import expected_correct
 from repro.core.thresholds import ThresholdSchedule
@@ -78,10 +79,24 @@ class SystemProfile:
         answers: AnswerSet,
         ground_truth: Iterable[Hashable],
     ) -> "SystemProfile":
-        """Judge an answer set at every threshold of the schedule."""
+        """Judge an answer set at every threshold of the schedule.
+
+        One pass: the correct answers' scores, taken in answer order, are
+        sorted, so ``|T^δ|`` at each δ is a bisection, as ``|A^δ|`` is
+        (the counts :func:`~repro.core.measures.measure` gives on each
+        ``A^δ``).
+        """
         truth = frozenset(ground_truth)
+        hits = answers.items() & truth
+        hit_scores = [a.score for a in answers if a.item in hits] if hits else []
+        relevant = len(truth)
         counts = tuple(
-            measure(answers.at_threshold(delta), truth) for delta in schedule
+            Counts(
+                answers.size_at(delta),
+                bisect.bisect_right(hit_scores, delta),
+                relevant,
+            )
+            for delta in schedule
         )
         return cls(schedule, counts)
 

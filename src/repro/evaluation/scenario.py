@@ -80,7 +80,10 @@ class ScenarioSuite:
         fans queries/shards out across processes and the candidate cache
         memoises repeated searches; the defaults resolve to the
         module-wide pipeline configuration, whose serial fallback
-        reproduces per-query matching exactly.
+        reproduces per-query matching exactly.  The per-query sets are
+        disjoint (query ids are unique and part of every mapping's
+        identity), so they pool in one :meth:`~repro.core.answers
+        .AnswerSet.disjoint_union`; an overlap would raise.
         """
         per_query = matcher.batch_match(
             [scenario.query for scenario in self.scenarios],
@@ -90,11 +93,7 @@ class ScenarioSuite:
             shards=shards,
             cache=cache,
         )
-        combined: AnswerSet | None = None
-        for answers in per_query:
-            combined = answers if combined is None else combined.union(answers)
-        assert combined is not None
-        return combined
+        return AnswerSet.disjoint_union(per_query)
 
     def rebase(self, repository: SchemaRepository) -> "ScenarioSuite":
         """The same queries over an evolved repository version.

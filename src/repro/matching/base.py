@@ -28,13 +28,13 @@ import abc
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
-from repro.core.answers import AnswerSet
+from repro.core.answers import Answer, AnswerSet
 from repro.errors import MatchingError
 from repro.matching.mapping import Mapping
 from repro.matching.objective import ObjectiveFunction
 from repro.matching.similarity.matrix import SimilaritySubstrate
 from repro.schema.model import Schema
-from repro.schema.repository import ElementHandle, SchemaRepository
+from repro.schema.repository import SchemaRepository
 
 if TYPE_CHECKING:  # pragma: no cover - pipeline imports this module
     from repro.matching.pipeline import PipelineResult
@@ -144,23 +144,18 @@ class Matcher(abc.ABC):
         ``{schema_id: pair result}`` maps — :meth:`match` and the sharded
         pipeline — yields the identical answer set.
         """
-        pairs: list[tuple[Mapping, float]] = []
+        answers: list[Answer] = []
+        append = answers.append
+        from_search = Mapping._from_search
         query_id = query.schema_id
         for schema in repository:
             results = pair_results[schema.schema_id]
             if not results:
                 continue
-            # One handle per schema element, shared by every mapping into
-            # this schema — handles are frozen value objects, so aliasing
-            # them is observationally identical to fresh construction.
-            table = [ElementHandle(schema, j) for j in range(len(schema))]
             for target_ids, score in results:
-                handles = tuple(map(table.__getitem__, target_ids))
-                pairs.append(
-                    (Mapping._from_search(query_id, handles, target_ids), score)
-                )
-            self.check_capacity(len(pairs), delta_max)
-        return AnswerSet.from_pairs(pairs)
+                append(Answer(from_search(query_id, schema, target_ids), score))
+            self.check_capacity(len(answers), delta_max)
+        return AnswerSet(answers)
 
     def match(
         self, query: Schema, repository: SchemaRepository, delta_max: float

@@ -9,12 +9,17 @@ at a time.
 
 Mappings are hashable values; their identity is the pair (query schema
 id, tuple of target element keys), which is what makes answer sets of
-different systems comparable (the subset property checks).
+different systems comparable (the subset property checks).  A mapping
+stores only (query id, repository schema, target ids) and its hash,
+computed once at construction; the element handles of :attr:`Mapping
+.targets` are built on first use.  Mappings have no order of their own:
+an answer set orders them by score, and within a score tie by
+construction order — repository order, then search order, for one
+query; query order first when ``AnswerSet.disjoint_union`` pools a
+suite (see :mod:`repro.core.answers`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.errors import MatchingError
 from repro.schema.model import Schema
@@ -41,47 +46,48 @@ def canonical_answers(answer_sets) -> list[list[tuple]]:
     ]
 
 
-@dataclass(frozen=True)
 class Mapping:
     """An assignment of all query elements to elements of one repo schema.
 
     ``targets[i]`` is the image of the query element with pre-order id
     ``i``.  All targets live in the same repository schema and are
     pairwise distinct (injectivity), both enforced at construction.
+    Mappings are immutable: assigning an attribute raises.
     """
 
-    query_schema_id: str
-    targets: tuple[ElementHandle, ...]
+    __slots__ = ("query_schema_id", "target_schema", "target_ids", "_hash", "_targets")
 
-    def __post_init__(self) -> None:
-        if not self.targets:
+    query_schema_id: str
+    target_schema: Schema
+    target_ids: tuple[int, ...]
+
+    def __init__(
+        self, query_schema_id: str, targets: tuple[ElementHandle, ...]
+    ) -> None:
+        targets = tuple(targets)
+        if not targets:
             raise MatchingError("a mapping needs at least one target")
-        first = self.targets[0].schema
-        if any(t.schema is not first for t in self.targets):
+        first = targets[0].schema
+        if any(t.schema is not first for t in targets):
             # distinct objects may still be the same schema id; only then
             # build the full id set for the error message
-            schema_ids = {t.schema.schema_id for t in self.targets}
+            schema_ids = {t.schema.schema_id for t in targets}
             if len(schema_ids) != 1:
                 raise MatchingError(
                     f"mapping spans repository schemas {sorted(schema_ids)}; "
                     "a mapping must stay within one schema"
                 )
-        ids = tuple(t.element_id for t in self.targets)
+        ids = tuple(t.element_id for t in targets)
         if len(set(ids)) != len(ids):
             raise MatchingError(
                 "mapping assigns two query elements to the same target "
                 f"(element ids {list(ids)})"
             )
-        # injectivity already walked the targets; keep the result (the
-        # answer-set layer hashes every mapping it ingests)
-        object.__setattr__(self, "_target_ids", ids)
+        _init(self, query_schema_id, first, ids, targets)
 
     @classmethod
     def _from_search(
-        cls,
-        query_schema_id: str,
-        targets: tuple[ElementHandle, ...],
-        target_ids: tuple[int, ...],
+        cls, query_schema_id: str, schema: Schema, target_ids: tuple[int, ...]
     ) -> "Mapping":
         """Construct without re-validating — for engine-produced output.
 
@@ -89,47 +95,53 @@ class Mapping:
         assignments (``used`` excludes every assigned target), so
         :meth:`~repro.matching.base.Matcher.assemble` — which turns tens
         of thousands of search results into mappings on the hot path —
-        skips the constructor's checks.  Every other producer goes
-        through ``Mapping(...)`` and keeps them.
+        skips the constructor's checks and builds no element handle.
+        Every other producer goes through ``Mapping(...)`` and keeps
+        them.
         """
         mapping = object.__new__(cls)
-        object.__setattr__(mapping, "query_schema_id", query_schema_id)
-        object.__setattr__(mapping, "targets", targets)
-        object.__setattr__(mapping, "_target_ids", target_ids)
+        _init(mapping, query_schema_id, schema, target_ids, None)
         return mapping
 
     @property
-    def target_schema(self) -> Schema:
-        return self.targets[0].schema
-
-    @property
-    def target_ids(self) -> tuple[int, ...]:
-        return self._target_ids  # type: ignore[attr-defined]
+    def targets(self) -> tuple[ElementHandle, ...]:
+        """The target element handles (built on first use)."""
+        targets = self._targets
+        if targets is None:
+            schema = self.target_schema
+            targets = tuple(ElementHandle(schema, i) for i in self.target_ids)
+            _set_targets(self, targets)
+        return targets
 
     @property
     def key(self) -> tuple:
-        """Hashable identity used across systems (computed once)."""
-        key = self.__dict__.get("_key")
-        if key is None:
-            key = (
-                self.query_schema_id,
-                self.targets[0].schema.schema_id,
-                self._target_ids,  # type: ignore[attr-defined]
-            )
-            object.__setattr__(self, "_key", key)
-        return key
+        """Hashable identity used across systems."""
+        return (self.query_schema_id, self.target_schema.schema_id, self.target_ids)
 
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(self.key)
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mapping):
             return NotImplemented
-        return self.key == other.key
+        return (
+            self._hash == other._hash
+            and self.target_ids == other.target_ids
+            and self.query_schema_id == other.query_schema_id
+            and self.target_schema.schema_id == other.target_schema.schema_id
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: Mapping is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: Mapping is immutable")
+
+    def __reduce__(self):
+        # Rebuild through the validating constructor: the receiving
+        # process hashes the key afresh (string hashes are salted per
+        # process, so a shipped hash would be stale there).
+        return (Mapping, (self.query_schema_id, self.targets))
 
     def describe(self, query: Schema) -> str:
         """Human-readable pairing, one query element per line."""
@@ -138,15 +150,14 @@ class Mapping:
                 f"mapping belongs to query {self.query_schema_id!r}, "
                 f"not {query.schema_id!r}"
             )
-        if len(query) != len(self.targets):
+        if len(query) != len(self.target_ids):
             raise MatchingError(
-                f"mapping has {len(self.targets)} targets but the query has "
+                f"mapping has {len(self.target_ids)} targets but the query has "
                 f"{len(query)} elements"
             )
         lines = []
-        for element_id in range(len(query)):
+        for element_id, target in enumerate(self.targets):
             source = query.path_string(element_id)
-            target = self.targets[element_id]
             lines.append(f"  {source}  ->  {target.path_string()}")
         return "\n".join(lines)
 
@@ -155,3 +166,25 @@ class Mapping:
             f"Mapping({self.query_schema_id!r} -> "
             f"{self.target_schema.schema_id!r}:{self.target_ids})"
         )
+
+
+# slot setters: they bypass the raising ``__setattr__``
+_set_query = Mapping.query_schema_id.__set__  # type: ignore[attr-defined]
+_set_schema = Mapping.target_schema.__set__  # type: ignore[attr-defined]
+_set_ids = Mapping.target_ids.__set__  # type: ignore[attr-defined]
+_set_hash = Mapping._hash.__set__  # type: ignore[attr-defined]
+_set_targets = Mapping._targets.__set__  # type: ignore[attr-defined]
+
+
+def _init(
+    mapping: Mapping,
+    query_schema_id: str,
+    schema: Schema,
+    target_ids: tuple[int, ...],
+    targets: tuple[ElementHandle, ...] | None,
+) -> None:
+    _set_query(mapping, query_schema_id)
+    _set_schema(mapping, schema)
+    _set_ids(mapping, target_ids)
+    _set_hash(mapping, hash((query_schema_id, schema.schema_id, target_ids)))
+    _set_targets(mapping, targets)

@@ -78,6 +78,9 @@ class TestThresholding:
     def test_increment_reversed_rejected(self, answers):
         with pytest.raises(AnswerSetError, match="reversed"):
             answers.increment(0.5, 0.2)
+        # no score lies between these bounds: still reversed
+        with pytest.raises(AnswerSetError, match="reversed"):
+            answers.increment(0.35, 0.32)
 
     def test_top_n(self, answers):
         top = answers.top_n(3)

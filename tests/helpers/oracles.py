@@ -22,14 +22,26 @@ Each context manager patches attributes in-process only (one per
 toggle, two for the kernel, which has two consumers) and restores them
 on exit, also when the block raises.  Nothing here is visible to pool
 or socket workers — differential runs are serial.
+
+Two answer-set specs are plain functions, diffed against their
+replacements by ``tests/properties/test_prop_answers.py``:
+
+* :func:`fold_union` — the left fold of :meth:`AnswerSet.union` that
+  pooled a suite's per-query sets (``AnswerSet.disjoint_union`` now);
+* :func:`profile_by_threshold` — :func:`~repro.core.measures.measure`
+  on one ``A^δ`` per threshold (``SystemProfile.from_answer_set``'s
+  one-pass count now).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Hashable, Iterable, Iterator
 from contextlib import contextmanager
 from unittest import mock
 
+from repro.core.answers import AnswerSet
+from repro.core.measures import Counts, measure
+from repro.core.thresholds import ThresholdSchedule
 from repro.matching.base import Matcher
 from repro.matching.clustering import ElementCluster, ElementClusterer
 from repro.matching.engine import _EPSILON, SchemaSearch
@@ -40,8 +52,10 @@ from repro.schema.repository import SchemaRepository
 __all__ = [
     "cluster_scan",
     "flat_search_off",
+    "fold_union",
     "kernel_off",
     "numpy_off",
+    "profile_by_threshold",
     "recursive_exhaustive",
     "substrate_off",
 ]
@@ -130,6 +144,28 @@ def cluster_scan(
             clusters.append(best_cluster)
         best_cluster.members.add(handle.key)
     return clusters
+
+
+def fold_union(sets: Iterable[AnswerSet]) -> AnswerSet:
+    """Pool answer sets by a left fold of :meth:`AnswerSet.union`.
+
+    ``ScenarioSuite.run``'s pooling before ``AnswerSet.disjoint_union``:
+    each step re-indexes and re-sorts the growing pool (quadratic in
+    the number of sets) and silently keeps one copy of a shared item.
+    """
+    combined: AnswerSet | None = None
+    for answers in sets:
+        combined = answers if combined is None else combined.union(answers)
+    assert combined is not None
+    return combined
+
+
+def profile_by_threshold(
+    schedule: ThresholdSchedule, answers: AnswerSet, truth: Iterable[Hashable]
+) -> tuple[Counts, ...]:
+    """``measure(A^δ, H)`` at every δ: one answer set judged per threshold."""
+    truth = frozenset(truth)
+    return tuple(measure(answers.at_threshold(delta), truth) for delta in schedule)
 
 
 def _no_substrate(matcher: Matcher) -> None:
