@@ -29,6 +29,7 @@ check, whose wall-clock half is skipped when
 import asyncio
 import os
 import socket
+import threading
 from time import perf_counter
 
 from repro.errors import TransportError
@@ -120,18 +121,28 @@ def test_bench_remote_install(benchmark):
     benchmark.pedantic(install_and_sweep, setup=setup, rounds=3, iterations=1)
 
 
+#: how long a survivor holds its units waiting for the crasher to take one
+_CRASH_WAIT = 10.0
+
+
 class _CrashOnFirstUnitWorker(WorkerServer):
     """Dies abruptly — listener and every connection — on its first unit.
 
     The coordinator sent the unit and never hears back: the connection
     drops mid-conversation, exactly like ``kill -9`` on a remote worker
-    between request and reply.
+    between request and reply.  ``took_unit`` is set the moment the
+    unit arrives.
     """
 
+    def __init__(self, took_unit: threading.Event):
+        super().__init__()
+        self.took_unit = took_unit
+
     def _run(self, message):
+        self.took_unit.set()
         self._stopping.set()
         self._close_listener()
-        with self._lock:
+        with self._connections_lock:
             connections = list(self._connections)
         for conn in connections:
             try:
@@ -140,6 +151,33 @@ class _CrashOnFirstUnitWorker(WorkerServer):
                 pass
             conn.close()
         raise TransportError("injected crash mid-sweep")
+
+
+class _SurvivorWorker(WorkerServer):
+    """Holds each unit until the crasher has taken one (bounded wait).
+
+    Without the hold, the survivor can finish every unit before the
+    crasher asks for one: no crash, and the crasher's breaker stays
+    closed.  With it, the crasher gets its first unit whatever the
+    scheduling.
+    """
+
+    def __init__(self, took_unit: threading.Event):
+        super().__init__()
+        self.took_unit = took_unit
+
+    def _run(self, message):
+        self.took_unit.wait(_CRASH_WAIT)
+        return super()._run(message)
+
+
+def _crash_pair():
+    """A started (crasher, survivor) pair sharing one ``took_unit`` event."""
+    took_unit = threading.Event()
+    return (
+        _CrashOnFirstUnitWorker(took_unit).start(),
+        _SurvivorWorker(took_unit).start(),
+    )
 
 
 def test_bench_remote_recovery(benchmark):
@@ -154,8 +192,7 @@ def test_bench_remote_recovery(benchmark):
     expected = _serial_reference(workload, queries)
 
     def setup():
-        crasher = _CrashOnFirstUnitWorker().start()
-        survivor = WorkerServer().start()
+        crasher, survivor = _crash_pair()
         executor = RemoteShardExecutor([crasher.address, survivor.address])
         return (crasher, survivor, executor), {}
 
@@ -233,8 +270,7 @@ def test_distributed_byte_identity_and_overhead():
     # Recovery: one worker crashes on its first unit; the sweep still
     # completes byte-identically on the survivor and the dead address's
     # breaker ends the sweep open.
-    crasher = _CrashOnFirstUnitWorker().start()
-    survivor = WorkerServer().start()
+    crasher, survivor = _crash_pair()
     try:
         executor = RemoteShardExecutor([crasher.address, survivor.address])
         started = perf_counter()

@@ -33,7 +33,7 @@ Subcommands
     a :class:`~repro.matching.replication.ReplicaGroup` (N replicas
     behind a replicated delta log); ``--remote-workers host:port,...``
     fans shard units out to socket workers; ``--status`` prints a
-    per-wave operator health line (replica lag, worker breakers).
+    per-wave operator health line (replica state, worker breakers).
 ``worker``
     Run one socket shard worker
     (:class:`~repro.matching.remote.WorkerServer`) until interrupted;
@@ -239,9 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--status",
         action="store_true",
-        help="print one operator status line after every wave: replica "
-        "serving/lagging state and, with --remote-workers, each worker's "
-        "circuit-breaker state (see docs/distributed.md)",
+        help="print one operator status line after every wave: each "
+        "replica's current/stale/diverged state and, with "
+        "--remote-workers, each worker's circuit-breaker state (see "
+        "docs/distributed.md)",
     )
 
     worker = sub.add_parser(
@@ -258,13 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="port to bind (default: 0 = ephemeral; the bound port is "
         "printed on startup)",
-    )
-    worker.add_argument(
-        "--parallel-units",
-        type=int,
-        default=1,
-        help="work units this worker executes concurrently (private "
-        "state slots; default: 1 = serial)",
     )
     worker.add_argument(
         "--op-timeout",
@@ -705,19 +699,9 @@ def _cmd_serve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.matching.remote import WorkerServer
 
-    server = WorkerServer(
-        args.host,
-        args.port,
-        parallel_units=args.parallel_units,
-        op_timeout=args.op_timeout,
-    )
+    server = WorkerServer(args.host, args.port, op_timeout=args.op_timeout)
     host, port = server.address
-    suffix = (
-        f" ({args.parallel_units} parallel units)"
-        if args.parallel_units > 1
-        else ""
-    )
-    print(f"worker listening on {host}:{port}{suffix}", flush=True)
+    print(f"worker listening on {host}:{port}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

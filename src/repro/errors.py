@@ -74,15 +74,14 @@ class ReplicationError(ReproError):
     """A replica cannot serve or advance consistently with the delta log.
 
     Raised by :class:`~repro.matching.replication.ReplicaGroup` when a
-    replica falls behind the replicated delta log (a sequence gap means
-    its repository version is stale, so serving would break the
-    byte-identity guarantee — it refuses until caught up), when a
-    replica is **lagging** — backpressured out of delivery because its
-    bounded queue overflowed ``max_lag``, a delivery raised, or it
-    outlived the group's ``settle_timeout`` (``catch_up()`` is the road
-    back) — when every replica is behind, or when a replica's
-    repository digest diverges from the log's authoritative digest for
-    that sequence.
+    replica falls behind the replicated delta log (a sequence gap or a
+    failed delivery means its repository version is stale, so serving
+    would break the byte-identity guarantee — it refuses until
+    ``catch_up()`` replays what it missed), when every replica is
+    behind, or when a replica's repository digest diverges from the
+    log's authoritative digest for that sequence — the replica is then
+    marked diverged and refuses every read, record and catch-up until
+    it is replaced (``leave()``, then ``join()``).
     """
 
 

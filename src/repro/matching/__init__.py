@@ -75,8 +75,8 @@ state pulled by digest from the snapshot store, every remote op
 deadline-budgeted and every worker address behind a circuit breaker).
 Replicated serving (:mod:`repro.matching.replication`) runs N services
 behind a sequence-numbered replicated delta log with gap/duplicate
-detection, bounded backpressured delivery queues and a round-robin
-front-end — served answers byte-identical across replicas and with the
+detection, in-line digest-checked delivery and a round-robin front-end
+— served answers byte-identical across replicas and with the
 single-node path, under fault injection (see ``docs/distributed.md``).
 """
 
@@ -131,7 +131,6 @@ from repro.matching.remote import (
 )
 from repro.matching.replication import (
     DeltaRecord,
-    GroupStats,
     ReplicaGroup,
     ReplicaGroupStats,
 )
@@ -172,7 +171,6 @@ __all__ = [
     "ExecutionState",
     "ExecutorStats",
     "ExhaustiveMatcher",
-    "GroupStats",
     "HashedVectorBackend",
     "HybridMatcher",
     "LexicalBackend",

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import abc
 import atexit
-import pickle
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -52,7 +51,6 @@ __all__ = [
     "SerialExecutor",
     "ShardExecutor",
     "WorkUnit",
-    "clone_worker_state",
     "matcher_fingerprint",
     "shutdown_workers",
 ]
@@ -158,23 +156,6 @@ def run_unit_with(
         (schema_id, matcher.match_pair(query, schemas[schema_id], delta_max))
         for schema_id in schema_ids
     ]
-
-
-def clone_worker_state(state: dict[str, object]) -> dict[str, object]:
-    """A private deep copy of one installed worker-state dict.
-
-    Worker-side unit parallelism needs one state per concurrently
-    running unit: matchers mutate per-query internals (``begin_query``
-    bookkeeping, substrate caches), so two live units must never share
-    a matcher.  A pickle round-trip of the install payload gives each
-    slot exactly the state a fresh install would have shipped — the
-    same bytes a pool worker or socket worker receives — so answers
-    stay byte-identical whichever slot a unit lands on.  Mutable
-    bookkeeping keys (``active_query``) are deliberately not copied:
-    a clone starts as a freshly installed worker does.
-    """
-    payload = {key: state[key] for key in ("matcher", "queries", "schemas")}
-    return pickle.loads(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class ShardExecutor(abc.ABC):

@@ -226,7 +226,7 @@ def replica_group(
     inside the factory, so clones stay config-identical there too.
     ``options`` are forwarded to the group constructor (``store``,
     ``max_batch``, ``max_delay``, ``workers``, ``shards``, ``cache``,
-    ``executor``, ``delivery``, ``max_lag``, ``settle_timeout``).
+    ``executor``, ``delivery``).
     """
     from repro.matching.replication import ReplicaGroup
 

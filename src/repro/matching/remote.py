@@ -57,11 +57,13 @@ Concurrency model: the coordinator fans out on **asyncio** — one
 event loop on one background thread, one coroutine per worker, with
 :func:`async_send_message`/:func:`async_recv_message` as the stream
 twins of the blocking framing helpers — so N workers cost one thread,
-not N.  A worker runs up to ``parallel_units`` units concurrently by
-keeping that many private state *slots* (eagerly cloned at install
-time); a reinstall waits for in-flight units to drain before it swaps
-in the new slots, so a worker holds one installed state's slots at a
-time.
+not N.  A worker holds **one** installed state and runs one unit at a
+time on it: connections are served on a thread each, but a unit holds
+the state lock from its key check to its last pair, so a reinstall
+waits for the running unit and a ``run`` of a replaced key is refused.
+Threads of one interpreter share the GIL, so a second state on the
+same worker would buy no throughput — parallelism comes from more
+workers.
 
 Liveness: every remote op runs under a per-op deadline from the
 coordinator's :class:`DeadlineBudget` — a hung socket can delay a sweep
@@ -97,7 +99,6 @@ from repro.errors import SnapshotError, TransportError
 from repro.matching.executor import (
     ExecutionState,
     ShardExecutor,
-    clone_worker_state,
     run_unit_with,
 )
 from repro.matching.similarity.persist import (
@@ -391,17 +392,13 @@ class WorkerServer:
     the install payload alone (protocol version 3), and a ``hello``
     naming any other version is refused before install.
 
-    ``parallel_units`` is the worker's own shard parallelism: the
-    install builds that many private state **slots** (the installed
-    state plus eager pickle-round-trip clones, each byte-equivalent to
-    a fresh install), and each running unit checks one out, so N
-    coordinator connections execute up to ``parallel_units`` units
-    concurrently instead of serializing on one state lock.  Answers
-    are byte-identical whichever slot a unit lands on — clones carry
-    exactly the install payload.  A reinstall (different ``state_key``)
-    waits for in-flight units to drain before swapping in the new
-    slots, so the worker holds one installed state's slots at a time;
-    later ``run`` ops of the old key are refused loudly.
+    The worker holds one installed state.  One lock guards it: the key
+    check, the install, and each unit from its key check to its last
+    pair, so units from concurrent coordinators run one at a time and
+    a reinstall (different ``state_key``) waits for the running unit;
+    later ``run`` ops of the old key are refused loudly.  Replies are
+    sent outside that lock, and the connection list has its own, so
+    :meth:`stop` and :meth:`kill` never wait behind a running unit.
 
     ``op_timeout`` bounds how long one peer may stall the connection
     **mid-conversation**: a frame that started must finish arriving —
@@ -424,13 +421,8 @@ class WorkerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        parallel_units: int = 1,
         op_timeout: float | None = None,
     ):
-        if parallel_units < 1:
-            raise TransportError(
-                f"parallel_units must be >= 1, got {parallel_units!r}"
-            )
         if op_timeout is not None and op_timeout <= 0:
             raise TransportError(
                 f"op_timeout must be positive (or None), got {op_timeout!r}"
@@ -441,16 +433,15 @@ class WorkerServer:
         self._listener.bind((host, port))
         self._listener.listen()
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self.parallel_units = parallel_units
         self.stats = WorkerStats()
-        self._lock = threading.RLock()
-        self._idle = threading.Condition(self._lock)
-        self._inflight = 0
-        self._slots: Queue | None = None
+        #: the installed state and its key, guarded by ``_state_lock``
+        self._state: dict[str, object] | None = None
         self._state_key: tuple | None = None
+        self._state_lock = threading.Lock()
         self._stopping = threading.Event()
         self._threads: list[threading.Thread] = []
         self._connections: list[socket.socket] = []
+        self._connections_lock = threading.Lock()
         self._accept_thread: threading.Thread | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -474,7 +465,7 @@ class WorkerServer:
             # ACK would add ~40ms per unit on loopback.
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self.stats.connections += 1
-            with self._lock:
+            with self._connections_lock:
                 self._connections.append(conn)
             thread = threading.Thread(
                 target=self._serve_connection,
@@ -503,7 +494,7 @@ class WorkerServer:
         """Stop accepting, close every connection, join handlers."""
         self._stopping.set()
         self._close_listener()
-        with self._lock:
+        with self._connections_lock:
             connections = list(self._connections)
         for conn in connections:
             try:
@@ -552,7 +543,7 @@ class WorkerServer:
             return
         finally:
             conn.close()
-            with self._lock:
+            with self._connections_lock:
                 if conn in self._connections:
                     self._connections.remove(conn)
 
@@ -585,7 +576,7 @@ class WorkerServer:
 
     def _install_key(self, state_key: tuple) -> dict:
         """Key-first install: reuse the live state, or ask for it."""
-        with self._lock:
+        with self._state_lock:
             if self._state_key == state_key:
                 self.stats.installs_reused += 1
                 return {"op": "installed", "reused": True}
@@ -593,18 +584,12 @@ class WorkerServer:
 
     def _install(self, message: dict) -> dict:
         state_key = message["state_key"]
-        with self._lock:
+        with self._state_lock:
             # another coordinator may have installed this key since
             # this one was told ``need_state``
             if self._state_key == state_key:
                 self.stats.installs_reused += 1
                 return {"op": "installed", "reused": True}
-            # Drain units of the previous state before replacing its
-            # slots: the worker holds one installed state's slots at a
-            # time.  (Their coordinators' later ``run`` ops of the old
-            # key are then refused loudly by the state_key check.)
-            while self._inflight:
-                self._idle.wait(timeout=1.0)
             mode = message.get("mode", "inline")
             if mode == "inline":
                 state = {
@@ -616,17 +601,10 @@ class WorkerServer:
                 state = self._install_from_store(message)
             else:
                 raise TransportError(f"unknown install mode {mode!r}")
-            # Eager slot cloning, under the install lock: every slot is
-            # fixed before any unit can run on the new state, so no
-            # clone is ever taken of a matcher mid-unit.
-            slots: Queue = Queue()
-            slots.put(state)
-            for _ in range(self.parallel_units - 1):
-                slots.put(clone_worker_state(state))
-            self._slots = slots
+            self._state = state
             self._state_key = state_key
             self.stats.installs += 1
-            return {"op": "installed", "reused": False}
+        return {"op": "installed", "reused": False}
 
     def _install_from_store(self, message: dict) -> dict[str, object]:
         """Pull repository/queries/substrate by digest from a shared store.
@@ -674,35 +652,20 @@ class WorkerServer:
         }
 
     def _run(self, message: dict) -> dict:
-        with self._lock:
-            if self._slots is None or self._state_key != message["state_key"]:
+        # the key check and the unit under one lock hold: no reinstall
+        # can swap the state between them
+        with self._state_lock:
+            if self._state is None or self._state_key != message["state_key"]:
                 return {
                     "op": "error",
                     "error": "no state installed for this state_key",
                 }
-            # Capture the slot queue under the same lock acquisition as
-            # the key check: a reinstall swaps ``_slots`` wholesale, and
-            # a slot must go back to the queue (= state generation) it
-            # came from, never into a newer one.
-            slots = self._slots
-            self._inflight += 1
-        try:
-            slot = slots.get()
-            try:
-                pairs = run_unit_with(
-                    slot,
-                    message["query_index"],
-                    message["schema_ids"],
-                    message["delta_max"],
-                )
-            finally:
-                slots.put(slot)
-        finally:
-            with self._lock:
-                self._inflight -= 1
-                if not self._inflight:
-                    self._idle.notify_all()
-        with self._lock:
+            pairs = run_unit_with(
+                self._state,
+                message["query_index"],
+                message["schema_ids"],
+                message["delta_max"],
+            )
             self.stats.units += 1
         return {"op": "result", "pairs": pairs}
 

@@ -8,20 +8,15 @@ behind a round-robin front-end, and keeps them consistent through a
 
 * :meth:`apply_delta` applies the delta to the group's *authoritative*
   repository first, appends a :class:`DeltaRecord` (1-based, contiguous
-  sequence numbers) with the resulting repository content digest, and
-  hands the record to every replica's **bounded delivery queue** — a
-  per-replica drain worker applies queued records concurrently across
-  replicas, and ``apply_delta`` waits (bounded by ``settle_timeout``)
-  for the queues to drain, so on the fast path every live replica has
-  applied the record when it returns, exactly as before;
-* **backpressure instead of blocking**: a replica whose queue already
-  holds ``max_lag`` undelivered records — or whose delivery raised, or
-  whose drain outlived ``settle_timeout`` — is marked **lagging**: the
-  log keeps advancing (the authoritative repository never waits on a
-  slow replica), further deliveries to that replica are skipped, and
-  the front-end skips it exactly as it skips a stale replica;
-  :meth:`catch_up` replays the missed records and returns it to
-  serving;
+  sequence numbers) with the resulting repository content digest, then
+  delivers the record to every replica **in-line** — all deliveries
+  started at once and awaited together — so when it returns, every
+  replica whose delivery succeeded has applied the record;
+* a delivery that raises is re-raised **once**, from that
+  ``apply_delta``, after every other delivery has finished.  The failed
+  replica's applied position did not advance, so it is *stale* by the
+  log's own count: later records buffer behind the gap, and
+  :meth:`catch_up` replays them and returns it to serving;
 * :meth:`receive` is each replica's delivery endpoint, with full
   gap/duplicate discipline: a record already applied (``sequence <=
   applied``) is **ignored** (delivery may duplicate), a record from the
@@ -29,17 +24,19 @@ behind a round-robin front-end, and keeps them consistent through a
   reorder or delay) and the replica is *stale* until the gap closes —
   buffered records drain automatically the moment the missing sequence
   arrives;
-* a **stale or lagging replica refuses to serve** (:meth:`match_on`
-  raises :class:`~repro.errors.ReplicationError`; the round-robin
-  front-end simply skips it) because serving from an old repository
-  version would break the group's acceptance property — *byte-identity
-  of served answers across replicas and with the single-node offline
+* a **stale replica refuses to serve** (:meth:`match_on` raises
+  :class:`~repro.errors.ReplicationError`; the round-robin front-end
+  simply skips it) because serving from an old repository version
+  would break the group's acceptance property — *byte-identity of
+  served answers across replicas and with the single-node offline
   path*;
 * after every replica-side apply, the replica's repository digest is
-  compared to the log's authoritative digest for that sequence — any
-  divergence (a corrupted delivery, non-deterministic apply) raises
-  :class:`~repro.errors.ReplicationError` instead of letting a forked
-  replica keep answering.
+  compared to the log's authoritative digest for that sequence.  A
+  replica that fails the check (a corrupted delivery, a
+  non-deterministic apply) is marked **diverged** and the apply raises
+  :class:`~repro.errors.ReplicationError`: a diverged replica never
+  serves again, takes no further records, and :meth:`catch_up` refuses
+  it — :meth:`leave` it and :meth:`join` a fresh replica.
 
 Delivery is injectable (``delivery=``) precisely so the fault-injection
 harness (``tests/helpers/faults.py``) can drop, duplicate, reorder and
@@ -49,6 +46,12 @@ Each replica needs its **own** matcher built over its **own** objective
 (config-equal — fingerprints are checked — but distinct objects):
 services run their pipelines on executor threads, and sharing one
 similarity substrate across replicas would race.
+
+The replicas share one event loop in one process, so the group buys
+consistency checks and runtime membership, not throughput or
+availability: a hung shard executor stalls every replica's re-match
+alike, and its :class:`~repro.matching.remote.DeadlineBudget` — not the
+group — bounds the wait.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from repro.schema.store import SnapshotStore
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.matching.executor import ShardExecutor
 
-__all__ = ["DeltaRecord", "GroupStats", "ReplicaGroup", "ReplicaGroupStats"]
+__all__ = ["DeltaRecord", "ReplicaGroup", "ReplicaGroupStats"]
 
 #: delivery hook: ``(group, replica_index, record)`` → awaitable.  The
 #: default awaits ``group.receive(replica_index, record)`` immediately.
@@ -108,30 +111,17 @@ class ReplicaGroupStats:
     joins: int = 0
     #: replicas removed at runtime (:meth:`ReplicaGroup.leave`)
     leaves: int = 0
-    #: deliveries skipped because the target replica was lagging
-    deliveries_skipped: int = 0
-    #: replicas marked lagging (queue overflow, delivery failure, or
-    #: a delivery outliving ``settle_timeout``)
-    replicas_lagged: int = 0
     #: delivery-hook invocations that raised
     delivery_failures: int = 0
-    #: ``apply_delta`` settles that hit ``settle_timeout`` with
-    #: deliveries still in flight
-    settle_timeouts: int = 0
-
-
-#: the name the graceful-degradation surface exposes these under
-GroupStats = ReplicaGroupStats
 
 
 @dataclass
 class _ReplicaState:
     """Everything the group tracks per replica, in one object.
 
-    Drain workers hold the *object*, never an index: replica indices
-    shift on :meth:`ReplicaGroup.leave`, so anything long-lived resolves
-    its current index (via ``list.index``) only at the moment it needs
-    one — or discovers it has been removed and stands down.
+    An apply in flight holds the *object*, never an index: replica
+    indices shift on :meth:`ReplicaGroup.leave`, so it resolves its
+    current index (via ``list.index``) only at the moment it needs one.
     """
 
     service: MatchingService
@@ -139,18 +129,10 @@ class _ReplicaState:
     applied: int = 0
     #: out-of-order future records, keyed by sequence
     buffer: dict[int, DeltaRecord] = field(default_factory=dict)
-    #: the bounded delivery queue apply_delta feeds
-    queue: asyncio.Queue = field(default_factory=asyncio.Queue)
-    #: records enqueued but not yet delivered (queue depth + in flight)
-    pending: int = 0
-    #: backpressure flag: skipped by delivery and by the front-end
-    lagging: bool = False
-    #: the first unreported delivery failure (raised by the next settle)
-    error: Exception | None = None
-    #: serializes applies onto this replica (drain vs. catch_up races)
+    #: the sequence whose digest check failed (0: never diverged)
+    diverged: int = 0
+    #: serializes applies onto this replica (delivery vs. catch_up races)
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    #: the drain worker (created at start/join, cancelled at stop/leave)
-    task: asyncio.Task | None = None
 
 
 class ReplicaGroup:
@@ -160,12 +142,7 @@ class ReplicaGroup:
     (fingerprint-checked) but distinct objects over distinct objectives.
     ``store`` warm-starts every replica from the same snapshot when it
     holds one; ``delivery`` overrides how log records reach replicas
-    (fault injection).  ``max_lag`` bounds each replica's delivery
-    queue — a replica that falls further behind is marked *lagging*
-    (skipped, recoverable via :meth:`catch_up`) instead of blocking the
-    log — and ``settle_timeout`` bounds how long :meth:`apply_delta`
-    waits for deliveries to drain before letting slow replicas lag.
-    The remaining options are forwarded to each
+    (fault injection).  The remaining options are forwarded to each
     :class:`~repro.matching.service.MatchingService`.
 
     Usage::
@@ -190,18 +167,10 @@ class ReplicaGroup:
         cache: CandidateCache | bool | None = None,
         executor: "ShardExecutor | None" = None,
         delivery: DeliveryHook | None = None,
-        max_lag: int = 8,
-        settle_timeout: float = 30.0,
     ):
         matchers = list(matchers)
         if not matchers:
             raise ReplicationError("a replica group needs >= 1 matcher")
-        if max_lag < 1:
-            raise ReplicationError(f"max_lag must be >= 1, got {max_lag!r}")
-        if settle_timeout <= 0:
-            raise ReplicationError(
-                f"settle_timeout must be positive, got {settle_timeout!r}"
-            )
         fingerprints = {matcher_fingerprint(m) for m in matchers}
         if len(fingerprints) != 1:
             raise ReplicationError(
@@ -242,8 +211,6 @@ class ReplicaGroup:
             for matcher in matchers
         ]
         self.delta_max = delta_max
-        self.max_lag = max_lag
-        self.settle_timeout = settle_timeout
         self.log: list[DeltaRecord] = []
         self.stats = ReplicaGroupStats(applied=[0] * len(matchers))
         self._digests: list[str] = []
@@ -251,9 +218,6 @@ class ReplicaGroup:
         self._base_repository: SchemaRepository | None = None
         self._next_replica = 0
         self._delivery = delivery if delivery is not None else _deliver_direct
-        #: pulsed by drain workers after every delivery so settle()
-        #: wakes the moment a queue may have emptied
-        self._drained = asyncio.Event()
 
     def __len__(self) -> int:
         return len(self._states)
@@ -290,23 +254,9 @@ class ReplicaGroup:
         # The log is empty at start, so the started version is the base
         # every later join() cold-starts from before replaying the log.
         self._base_repository = self._repository
-        loop = asyncio.get_running_loop()
-        for state in self._states:
-            if state.task is None:
-                state.task = loop.create_task(self._drain(state))
 
     async def stop(self) -> None:
-        """Stop every replica and drain worker (idempotent per service)."""
-        for state in self._states:
-            if state.task is not None:
-                state.task.cancel()
-        for state in self._states:
-            if state.task is not None:
-                try:
-                    await state.task
-                except asyncio.CancelledError:
-                    pass
-                state.task = None
+        """Stop every replica (idempotent per service)."""
         for state in self._states:
             if state.service.started:
                 await state.service.stop()
@@ -363,9 +313,6 @@ class ReplicaGroup:
         self._states.append(state)
         self.stats.applied.append(0)
         self.stats.joins += 1
-        state.task = asyncio.get_running_loop().create_task(
-            self._drain(state)
-        )
         index = len(self._states) - 1
         await self.catch_up(index)
         return index
@@ -396,13 +343,6 @@ class ReplicaGroup:
         self.stats.applied.pop(index)
         self._next_replica %= len(self._states)
         self.stats.leaves += 1
-        if state.task is not None:
-            state.task.cancel()
-            try:
-                await state.task
-            except asyncio.CancelledError:
-                pass
-            state.task = None
         if state.service.started:
             await state.service.stop(drain=False)
         return state.service
@@ -420,19 +360,11 @@ class ReplicaGroup:
         """How many log records replica ``index`` has applied."""
         return self._states[index].applied
 
-    def lagging(self, index: int) -> bool:
-        """Is replica ``index`` marked lagging (backpressured out)?"""
-        return self._states[index].lagging
-
-    def pending(self, index: int) -> int:
-        """Deliveries enqueued for replica ``index`` but not yet applied."""
-        return self._states[index].pending
-
     def current(self, index: int) -> bool:
         """Is replica ``index`` caught up with the whole log (and serving)?"""
         state = self._states[index]
         return (
-            not state.lagging
+            not state.diverged
             and state.applied == len(self.log)
             and not state.buffer
         )
@@ -442,23 +374,24 @@ class ReplicaGroup:
         return [i for i in range(len(self._states)) if self.current(i)]
 
     def status(self) -> str:
-        """One operator line: per-replica lag/serving state + the executor's.
+        """One operator line: per-replica serving state + the executor's.
 
         The graceful-degradation surface: what an operator (or
         ``repro-bounds serve --status``) reads to see which replicas
-        serve, which lag, and how the shard transport's breakers stand.
+        serve (``current``), which wait on the log (``stale``), which
+        are forked for good (``diverged``), and how the shard
+        transport's breakers stand.
         """
         parts = []
         for index, state in enumerate(self._states):
-            if state.lagging:
-                phase = "lagging"
+            if state.diverged:
+                phase = "diverged"
             elif self.current(index):
                 phase = "current"
             else:
                 phase = "stale"
             parts.append(
                 f"r{index}={phase} applied {state.applied}/{len(self.log)}"
-                + (f" pending {state.pending}" if state.pending else "")
             )
         line = (
             f"group: {len(self._states)} replicas "
@@ -476,16 +409,13 @@ class ReplicaGroup:
 
         The authoritative repository advances first — the log entry
         records the digest every replica must reach at this sequence —
-        then the record enters each replica's bounded delivery queue
-        and the call waits (at most ``settle_timeout``) for the queues
-        to drain.  On the fast path every live replica has applied (and
-        digest-checked) the record when this returns, exactly as the
-        synchronous delivery did; a replica that is already lagging, or
-        whose queue holds ``max_lag`` undelivered records, is skipped
-        and left for :meth:`catch_up` — the log **never blocks on a
-        slow replica**.  The first delivery failure observed is
-        re-raised here (the log still holds the record; the failed
-        replica is lagging and recoverable).
+        then the record is handed to the delivery hook once per replica,
+        all at once, and this call waits for every delivery.  When it
+        returns, every replica whose delivery succeeded has applied (and
+        digest-checked) the record.  A failed delivery is counted and
+        the first one re-raised here, once: the log still holds the
+        record, and the failed replica is stale — :meth:`catch_up`
+        replays what it missed.
         """
         new_repository, report = self.repository.apply(delta)
         self._repository = new_repository
@@ -493,88 +423,18 @@ class ReplicaGroup:
         self.log.append(record)
         self._digests.append(new_repository.content_digest())
         self.stats.deltas_logged += 1
-        for state in self._states:
-            if state.lagging:
-                self.stats.deliveries_skipped += 1
-                continue
-            if state.pending >= self.max_lag:
-                # backpressure: this replica is not keeping up — let it
-                # lag (catch_up() replays from the log) rather than
-                # grow its queue or stall the log
-                state.lagging = True
-                self.stats.replicas_lagged += 1
-                self.stats.deliveries_skipped += 1
-                continue
-            state.pending += 1
-            state.queue.put_nowait(record)
-        await self._settle()
+        outcomes = await asyncio.gather(
+            *(
+                self._delivery(self, index, record)
+                for index in range(len(self._states))
+            ),
+            return_exceptions=True,
+        )
+        failures = [o for o in outcomes if isinstance(o, BaseException)]
+        if failures:
+            self.stats.delivery_failures += len(failures)
+            raise failures[0]
         return report
-
-    async def _drain(self, state: _ReplicaState) -> None:
-        """One replica's delivery worker: queue → delivery hook, forever.
-
-        A delivery that raises marks the replica lagging and parks the
-        error for the next :meth:`apply_delta` settle to re-raise; a
-        lagging replica's queued records are discarded (the log holds
-        them — :meth:`catch_up` is the road back, and re-delivering out
-        of a poisoned queue would just repeat the failure).
-        """
-        while True:
-            record = await state.queue.get()
-            try:
-                if state.lagging:
-                    continue
-                try:
-                    index = self._states.index(state)
-                except ValueError:
-                    return  # replica left the group; stand down
-                try:
-                    await self._delivery(self, index, record)
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - parked, re-raised
-                    state.lagging = True
-                    state.error = exc
-                    self.stats.delivery_failures += 1
-                    self.stats.replicas_lagged += 1
-            finally:
-                state.pending -= 1
-                self._drained.set()
-
-    async def _settle(self) -> None:
-        """Wait (bounded) for non-lagging replicas' deliveries to drain.
-
-        Raises the first parked delivery error, if any; on timeout,
-        replicas with deliveries still in flight are marked lagging and
-        the log moves on without them.
-        """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.settle_timeout
-        while True:
-            self._drained.clear()
-            error: Exception | None = None
-            busy = False
-            for state in self._states:
-                if state.error is not None and error is None:
-                    error, state.error = state.error, None
-                if not state.lagging and state.pending:
-                    busy = True
-            if error is not None:
-                raise error
-            if not busy:
-                return
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                for state in self._states:
-                    if not state.lagging and state.pending:
-                        state.lagging = True
-                        self.stats.replicas_lagged += 1
-                self.stats.settle_timeouts += 1
-                return
-            try:
-                await asyncio.wait_for(self._drained.wait(), remaining)
-            except asyncio.TimeoutError:
-                pass
 
     async def receive(self, index: int, record: DeltaRecord) -> None:
         """Deliver one log record to replica ``index`` (gap/dup discipline).
@@ -582,7 +442,8 @@ class ReplicaGroup:
         Duplicates (sequence already applied) are counted and ignored;
         future records (a gap) are counted and buffered — the replica is
         stale, and :meth:`match_on` refuses it, until the missing
-        records arrive and the buffer drains in sequence order.
+        records arrive and the buffer drains in sequence order.  A
+        diverged replica takes no records at all.
         """
         if not 0 <= index < len(self._states):
             raise ReplicationError(
@@ -591,6 +452,8 @@ class ReplicaGroup:
                 "held delivery?)"
             )
         state = self._states[index]
+        if state.diverged:
+            raise self._diverged_error(state)
         if record.sequence <= state.applied:
             self.stats.duplicates_ignored += 1
             return
@@ -607,43 +470,61 @@ class ReplicaGroup:
     async def _apply_record(
         self, state: _ReplicaState, record: DeltaRecord
     ) -> None:
+        """Apply one record, then digest-check it against the log.
+
+        Every path — delivery, a buffered record's late drain,
+        :meth:`catch_up` — goes through here, so this is where a replica
+        whose repository no longer matches the log is marked diverged.
+        """
         async with state.lock:
+            if state.diverged:
+                raise self._diverged_error(state)
             if record.sequence <= state.applied:
-                # raced with a concurrent path (a queued delivery vs. a
+                # raced with a concurrent path (a delivery vs. a
                 # catch_up replay of the same record): the second apply
                 # is the duplicate-delivery case and is ignored
                 self.stats.duplicates_ignored += 1
                 return
             await state.service.apply_delta(record.delta)
-            state.applied = record.sequence
-            try:
-                self.stats.applied[
-                    self._states.index(state)
-                ] = record.sequence
-            except ValueError:
-                pass  # replica left mid-apply; its stats slot is gone
+            self.stats.digest_checks += 1
             expected = self._digests[record.sequence - 1]
             actual = state.service.repository.content_digest()
-            self.stats.digest_checks += 1
             if actual != expected:
-                try:
-                    index = self._states.index(state)
-                except ValueError:
-                    index = -1
+                state.diverged = record.sequence
                 raise ReplicationError(
-                    f"replica {index} diverged at sequence "
+                    f"replica {self._index_of(state)} diverged at sequence "
                     f"{record.sequence}: repository digest {actual} != "
                     f"authoritative {expected}"
                 )
+            state.applied = record.sequence
+            index = self._index_of(state)
+            if index >= 0:  # -1: the replica left mid-apply
+                self.stats.applied[index] = record.sequence
+
+    def _index_of(self, state: _ReplicaState) -> int:
+        """``state``'s current replica index, or -1 once it has left."""
+        try:
+            return self._states.index(state)
+        except ValueError:
+            return -1
+
+    def _diverged_error(self, state: _ReplicaState) -> ReplicationError:
+        return ReplicationError(
+            f"replica {self._index_of(state)} diverged from the delta log "
+            f"at sequence {state.diverged} and takes no further records; "
+            "leave() it and join() a fresh replica"
+        )
 
     async def catch_up(self, index: int) -> int:
         """Replay missed log records into replica ``index``; returns count.
 
-        The recovery path after dropped deliveries *and* after
-        backpressure: everything past the replica's applied position is
-        re-delivered from the authoritative log in order (which also
-        drains its buffer), and a successful replay clears the lagging
-        flag — the replica returns to serving.
+        The recovery path after dropped or failed deliveries: everything
+        past the replica's applied position is re-delivered from the
+        authoritative log in order (which also drains its buffer), and
+        the replica returns to serving.  A diverged replica is refused
+        — its applied position stops before the record that failed the
+        digest check, so the replay reaches that record and raises: its
+        repository is forked, and no replay repairs that.
         """
         state = self._states[index]
         replayed = 0
@@ -653,8 +534,6 @@ class ReplicaGroup:
             await self._apply_record(state, record)
             replayed += 1
         state.buffer.clear()
-        state.lagging = False
-        state.error = None
         if replayed:
             self.stats.catch_ups += 1
         return replayed
@@ -664,8 +543,8 @@ class ReplicaGroup:
     async def match(self, query: Schema) -> AnswerSet:
         """Serve one query from the next current replica (round-robin).
 
-        Stale and lagging replicas are skipped — they would serve
-        answers computed against an old repository version.  When
+        Stale and diverged replicas are skipped — they would serve
+        answers computed against another repository version.  When
         *every* replica is behind the log, the group refuses loudly
         rather than serve a stale answer.
         """
@@ -684,16 +563,16 @@ class ReplicaGroup:
         )
 
     async def match_on(self, index: int, query: Schema) -> AnswerSet:
-        """Serve from one specific replica; refuses a stale/lagging one."""
+        """Serve from one specific replica; refuses a stale/diverged one."""
         if not self.current(index):
             state = self._states[index]
+            if state.diverged:
+                raise self._diverged_error(state)
             raise ReplicationError(
                 f"replica {index} is behind the delta log (applied "
                 f"{state.applied} of {len(self.log)}, "
-                f"{len(state.buffer)} buffered"
-                + (", lagging" if state.lagging else "")
-                + "); serving would break byte-identity — call catch_up() "
-                "first"
+                f"{len(state.buffer)} buffered); serving would break "
+                "byte-identity — call catch_up() first"
             )
         self.stats.served += 1
         return await self._states[index].service.match(query)

@@ -28,9 +28,9 @@ Two fault surfaces, one helper each:
   log gap (the replica must buffer and refuse to serve); duplicating
   exercises the idempotence discipline; :meth:`release` delivers held
   records late — in any order the test scripts — exercising reorder and
-  delayed delivery; :attr:`delay` sleeps a delivery in place, which
-  past the group's ``settle_timeout`` exercises backpressure (the
-  replica lags and must be caught up, not waited on).
+  delayed delivery; :attr:`delay` sleeps a delivery in place (a slow
+  replica: ``apply_delta`` waits it out in-line, and reads are refused
+  until some replica has applied the record).
 
 Both are deterministic: faults fire at exact byte offsets or exact
 sequence numbers, so a failing test names the precise damage that
@@ -351,9 +351,7 @@ class DeltaLogFaults:
     * :attr:`hold` — parked until :meth:`release`, which delivers the
       held records late (delay / reorder);
     * :attr:`delay` — delivered after sleeping that many **seconds** in
-      place (a slow replica; a delay past the group's
-      ``settle_timeout`` forces the replica to lag instead of stalling
-      ``apply_delta``).
+      place (a slow replica; ``apply_delta`` returns once it lands).
 
     :attr:`delivered` records every delivery that actually reached
     :meth:`ReplicaGroup.receive`, in order, for assertions.

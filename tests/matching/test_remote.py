@@ -530,7 +530,7 @@ class _CrashingWorker(WorkerServer):
         self.crashed = True
         self._stopping.set()
         self._close_listener()
-        with self._lock:
+        with self._connections_lock:
             connections = list(self._connections)
         for conn in connections:
             try:
@@ -654,10 +654,6 @@ class TestVersionAndState:
         assert reply["op"] == "error"
         assert "no state installed" in reply["error"]
 
-    def test_parallel_units_must_be_positive(self):
-        with pytest.raises(TransportError, match="parallel_units"):
-            WorkerServer(parallel_units=0)
-
 
 # ---------------------------------------------------------------------------
 # Coordinator shutdown hygiene
@@ -734,21 +730,21 @@ class TestCoordinatorShutdown:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side parallelism
+# Concurrent coordinators on one worker
 # ---------------------------------------------------------------------------
 
 class TestParallelUnits:
     def test_concurrent_coordinators_byte_identical(
         self, small_workload, queries
     ):
-        """Two coordinators race one ``parallel_units=2`` worker.
+        """Two coordinators race their units onto one worker's one state.
 
         Both sweeps must come back byte-identical to the serial path
-        (whichever state slot each unit lands on), the state installs
-        exactly once (the coordinators share a ``state_key``), and
-        every unit of both sweeps executes.
+        (their units interleave on the one installed state), the state
+        installs exactly once (the coordinators share a ``state_key``),
+        and every unit of both sweeps executes.
         """
-        worker = WorkerServer(parallel_units=2).start()
+        worker = WorkerServer().start()
         results: dict[int, bytes] = {}
         errors: list[BaseException] = []
 

@@ -417,167 +417,182 @@ class _FailingDelivery:
 
 
 class TestBackpressure:
-    """Bounded delivery queues: a slow replica lags, the log never waits."""
+    """In-line delivery: apply_delta waits for every replica's apply.
 
-    def test_param_validation(self, small_workload):
-        with pytest.raises(ReplicationError, match="max_lag"):
-            _group(small_workload, max_lag=0)
-        with pytest.raises(ReplicationError, match="settle_timeout"):
-            _group(small_workload, settle_timeout=0)
-
-    def test_slow_replica_lags_instead_of_blocking(
-        self, small_workload, queries
-    ):
-        """A delivery outliving settle_timeout: apply_delta moves on.
-
-        The slow replica is marked lagging (front-end skips it, like
-        stale), the fast replica keeps serving, and catch_up() replays
-        the missed record and returns the laggard to serving —
-        byte-identical to the offline path throughout.
-        """
-        faults = DeltaLogFaults(delay={(1, 1): 1.0})
-
-        async def scenario():
-            group = _group(
-                small_workload, delivery=faults, settle_timeout=0.1
-            )
-            await group.start(small_workload.repository)
-            loop = asyncio.get_running_loop()
-            started = loop.time()
-            await group.apply_delta(
-                churn_delta(group.repository, churn=0.25, seed=0)
-            )
-            elapsed = loop.time() - started
-            assert elapsed < 0.8, (
-                f"apply_delta blocked {elapsed:.2f}s on a slow replica"
-            )
-            assert group.current(0) and group.lagging(1)
-            assert group.current_replicas() == [0]
-            with pytest.raises(
-                ReplicationError, match="behind the delta log"
-            ):
-                await group.match_on(1, queries[0])
-            routed = [await group.match(query) for query in queries]
-            replayed = await group.catch_up(1)
-            assert group.current_replicas() == [0, 1]
-            answers = [await group.match_all(query) for query in queries]
-            repository = group.repository
-            await group.stop()
-            return group, routed, replayed, answers, repository
-
-        group, routed, replayed, answers, repository = _run(scenario())
-        assert group.stats.settle_timeouts == 1
-        assert group.stats.replicas_lagged >= 1
-        assert replayed == 1
-        offline = _canonical(_offline(small_workload, queries, repository))
-        assert _canonical(routed) == offline  # replica 0 carried the load
-        for replica in range(2):
-            assert _canonical([a[replica] for a in answers]) == offline
-
-    def test_queue_overflow_marks_lagging(self, small_workload, queries):
-        """``max_lag`` is a hard bound on a replica's undelivered queue.
-
-        catch_up() clears the lagging flag while the poisoned delivery
-        is still in flight; the next apply_delta finds the queue at
-        max_lag and backpressures the replica out again instead of
-        growing the queue.
-        """
-        faults = DeltaLogFaults(delay={(1, 1): 5.0})
-
-        async def scenario():
-            group = _group(
-                small_workload,
-                delivery=faults,
-                max_lag=1,
-                settle_timeout=0.1,
-            )
-            await group.start(small_workload.repository)
-            await group.apply_delta(
-                churn_delta(group.repository, churn=0.25, seed=0)
-            )
-            assert group.lagging(1)
-            await group.catch_up(1)  # recovered, delivery still in flight
-            assert not group.lagging(1) and group.pending(1) == 1
-            await group.apply_delta(
-                churn_delta(group.repository, churn=0.25, seed=1)
-            )
-            assert group.lagging(1)  # overflowed max_lag, lagged again
-            await group.catch_up(1)
-            answers = [await group.match_all(query) for query in queries]
-            repository = group.repository
-            await group.stop()
-            return group, answers, repository
-
-        group, answers, repository = _run(scenario())
-        assert group.stats.deliveries_skipped >= 1
-        assert group.stats.replicas_lagged >= 2
-        offline = _canonical(_offline(small_workload, queries, repository))
-        for replica in range(2):
-            assert _canonical([a[replica] for a in answers]) == offline
+    A failed delivery is raised once and leaves its replica stale by
+    the log's own count; a read sent while a record is delivered is
+    refused, because no replica has applied it yet.
+    """
 
     def test_delivery_failure_lags_and_raises_once(
         self, small_workload, queries
     ):
-        """A delivery that raises: loud once, lagging, recoverable."""
+        """A delivery that raises: loud once, the replica stale, recoverable."""
         faults = _FailingDelivery(replica=1, sequence=1)
 
         async def scenario():
-            group = _group(
-                small_workload, delivery=faults, settle_timeout=5.0
-            )
+            group = _group(small_workload, delivery=faults)
             await group.start(small_workload.repository)
             with pytest.raises(RuntimeError, match="injected delivery"):
                 await group.apply_delta(
                     churn_delta(group.repository, churn=0.25, seed=0)
                 )
-            assert group.lagging(1)
-            # raised exactly once: the next append must not re-raise it
+            # the log holds the record: replica 0 applied it, replica 1
+            # did not and is stale by the log's own count
+            assert group.current_replicas() == [0]
+            assert group.applied(1) == 0
+            # raised exactly once: the next append must not re-raise it,
+            # and its record buffers behind replica 1's gap
             await group.apply_delta(
                 churn_delta(group.repository, churn=0.25, seed=1)
             )
             assert group.current(0) and not group.current(1)
-            await group.catch_up(1)
+            replayed = await group.catch_up(1)
             assert group.current_replicas() == [0, 1]
+            answers = [await group.match_all(query) for query in queries]
+            repository = group.repository
+            await group.stop()
+            return group, replayed, answers, repository
+
+        group, replayed, answers, repository = _run(scenario())
+        assert faults.failures == 1
+        assert group.stats.delivery_failures == 1
+        assert group.stats.gaps_buffered == 1
+        assert replayed == 2
+        offline = _canonical(_offline(small_workload, queries, repository))
+        for replica in range(2):
+            assert _canonical([a[replica] for a in answers]) == offline
+
+    def test_status_line_names_stale_replicas(self, small_workload, queries):
+        """Mid-delivery no replica serves; a dropped record leaves one stale."""
+        faults = DeltaLogFaults(drop={(1, 1)})
+
+        async def scenario():
+            group = _group(small_workload, delivery=faults)
+            await group.start(small_workload.repository)
+            write = asyncio.ensure_future(
+                group.apply_delta(
+                    churn_delta(group.repository, churn=0.25, seed=0)
+                )
+            )
+            await asyncio.sleep(0)  # logged; its deliveries in flight
+            in_flight = group.status()
+            with pytest.raises(ReplicationError, match="every replica"):
+                await group.match(queries[0])
+            await write
+            degraded = group.status()
+            await group.catch_up(1)
+            healed = group.status()
+            await group.stop()
+            return in_flight, degraded, healed
+
+        in_flight, degraded, healed = _run(scenario())
+        assert "2 replicas (0 serving)" in in_flight
+        assert "2 replicas (1 serving)" in degraded
+        assert "r0=current applied 1/1" in degraded
+        assert "r1=stale applied 0/1" in degraded
+        assert "2 replicas (2 serving)" in healed
+        assert "r1=current applied 1/1" in healed
+
+
+class _TamperingDelivery:
+    """Hands one replica another delta at one scripted sequence."""
+
+    def __init__(self, replica: int, sequence: int, delta):
+        self.key = (replica, sequence)
+        self.delta = delta
+
+    async def __call__(self, group, index, record):
+        if (index, record.sequence) == self.key:
+            record = DeltaRecord(record.sequence, self.delta)
+        await group.receive(index, record)
+
+
+class TestForkedReplica:
+    """A replica that fails its digest check never serves again.
+
+    Both paths into a fork — a direct ``receive`` and an in-line
+    delivery — must leave the replica diverged: out of the round-robin,
+    refusing reads, records and ``catch_up``, until it is replaced.
+    """
+
+    def test_forked_receive_never_serves(self, small_workload, queries):
+        faults = DeltaLogFaults(drop={(1, 1)})
+
+        async def scenario():
+            group = _group(small_workload, delivery=faults)
+            await group.start(small_workload.repository)
+            await group.apply_delta(
+                churn_delta(group.repository, churn=0.25, seed=0)
+            )
+            tampered = DeltaRecord(
+                1, churn_delta(small_workload.repository, churn=0.25, seed=99)
+            )
+            with pytest.raises(ReplicationError, match="diverged"):
+                await group.receive(1, tampered)
+            assert not group.current(1)
+            assert group.current_replicas() == [0]
+            with pytest.raises(ReplicationError, match="diverged"):
+                await group.match_on(1, queries[0])
+            # no further records, not even the honest one
+            with pytest.raises(ReplicationError, match="no further records"):
+                await group.receive(1, group.log[0])
+            with pytest.raises(ReplicationError, match="diverged"):
+                await group.catch_up(1)
+            routed = [await group.match(query) for query in queries]
+            status = group.status()
+            repository = group.repository
+            await group.stop()
+            return routed, status, repository
+
+        routed, status, repository = _run(scenario())
+        assert "2 replicas (1 serving)" in status
+        assert "r1=diverged" in status
+        offline = _canonical(_offline(small_workload, queries, repository))
+        assert _canonical(routed) == offline  # served by replica 0 alone
+
+    def test_forked_delivery_refuses_catch_up(self, small_workload, queries):
+        delivery = _TamperingDelivery(
+            replica=1,
+            sequence=1,
+            delta=churn_delta(small_workload.repository, churn=0.25, seed=99),
+        )
+
+        async def scenario():
+            group = _group(small_workload, delivery=delivery)
+            await group.start(small_workload.repository)
+            with pytest.raises(ReplicationError, match="diverged at sequence 1"):
+                await group.apply_delta(
+                    churn_delta(group.repository, churn=0.25, seed=0)
+                )
+            assert group.current_replicas() == [0]
+            with pytest.raises(
+                ReplicationError, match=r"leave\(\) it and join\(\)"
+            ):
+                await group.catch_up(1)
+            assert group.current_replicas() == [0]
+            # the next record reaches replica 0; the fork refuses it
+            with pytest.raises(ReplicationError, match="no further records"):
+                await group.apply_delta(
+                    churn_delta(group.repository, churn=0.25, seed=1)
+                )
+            assert group.current_replicas() == [0]
+            # replace the fork: a joiner replays the log from the base
+            await group.leave(1)
+            await group.join(
+                make_matcher("exhaustive", small_workload.objective)
+            )
             answers = [await group.match_all(query) for query in queries]
             repository = group.repository
             await group.stop()
             return group, answers, repository
 
         group, answers, repository = _run(scenario())
-        assert faults.failures == 1
-        assert group.stats.delivery_failures == 1
-        assert group.stats.deliveries_skipped >= 1  # skipped while lagging
+        assert group.stats.delivery_failures == 2
+        assert group.current_replicas() == [0, 1]
         offline = _canonical(_offline(small_workload, queries, repository))
         for replica in range(2):
             assert _canonical([a[replica] for a in answers]) == offline
-
-    def test_status_line_names_lagging_replicas(self, small_workload):
-        faults = DeltaLogFaults(delay={(1, 1): 1.0})
-
-        async def scenario():
-            group = _group(
-                small_workload, delivery=faults, settle_timeout=0.1
-            )
-            await group.start(small_workload.repository)
-            await group.apply_delta(
-                churn_delta(group.repository, churn=0.25, seed=0)
-            )
-            degraded = group.status()
-            await group.catch_up(1)
-            healed = group.status()
-            await group.stop()
-            return degraded, healed
-
-        degraded, healed = _run(scenario())
-        assert "2 replicas (1 serving)" in degraded
-        assert "r1=lagging" in degraded
-        assert "2 replicas (2 serving)" in healed
-        assert "r1=current" in healed
-
-    def test_group_stats_alias(self):
-        from repro.matching import GroupStats, ReplicaGroupStats
-
-        assert GroupStats is ReplicaGroupStats
 
 
 class TestWarmStart:

@@ -4,10 +4,9 @@ One *schedule* is a deterministic function of its integer ``seed``: a
 tiny generated workload, a :class:`~repro.matching.replication
 .ReplicaGroup` whose replica pipelines fan out through a shared
 :class:`~repro.matching.remote.RemoteShardExecutor` over live
-:class:`~repro.matching.remote.WorkerServer` processes-in-threads
-(``parallel_units=2`` each), and ``waves`` rounds of randomly
-interleaved operations drawn from the full fault surface of PR 8's
-primitives:
+:class:`~repro.matching.remote.WorkerServer` processes-in-threads, and
+``waves`` rounds of randomly interleaved operations drawn from the full
+fault surface of :mod:`helpers.faults`:
 
 * **queries** round-robined through the group (answers checked against
   a single-node :class:`~repro.matching.evolution.EvolutionSession`
@@ -23,9 +22,9 @@ primitives:
   a worker's wire; a ``stall_after`` relay hangs it silently — no EOF —
   so only the executor's :class:`~repro.matching.remote.DeadlineBudget`
   deadlines can unblock the sweep);
-* **slow replica delivery** (scripted :attr:`DeltaLogFaults.delay`
-  past the group's ``settle_timeout`` backpressures the replica into
-  the *lagging* state instead of stalling ``apply_delta``);
+* **slow replica delivery** (scripted :attr:`DeltaLogFaults.delay`:
+  ``apply_delta`` waits it out in-line, and the replica serves again
+  the moment its apply lands);
 * **membership changes** (replicas ``join()`` via log replay and
   ``leave()`` without draining, mid-stream);
 * **catch-ups** at random moments.
@@ -37,7 +36,7 @@ is byte-identical to the single-node replay, and every fault surfaced
 as :class:`~repro.errors.TransportError`/:class:`~repro.errors
 .ReplicationError` — never a wrong answer.  *Recovery*: once faults
 clear, every live worker passes a health probe and its circuit breaker
-closes, every lagging replica catches up to serving, and the whole
+closes, every stale replica catches up to serving, and the whole
 wave — ops plus barrier — lands inside a wall-clock bound, which is
 what proves no remote op ever blocked past its deadline.
 
@@ -112,15 +111,11 @@ OPS = (
 #: that a stalled (hung, not crashed) worker costs seconds, not a hang
 DEADLINES = DeadlineBudget(connect=2.0, hello=1.0, install=5.0, run=5.0)
 
-#: records a replica's delivery queue may hold before it is lagged out
-MAX_LAG = 2
-
-#: how long ``apply_delta`` waits for deliveries before lagging a replica
-SETTLE_TIMEOUT = 1.0
-
-#: scripted delivery delays: the short one drains inside the settle,
-#: the long one exceeds SETTLE_TIMEOUT and must lag the replica
-DELIVERY_DELAYS = (0.05, 2.5)
+#: scripted delivery delays (seconds), each waited out in-line by
+#: ``apply_delta``.  Keep the tuple's length: ``rng.choice`` over it
+#: feeds every later draw of a wave, so another length reshuffles the
+#: schedule of every seed
+DELIVERY_DELAYS = (0.05, 0.5)
 
 #: the per-wave wall-clock bound (ops + barrier).  Generous against the
 #: op deadlines above, impossible if anything blocks without one: a
@@ -251,9 +246,7 @@ class _Schedule:
             cache=False,
         )
         self.reference.match(self.workload.repository)
-        self.live = [
-            WorkerServer(parallel_units=2).start() for _ in range(2)
-        ]
+        self.live = [WorkerServer().start() for _ in range(2)]
         self.executor = RemoteShardExecutor(
             [server.address for server in self.live],
             deadlines=DEADLINES,
@@ -276,8 +269,6 @@ class _Schedule:
             shards=2,
             executor=self.executor,
             delivery=self.faults,
-            max_lag=MAX_LAG,
-            settle_timeout=SETTLE_TIMEOUT,
         )
         await self.group.start(self.workload.repository)
 
@@ -306,8 +297,8 @@ class _Schedule:
                 elapsed = time.monotonic() - wave_started
                 if elapsed > WAVE_DEADLINE:
                     # the liveness half of the contract: every remote op
-                    # is deadline-bounded and no replica can stall the
-                    # log, so a wave that blows this bound means
+                    # is deadline-bounded and every delivery delay is
+                    # short, so a wave that blows this bound means
                     # something blocked past its deadline
                     self.fail(
                         wave,
@@ -391,8 +382,6 @@ class _Schedule:
             victim = rng.randrange(len(self.group.services))
             kind = rng.choice(("drop", "hold", "duplicate", "delay"))
             if kind == "delay":
-                # the long draw exceeds SETTLE_TIMEOUT: the replica must
-                # lag (and later catch up), never stall apply_delta
                 pause = rng.choice(DELIVERY_DELAYS)
                 self.faults.delay[(victim, sequence)] = pause
                 label = f" [delay r{victim} {pause}s]"
@@ -549,7 +538,7 @@ class _Schedule:
         )
 
     def op_restart(self, wave: int) -> None:
-        server = WorkerServer(parallel_units=2).start()
+        server = WorkerServer().start()
         self.live.append(server)
         self.sync_addresses()
         self.note(
@@ -615,8 +604,8 @@ class _Schedule:
 
         Recovery first: every live worker must pass an explicit health
         probe (closing its breaker — a worker that is up but perma-open
-        would silently shrink the fleet), and every replica — stale or
-        lagging — must return to serving through catch_up().
+        would silently shrink the fleet), and every stale replica must
+        return to serving through catch_up().
         """
         if not self.live:
             self.op_restart(wave)
@@ -638,10 +627,6 @@ class _Schedule:
         self.settle_delivery_faults()
         for index in range(len(self.group.services)):
             await self.group.catch_up(index)
-            if self.group.lagging(index):
-                self.fail(
-                    wave, f"replica {index} still lagging after catch_up"
-                )
             if not self.group.current(index):
                 self.fail(
                     wave, f"replica {index} still stale after catch_up"
