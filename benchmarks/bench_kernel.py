@@ -25,6 +25,13 @@ construction, row materialisation, matrix gather vs. direct build, the
 flat vs. recursive search, and interned vs. scan clustering — their
 relative means in ``BENCH_kernel.json`` track the same contracts across
 commits.
+
+``test_bench_kernel_derive`` times what a served repository delta costs
+the kernel: deriving the next version from a warm one across a
+one-schema rename, plus gathering the changed schema.  It asserts the
+derived kernel equals a cold build, and (timing gated as above) that the
+derivation is ≥ 3× faster than a cold kernel re-warmed to the same rows
+and gathers.
 """
 
 import gc
@@ -35,6 +42,7 @@ from time import perf_counter
 import pytest
 
 from helpers import oracles
+from helpers.differential import assert_kernel_equals_cold, warm_kernel
 from repro.evaluation import build_workload
 from repro.evaluation.workloads import WorkloadConfig
 from repro.matching import (
@@ -50,6 +58,7 @@ from repro.matching import (
     numpy_available,
 )
 from repro.matching.clustering import ElementClusterer
+from repro.schema import churn_delta
 
 #: the contract workload: repository-scale, where the paper's premise
 #: (the repository dwarfs the query) holds and the kernel's
@@ -186,6 +195,90 @@ def test_bench_cluster_full_scan(benchmark, warmed_bundle):
     workload = warmed_bundle.workload
     clusterer = ElementClusterer(workload.objective.name_similarity)
     benchmark(oracles.cluster_scan, clusterer, workload.repository)
+
+
+# -- deriving across a delta -------------------------------------------------
+
+def _delta_case(workload):
+    """A warm kernel, its next repository version, and what the delta changed.
+
+    The delta has replica-serve's shape: one of the workload's schemas
+    replaced by a partial rename.  The starting kernel holds rows and
+    gathers for every query label against every schema, as a serving
+    replica's kernel does.
+    """
+    repository = workload.repository
+    delta = churn_delta(
+        repository, 0.025, seed=4242,
+        replace_weight=1.0, add_weight=0.0, remove_weight=0.0,
+    )
+    evolved, _ = repository.apply(delta)
+    elements = [
+        (element.name, element.datatype)
+        for scenario in workload.suite.scenarios
+        for element in scenario.query.elements()
+    ]
+    kernel = warm_kernel(
+        CostKernel(workload.objective, repository), elements, repository
+    )
+    changed = [
+        schema for schema in evolved if kernel.schema_label_ids(schema) is None
+    ]
+    assert changed, "the delta changed no schema content"
+    return kernel, evolved, elements, changed
+
+
+def _timed_best(run, trials=5):
+    """Best-of-``trials`` seconds of ``run()``, GC paused in the window."""
+    best = float("inf")
+    for _ in range(trials):
+        gc.collect()
+        gc.disable()
+        try:
+            started = perf_counter()
+            run()
+            best = min(best, perf_counter() - started)
+        finally:
+            gc.enable()
+    return best
+
+
+def test_bench_kernel_derive(benchmark, warmed_bundle):
+    """Derive the next kernel across a one-schema delta, then re-gather.
+
+    The timed call derives from the warm kernel (``previous`` is never
+    mutated, so every round starts from the same state) and gathers
+    every query label against the schema the delta changed — all a
+    replica's re-match asks of the new kernel.  The result must equal a
+    cold build of the new version, unconditionally.  The timing half
+    (``BENCH_TIMING_ASSERTS``, see ``benchmarks/README.md``) holds it
+    ≥ 3× faster than the cold alternative: a fresh kernel re-warmed to
+    the same rows and gathers.
+    """
+    workload = warmed_bundle.workload
+    kernel, evolved, elements, changed = _delta_case(workload)
+
+    def derive():
+        return warm_kernel(
+            CostKernel(workload.objective, evolved, previous=kernel),
+            elements, changed,
+        )
+
+    def cold():
+        return warm_kernel(
+            CostKernel(workload.objective, evolved), elements, evolved
+        )
+
+    derived = benchmark(derive)
+    assert derived.rows_built == 0
+    assert_kernel_equals_cold(derived, evolved, elements)
+    if os.environ.get("BENCH_TIMING_ASSERTS", "1") != "0":
+        fast = _timed_best(derive)
+        slow = _timed_best(cold)
+        assert slow >= 3.0 * fast, (
+            f"deriving across the delta ({fast * 1e3:.2f} ms) is not ≥3x "
+            f"faster than a cold re-warmed kernel ({slow * 1e3:.2f} ms)"
+        )
 
 
 # -- the contract ------------------------------------------------------------

@@ -262,10 +262,26 @@ class ReplicaGroup:
                 await state.service.stop()
 
     async def checkpoint(self) -> SnapshotStore:
-        """Write one snapshot from replica 0 (replicas are identical)."""
+        """Write one snapshot from the lowest-index current replica.
+
+        Current replicas have applied the whole log and passed every
+        digest check, so they are identical and any one of them holds
+        the log head.  A stale replica would persist an older version
+        and a diverged one its fork, so neither is written from; with no
+        current replica the checkpoint raises
+        :class:`~repro.errors.ReplicationError` and leaves the store as
+        it was.
+        """
         if self.store is None:
             raise MatchingError("replica group has no snapshot store")
-        return await self._states[0].service.checkpoint()
+        current = self.current_replicas()
+        if not current:
+            raise ReplicationError(
+                "no replica is current with the delta log (applied: "
+                f"{[state.applied for state in self._states]} of "
+                f"{len(self.log)}); call catch_up() before checkpointing"
+            )
+        return await self._states[current[0]].service.checkpoint()
 
     # -- runtime membership ---------------------------------------------------
 

@@ -37,11 +37,35 @@ matcher across threshold sweeps and evolving-repository delta streams.
 
 Evolution and persistence
 -------------------------
-Rebuilding after a repository delta passes the previous kernel as
-``previous``: rows are **migrated** — entries for universe labels that
-survived the delta are copied (cost is a pure function of the label
-pair, so copying is exact), only entries against genuinely new labels
-are computed.  The kernel also exports/imports plain-data state
+A kernel for the next repository version is **derived** from the last
+one (``CostKernel(objective, repository, previous=kernel)``), at a cost
+that follows the delta rather than the repository:
+
+* **universe** — a schema whose content digest the previous kernel
+  holds translates its old label ids through one old→new id map, in
+  repository order, assigning new ids first-seen; only the schemas the
+  delta changed normalise and intern their elements.  That is the cold
+  build's first-occurrence order, so labels and every lid array equal a
+  cold build's.  The universe is pure structure (normalised label plus
+  datatype), so it carries whatever the objective;
+* **rows** — each carried cost row is copied through the inverted map
+  in one C-level gather; only entries against labels new to the
+  universe are scored.  Cost is a pure function of the label pair, so a
+  copied entry is the float a cold row would compute;
+* **gathers** — the per-(query label, schema) gathers of every schema
+  digest that survived carry over; a bucket that lacks a digest (the
+  schemas the delta changed) fills that digest alone.  A gather is a
+  pure function of (normalised label, datatype, schema content), and
+  the vector and spec gathers are identical, so a carried or
+  singly-filled entry equals a cold kernel's.
+
+Rows and gathers carry only from a kernel of the same objective
+fingerprint and corpus token; anything else is recomputed.  A derived
+kernel therefore equals a cold ``CostKernel(objective, repository)`` in
+everything observable — universe order, lid maps, rows, gathers and
+:meth:`~CostKernel.export_state` labels — which
+``tests/properties/test_prop_kernel.py`` checks over mixed delta
+streams.  The kernel also exports/imports plain-data state
 (:meth:`CostKernel.export_state` / :meth:`CostKernel.from_state`), which
 the snapshot substrate payload persists so a warm-started service skips
 the recompute entirely (:mod:`repro.matching.similarity.persist`).
@@ -69,6 +93,7 @@ property suite (``tests/properties/test_prop_numpy.py``) pins it down.
 from __future__ import annotations
 
 from array import array
+from operator import itemgetter
 
 from repro.errors import SnapshotError
 from repro.matching.similarity import vectors
@@ -83,15 +108,29 @@ __all__ = ["CostKernel"]
 LabelKey = tuple[str, Datatype]
 
 
+def _picker(indices: list[int]):
+    """``row -> tuple(row[i] for i in indices)`` as one C-level call.
+
+    ``itemgetter`` returns a bare value for a single index, so that size
+    is wrapped; callers never pass an empty list.
+    """
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda row: (row[index],)
+    return itemgetter(*indices)
+
+
 class CostKernel:
     """Interned per-repository cost rows for one objective function.
 
     Built once per repository version (the substrate's
     :meth:`~repro.matching.similarity.matrix.SimilaritySubstrate.prepare`
     does, and shard workers inherit it through the one-shot state
-    install).  ``previous`` migrates the prior version's rows across a
-    repository delta — copied where the universe label survived,
-    computed only against new labels.
+    install).  ``previous`` derives this version from the prior one
+    across a repository delta: unchanged schemas' label ids translate
+    through one id map, cost rows are copied through it and scored only
+    against new labels, and the gathers of surviving schemas carry over
+    (module docstring, "Evolution and persistence").
 
     The kernel never hands out costs directly; its consumer is
     :meth:`~repro.matching.similarity.matrix.ScoreMatrix.build`, which
@@ -130,6 +169,18 @@ class CostKernel:
         repository: SchemaRepository,
         previous: "CostKernel | None" = None,
     ):
+        """Intern ``repository``'s label universe, deriving from ``previous``.
+
+        Walks the repository in order.  A schema whose content digest
+        ``previous`` holds translates its old label ids through
+        ``remap`` (old lid -> new lid, assigned the first time an old
+        lid is seen); only the other schemas normalise and intern their
+        elements, and a key the old universe held sets ``remap`` for its
+        old lid too.  Old lid arrays are the interning of the same
+        elements, so either path assigns new ids in the cold build's
+        first-occurrence order: labels and lid arrays equal a cold
+        build's.  Without ``previous`` every schema interns.
+        """
         self.objective = objective
         self.repository_digest = repository.content_digest()
         # Corpus-sensitive backends (docs/backends.md) make label costs
@@ -138,6 +189,15 @@ class CostKernel:
         # objectives), and migration refuses rows from another corpus.
         token = getattr(objective, "corpus_token", None)
         self.corpus_token = token() if callable(token) else ""
+        if previous is None:
+            prior_lids: dict[str, array] = {}
+            prior_labels: list[LabelKey] = []
+            prior_intern: dict[LabelKey, int] = {}
+        else:
+            prior_lids = previous._schema_lids
+            prior_labels = previous._labels
+            prior_intern = previous._intern
+        remap = [-1] * len(prior_labels)
         labels: list[LabelKey] = []
         intern: dict[LabelKey, int] = {}
         schema_lids: dict[str, array] = {}
@@ -146,14 +206,28 @@ class CostKernel:
             if digest in schema_lids:  # duplicated content, one gather map
                 continue
             lids = array("L")
-            for element in schema.elements():
-                key = (normalise_label(element.name), element.datatype)
-                lid = intern.get(key)
-                if lid is None:
-                    lid = len(labels)
-                    intern[key] = lid
-                    labels.append(key)
-                lids.append(lid)
+            old_lids = prior_lids.get(digest)
+            if old_lids is not None:  # unchanged content: translate
+                for old_lid in old_lids:
+                    lid = remap[old_lid]
+                    if lid < 0:
+                        lid = remap[old_lid] = len(labels)
+                        key = prior_labels[old_lid]
+                        intern[key] = lid
+                        labels.append(key)
+                    lids.append(lid)
+            else:
+                for element in schema.elements():
+                    key = (normalise_label(element.name), element.datatype)
+                    lid = intern.get(key)
+                    if lid is None:
+                        lid = len(labels)
+                        intern[key] = lid
+                        labels.append(key)
+                        old_lid = prior_intern.get(key)
+                        if old_lid is not None:
+                            remap[old_lid] = lid
+                    lids.append(lid)
             schema_lids[digest] = lids
         self._labels = labels
         self._intern = intern
@@ -177,20 +251,29 @@ class CostKernel:
         self.rows_built = 0
         self.rows_migrated = 0
         if previous is not None:
-            self._migrate(previous)
+            self._migrate(previous, remap)
 
-    def _migrate(self, previous: "CostKernel") -> None:
-        """Carry the previous version's rows into this universe.
+    def _migrate(self, previous: "CostKernel", remap: list[int]) -> None:
+        """Carry the previous version's rows and gathers into this universe.
 
-        Cost is a pure function of the (normalised query label, universe
-        label) pair, so entries for labels present in both universes are
-        copied byte-for-byte; only entries against labels the delta
-        introduced are computed.  Rows are keyed by query label, which
-        survives repository evolution, so a long-lived session keeps its
-        query-side warmth across every delta.  At most :data:`MAX_ROWS`
-        rows carry over — the newest insertions, the same bound
-        :meth:`row` enforces — so migration work per delta is capped
-        regardless of how many labels a service has ever seen.
+        ``remap`` maps each old label id to its new one (-1: the label
+        left the universe).  Inverted once, it gives each new lid its
+        old lid; each carried row is copied through that inverse in one
+        C-level ``itemgetter`` gather, and only entries against labels
+        new to the universe are scored.  Cost is a pure function of the
+        (normalised query label, universe label) pair, so a copied entry
+        is the float a cold row computes.  Rows are keyed by query
+        label, which survives repository evolution, so a long-lived
+        session keeps its query-side warmth across every delta.  At most
+        :data:`MAX_ROWS` rows carry over — the newest insertions, the
+        same bound :meth:`row` enforces — so migration work per delta is
+        capped regardless of how many labels a service has ever seen.
+
+        The gathers of every schema digest still in the universe carry
+        too (each is a pure function of the query label and the schema
+        content); :meth:`gather` fills a carried bucket's missing digests
+        one at a time.  Rows and gathers carry only from a kernel of the
+        same objective fingerprint and corpus token.
         """
         if previous.objective.fingerprint() != self.objective.fingerprint():
             return  # foreign kernel; nothing it holds is trustworthy
@@ -198,20 +281,50 @@ class CostKernel:
             # same configuration, different corpus statistics: every
             # carried cost would embed the old repository's frequencies
             return
+        schema_lids = self._schema_lids
+        # every cached gather is keyed by a digest of previous's universe,
+        # so dropping the digests the delta removed leaves the survivors
+        gone = {
+            digest for digest in previous._schema_lids
+            if digest not in schema_lids
+        }
+        self._norms = dict(previous._norms)
+        self._gathers = {
+            key: gathered
+            for key, gathered in previous._gathers.items()
+            if key[2] not in gone
+        }
+        # whole buckets, newest last, within the vector path's memory cap
+        buckets = max(1, self.MAX_GATHERS // max(1, len(schema_lids)))
+        for key, bucket in list(previous._vgathers.items())[-buckets:]:
+            bucket = bucket.copy()
+            for digest in gone:
+                bucket.pop(digest, None)
+            self._vgathers[key] = bucket
+        labels = self._labels
+        inverse = [-1] * len(labels)
+        for old_lid, lid in enumerate(remap):
+            if lid >= 0:
+                inverse[lid] = old_lid
+        fresh = [lid for lid, old_lid in enumerate(inverse) if old_lid < 0]
+        if len(fresh) == len(labels):  # no label survived: score them all
+            pick = None
+        else:
+            for lid in fresh:  # placeholder lanes, overwritten below
+                inverse[lid] = 0
+            pick = _picker(inverse)
+        fresh_labels = [(lid, labels[lid]) for lid in fresh]
         label_cost = self.objective.label_cost
-        prior_intern = previous._intern
-        carried = list(previous._rows.items())[-self.MAX_ROWS:]
-        for key, old_row in carried:
+        for key, old_row in list(previous._rows.items())[-self.MAX_ROWS:]:
             query_label, query_datatype = key
-            new_row = array("d", bytes(8 * len(self._labels)))
-            for lid, (target_label, target_datatype) in enumerate(self._labels):
-                old_lid = prior_intern.get((target_label, target_datatype))
-                if old_lid is not None:
-                    new_row[lid] = old_row[old_lid]
-                else:
-                    new_row[lid] = label_cost(
-                        query_label, query_datatype, target_label, target_datatype
-                    )
+            if pick is None:
+                new_row = array("d", bytes(8 * len(labels)))
+            else:
+                new_row = array("d", pick(old_row))
+            for lid, (target_label, target_datatype) in fresh_labels:
+                new_row[lid] = label_cost(
+                    query_label, query_datatype, target_label, target_datatype
+                )
             self._rows[key] = new_row
             self.rows_migrated += 1
 
@@ -303,16 +416,26 @@ class CostKernel:
             bucket = self._vgathers.get((normalised, datatype))
             if bucket is None:
                 return self._gather_vector(name, normalised, datatype, digest)
-            return bucket[digest]
+            cached = bucket.get(digest)
+            if cached is None:
+                # a bucket carried across a delta lacks the schemas the
+                # delta changed: fill this one alone (vector and spec
+                # gathers are identical)
+                cached = bucket[digest] = self._gather_one(name, datatype, lids)
+            return cached
         key = (normalised, datatype, digest)
         cached = self._gathers.get(key)
         if cached is None:
-            row = self.row(name, datatype)
-            costs = tuple(map(row.__getitem__, lids))
-            order = tuple(j for _, j in sorted(zip(costs, range(len(costs)))))
-            cached = (costs, order)
+            cached = self._gather_one(name, datatype, lids)
             fifo_put(self._gathers, key, cached, self.MAX_GATHERS)
         return cached
+
+    def _gather_one(self, name, datatype, lids):
+        """The spec gather of one schema: costs and ``(cost, id)`` order."""
+        row = self.row(name, datatype)
+        costs = tuple(map(row.__getitem__, lids))
+        order = tuple(j for _, j in sorted(zip(costs, range(len(costs)))))
+        return costs, order
 
     def _vector_index(self):
         """The stacked schema label-id index of the vector gather path.
@@ -437,9 +560,11 @@ class CostKernel:
         The universe and gather maps are re-derived from the **live**
         repository (cheap — pure interning, no similarity work), so they
         can never go stale; persisted rows are adopted through the same
-        migration path a repository delta uses, which copies entries
-        only where a saved universe label matches a live one and
-        recomputes the rest.  Like the token index's per-schema
+        derivation a repository delta uses.  The saved kernel carries
+        labels and rows but no lid maps, so every live schema takes the
+        intern path, and rows are copied through the one old→new id map
+        where a saved universe label matches a live one; the rest is
+        recomputed.  Like the token index's per-schema
         digest-guarded reuse, this makes a payload saved against any
         repository version safe: cost is a pure function of the label
         pair, so matching labels carry over exactly and everything else
@@ -460,6 +585,10 @@ class CostKernel:
         saved._intern = {key: lid for lid, key in enumerate(saved._labels)}
         saved._schema_lids = {}
         saved._rows = {}
+        saved._norms = {}
+        saved._gathers = {}
+        saved._vgathers = {}
+        saved._vindex = None
         saved.rows_built = 0
         saved.rows_migrated = 0
         universe = len(saved._labels)

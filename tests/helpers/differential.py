@@ -11,7 +11,10 @@ must produce byte-identical answer sets — same mappings, same score
 floats, same order.  This module is the one place that contract is
 mechanised: a seeded workload generator, the canonical answer encoding,
 a runner that matches under any set of disabled toggles, and the
-all-combinations assertion the property tests call.
+all-combinations assertion the property tests call.  One more
+equality lives here for the same reason: a cost kernel derived across
+a repository delta must equal a cold build of the new version
+(:func:`assert_kernel_equals_cold`).
 
 Runs happen under
 :func:`~repro.matching.similarity.vectors.vector_thresholds` forced to
@@ -34,6 +37,7 @@ from helpers import oracles
 
 from repro.matching import make_matcher
 from repro.matching.objective import ObjectiveFunction
+from repro.matching.similarity.kernel import CostKernel
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
 from repro.matching.similarity.vectors import vector_thresholds
 from repro.schema.generator import GeneratorConfig, generate_repository
@@ -47,10 +51,12 @@ __all__ = [
     "MATCHERS",
     "THRESHOLDS",
     "assert_combinations_identical",
+    "assert_kernel_equals_cold",
     "canonical",
     "make_workload",
     "match_canonical",
     "toggle_subsets",
+    "warm_kernel",
 ]
 
 #: the named toggles, each mapping to its "run the spec" context
@@ -206,3 +212,44 @@ def assert_combinations_identical(
                 delta,
                 {"disabled": subset},
             )
+
+
+def warm_kernel(kernel, elements, schemas):
+    """Gather every ``(name, datatype)`` of ``elements`` against ``schemas``.
+
+    Leaves ``kernel`` holding the rows and gathers a serving replica's
+    kernel holds for those query labels; returns it.
+    """
+    for name, datatype in elements:
+        for schema in schemas:
+            kernel.gather(name, datatype, schema)
+    return kernel
+
+
+def assert_kernel_equals_cold(derived, repository, elements):
+    """A derived kernel equals ``CostKernel(objective, repository)``.
+
+    Compares everything a caller can observe: the universe order, every
+    schema's label-id map, every carried cost row bit for bit against
+    the cold kernel's :meth:`~CostKernel.row`, every gather of the
+    ``(name, datatype)`` query ``elements`` against every schema
+    (``repr``, so float bits and candidate order count), and the label
+    list :meth:`~CostKernel.export_state` persists.  Carried rows are
+    compared before any gather runs, so none of them is rebuilt first.
+    Returns the cold kernel.
+    """
+    cold = CostKernel(derived.objective, repository)
+    assert derived._labels == cold._labels
+    for schema in repository:
+        assert derived.schema_label_ids(schema) == cold.schema_label_ids(
+            schema
+        ), schema.schema_id
+    for (label, datatype), row in list(derived._rows.items()):
+        assert row.tobytes() == cold.row(label, datatype).tobytes(), label
+    for name, datatype in elements:
+        for schema in repository:
+            assert repr(derived.gather(name, datatype, schema)) == repr(
+                cold.gather(name, datatype, schema)
+            ), (name, schema.schema_id)
+    assert derived.export_state()["labels"] == cold.export_state()["labels"]
+    return cold

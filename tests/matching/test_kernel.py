@@ -3,8 +3,9 @@
 The kernel's contract is the substrate's, taken one level up: each
 distinct (normalised label, datatype) cost is computed once per
 *repository*, matrices gather from interned rows with bit-identical
-floats and candidate orders, rows migrate exactly across repository
-deltas and snapshot restores, and the kernel oracle
+floats and candidate orders, a kernel derived across a repository
+delta or a snapshot restore equals a cold build without recomputing
+what the delta left alone, and the kernel oracle
 (:func:`helpers.oracles.kernel_off`) runs the PR-4 path cleanly.
 Answer-set identity under the kernel is covered by
 ``tests/properties/test_prop_kernel.py``.
@@ -15,10 +16,13 @@ import json
 import pytest
 
 from helpers import oracles
+from helpers.differential import assert_kernel_equals_cold, warm_kernel
 from repro.errors import MatchingError, SnapshotError
 from repro.matching import ExhaustiveMatcher, HybridMatcher
 from repro.matching.clustering import ClusteringMatcher, ElementClusterer
 from repro.matching.objective import ObjectiveFunction
+from repro.matching.similarity import kernel as kernel_module
+from repro.matching.similarity.backends import SparseBM25Backend
 from repro.matching.similarity.kernel import CostKernel
 from repro.matching.similarity.matrix import ScoreMatrix
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
@@ -61,6 +65,40 @@ def _handmade_repository():
     return SchemaRepository(
         "handmade", [Schema("orders", root), Schema("customers", other)]
     )
+
+
+def _schema(schema_id, names, datatype=Datatype.STRING):
+    root = SchemaElement(names[0], datatype)
+    for name in names[1:]:
+        root.add_child(SchemaElement(name, datatype))
+    return Schema(schema_id, root)
+
+
+def _cached_gathers(kernel):
+    """Every cached gather key, on whichever gather path ran."""
+    vector = {
+        (label, datatype, digest)
+        for (label, datatype), bucket in kernel._vgathers.items()
+        for digest in bucket
+    }
+    return vector | set(kernel._gathers)
+
+
+@pytest.fixture
+def normalised(monkeypatch):
+    """Every label the kernel module normalises, in call order."""
+    calls = []
+    original = kernel_module.normalise_label
+    monkeypatch.setattr(
+        kernel_module,
+        "normalise_label",
+        lambda label: (calls.append(label), original(label))[1],
+    )
+    return calls
+
+
+def _elements(query):
+    return [(element.name, element.datatype) for element in query.elements()]
 
 
 class TestCostKernel:
@@ -138,15 +176,22 @@ class TestCostKernel:
             assert via_migrated.costs == via_fresh.costs
             assert via_migrated.candidate_order == via_fresh.candidate_order
 
-    def test_foreign_objective_rows_not_migrated(self, setup):
-        repo, objective, _ = setup
+    def test_foreign_objective_rows_not_migrated(self, setup, normalised):
+        """Lid maps carry (pure structure); rows and gathers do not."""
+        repo, objective, query = setup
+        elements = _elements(query)
         other = ObjectiveFunction(NameSimilarity(), objective.weights)
         assert other.fingerprint() != objective.fingerprint()
         kernel = CostKernel(objective, repo)
         kernel.row("anything", Datatype.STRING)
+        warm_kernel(kernel, elements, repo)
+        normalised.clear()
         migrated = CostKernel(other, repo, previous=kernel)
+        assert normalised == []  # every schema translated its lids
         assert migrated.rows_migrated == 0
         assert migrated.rows_cached == 0
+        assert _cached_gathers(migrated) == set() and migrated._norms == {}
+        assert_kernel_equals_cold(migrated, repo, elements)
 
     def test_state_round_trip(self, setup):
         repo, objective, query = setup
@@ -169,20 +214,32 @@ class TestCostKernel:
             CostKernel.from_state(objective, repo, state)
 
     def test_state_saved_mid_evolution_still_restores(self, setup):
-        """Digest drift migrates the overlap instead of refusing."""
-        repo, objective, _ = setup
+        """Digest drift migrates the overlap instead of refusing.
+
+        The payload comes from a kernel that was itself derived across a
+        delta, and restores onto a later version: the result equals both
+        a cold build and the kernel derived in memory.
+        """
+        repo, objective, query = setup
+        elements = _elements(query)
         kernel = CostKernel(objective, repo)
         kernel.row("order", Datatype.STRING)
-        evolved, _ = repo.apply(churn_delta(repo, churn=0.3, seed=7))
-        restored = CostKernel.from_state(
-            objective, evolved, kernel.export_state()
-        )
+        warm_kernel(kernel, elements, repo)
+        middle, _ = repo.apply(churn_delta(repo, churn=0.3, seed=7))
+        evolved, _ = middle.apply(churn_delta(middle, churn=0.3, seed=9))
+        saved = CostKernel(objective, middle, previous=kernel)
+        warm_kernel(saved, elements, middle)
+        state = json.loads(json.dumps(saved.export_state()))
+        restored = CostKernel.from_state(objective, evolved, state)
         assert restored.repository_digest == evolved.content_digest()
-        fresh = CostKernel(objective, evolved)
-        fresh.row("order", Datatype.STRING)
+        assert restored.rows_migrated == saved.rows_cached
+        derived = CostKernel(objective, evolved, previous=saved)
+        assert restored.export_state() == derived.export_state()
+        fresh = assert_kernel_equals_cold(restored, evolved, elements)
         assert restored._rows[("order", Datatype.STRING)] == fresh._rows[
             ("order", Datatype.STRING)
         ]
+        assert restored.rows_built == 0
 
     def test_substrate_builds_kernel_on_prepare(self, setup):
         repo, _, _ = setup
@@ -215,6 +272,111 @@ class TestCostKernel:
         assert substrate.stats.kernel_builds == 2
         assert substrate.stats.kernel_rows_migrated == 1
         assert substrate.kernel().repository_digest == evolved.content_digest()
+
+
+class TestDerivation:
+    """A kernel derived across a delta: what carries, and that it is exact.
+
+    ``assert_kernel_equals_cold`` checks equality with a cold build; the
+    counters here check the derivation did not get there by recomputing
+    what the delta left alone.
+    """
+
+    def test_one_label_universe_survivor_not_first(self):
+        objective = ObjectiveFunction(NameSimilarity())
+        before = SchemaRepository(
+            "edge", [_schema("s1", ["alpha", "beta", "gamma"])]
+        )
+        after = SchemaRepository("edge", [_schema("s2", ["gamma"])])
+        elements = [("gamma", Datatype.STRING), ("delta", Datatype.STRING)]
+        kernel = CostKernel(objective, before)
+        warm_kernel(kernel, elements, before)
+        derived = CostKernel(objective, after, previous=kernel)
+        assert derived.distinct_labels == 1
+        assert derived.rows_migrated == 2
+        assert_kernel_equals_cold(derived, after, elements)
+
+    def test_one_label_universe_nothing_survives(self):
+        objective = ObjectiveFunction(NameSimilarity())
+        before = SchemaRepository("edge", [_schema("s1", ["alpha"])])
+        after = SchemaRepository("edge", [_schema("s2", ["omega"])])
+        elements = [("alpha", Datatype.STRING)]
+        kernel = CostKernel(objective, before)
+        warm_kernel(kernel, elements, before)
+        derived = CostKernel(objective, after, previous=kernel)
+        assert derived.rows_migrated == 1
+        assert_kernel_equals_cold(derived, after, elements)
+
+    def test_zero_label_saved_universe(self):
+        """A saved kernel with an empty universe: every entry is scored."""
+        objective = ObjectiveFunction(NameSimilarity())
+        repository = SchemaRepository("edge", [_schema("s1", ["gamma"])])
+        state = {"labels": [], "rows": [["gamma", "string", []]]}
+        restored = CostKernel.from_state(objective, repository, state)
+        assert restored.rows_migrated == 1
+        assert_kernel_equals_cold(
+            restored, repository, [("gamma", Datatype.STRING)]
+        )
+
+    def test_add_only_delta(self, setup, normalised):
+        repo, objective, query = setup
+        elements = _elements(query)
+        kernel = CostKernel(objective, repo)
+        warm_kernel(kernel, elements, repo)
+        delta = churn_delta(
+            repo, 0.35, seed=2,
+            replace_weight=0.0, add_weight=1.0, remove_weight=0.0,
+        )
+        evolved, _ = repo.apply(delta)
+        normalised.clear()
+        derived = CostKernel(objective, evolved, previous=kernel)
+        # only the added schemas intern; every surviving gather carries
+        assert len(normalised) == sum(len(schema) for schema in delta.adds)
+        assert _cached_gathers(derived) == _cached_gathers(kernel)
+        assert_kernel_equals_cold(derived, evolved, elements)
+        assert derived.rows_built == 0
+
+    def test_remove_only_delta(self, setup, normalised):
+        repo, objective, query = setup
+        elements = _elements(query)
+        kernel = CostKernel(objective, repo)
+        warm_kernel(kernel, elements, repo)
+        delta = churn_delta(
+            repo, 0.35, seed=4,
+            replace_weight=0.0, add_weight=0.0, remove_weight=1.0,
+        )
+        evolved, _ = repo.apply(delta)
+        scored = []
+        original = objective.label_cost
+        objective.label_cost = lambda *args: (scored.append(args), original(*args))[1]
+        try:
+            normalised.clear()
+            derived = CostKernel(objective, evolved, previous=kernel)
+        finally:
+            del objective.label_cost
+        assert normalised == [] and scored == []  # no new label, no work
+        removed = {repo.schema(sid).content_digest() for sid in delta.removes}
+        assert _cached_gathers(derived) == {
+            key for key in _cached_gathers(kernel) if key[2] not in removed
+        }
+        assert_kernel_equals_cold(derived, evolved, elements)
+
+    def test_moved_corpus_token_carries_no_rows_or_gathers(self, setup):
+        repo, _, query = setup
+        elements = _elements(query)
+        objective = ObjectiveFunction(
+            NameSimilarity(), backend=SparseBM25Backend()
+        )
+        objective.prepare_corpus(repo)
+        kernel = CostKernel(objective, repo)
+        warm_kernel(kernel, elements, repo)
+        evolved, _ = repo.apply(churn_delta(repo, 0.35, seed=6))
+        objective.prepare_corpus(evolved)
+        assert objective.corpus_token() != kernel.corpus_token
+        derived = CostKernel(objective, evolved, previous=kernel)
+        assert derived.rows_migrated == 0 and derived.rows_cached == 0
+        assert _cached_gathers(derived) == set()
+        assert_kernel_equals_cold(derived, evolved, elements)
 
 
 class TestNameSimilarityMemo:

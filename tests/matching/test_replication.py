@@ -615,3 +615,99 @@ class TestWarmStart:
 
         baseline, warmed = _run(scenario())
         assert _canonical(baseline) == _canonical(warmed)
+
+    @staticmethod
+    async def _warm_digest(small_workload, store):
+        warm = _group(small_workload, store=store)
+        await warm.start()
+        digest = warm.repository.content_digest()
+        await warm.stop()
+        return digest
+
+    def test_checkpoint_skips_stale_replica(self, small_workload, tmp_path):
+        """Replica 0 missed the record: the checkpoint holds the log head."""
+        faults = DeltaLogFaults(drop={(0, 1)})
+
+        async def scenario():
+            group = _group(
+                small_workload, delivery=faults, store=tmp_path / "snap"
+            )
+            await group.start(small_workload.repository)
+            await group.apply_delta(
+                churn_delta(small_workload.repository, 0.3, seed=5)
+            )
+            status = group.status()
+            await group.checkpoint()
+            head = group.repository.content_digest()
+            written = [s.stats.checkpoints_written for s in group.services]
+            await group.stop()
+            warm = await self._warm_digest(small_workload, tmp_path / "snap")
+            return status, written, head, warm
+
+        status, written, head, warm = _run(scenario())
+        assert "r0=stale applied 0/1" in status
+        assert "r1=current applied 1/1" in status
+        assert head != small_workload.repository.content_digest()
+        assert warm == head  # the logged delta survives the restart
+        assert written == [0, 1]
+
+    def test_checkpoint_skips_diverged_replica(self, small_workload, tmp_path):
+        """Replica 0 forked: the checkpoint is written from replica 1."""
+        delivery = _TamperingDelivery(
+            replica=0,
+            sequence=1,
+            delta=churn_delta(small_workload.repository, churn=0.25, seed=99),
+        )
+
+        async def scenario():
+            group = _group(
+                small_workload, delivery=delivery, store=tmp_path / "snap"
+            )
+            await group.start(small_workload.repository)
+            with pytest.raises(ReplicationError, match="diverged"):
+                await group.apply_delta(
+                    churn_delta(group.repository, churn=0.25, seed=0)
+                )
+            await group.checkpoint()
+            head = group.repository.content_digest()
+            written = [s.stats.checkpoints_written for s in group.services]
+            await group.stop()
+            warm = await self._warm_digest(small_workload, tmp_path / "snap")
+            return written, head, warm
+
+        written, head, warm = _run(scenario())
+        assert warm == head
+        assert written == [0, 1]
+
+    def test_checkpoint_refused_without_current_replica(
+        self, small_workload, tmp_path
+    ):
+        """Every replica stale: the checkpoint raises and writes nothing."""
+        faults = DeltaLogFaults(drop={(0, 1), (1, 1)})
+        root = tmp_path / "snap"
+
+        def files():
+            return {
+                path.relative_to(root): path.read_bytes()
+                for path in sorted(root.rglob("*"))
+                if path.is_file()
+            }
+
+        async def scenario():
+            group = _group(small_workload, delivery=faults, store=root)
+            await group.start(small_workload.repository)
+            await group.checkpoint()
+            before = files()
+            await group.apply_delta(
+                churn_delta(small_workload.repository, 0.3, seed=5)
+            )
+            with pytest.raises(ReplicationError, match=r"catch_up\(\)"):
+                await group.checkpoint()
+            after = files()
+            written = [s.stats.checkpoints_written for s in group.services]
+            await group.stop()
+            return before, after, written
+
+        before, after, written = _run(scenario())
+        assert before and after == before
+        assert written == [1, 0]

@@ -15,6 +15,10 @@ Three families:
   branch-and-bound must emit the *sequence* the recursive reference
   generator emits: same assignments, same score floats, same order —
   with and without the substrate, trimmed and untrimmed.
+* **Derived vs. cold kernels** — a kernel derived across each delta of
+  a stream (replaces, adds, removes, duplicated-content schemas) must
+  equal a cold build of the new version in universe order, lid maps,
+  rows, gathers and exported labels, with numpy and without.
 
 The kernel-vs-oracle family runs through :mod:`helpers.differential`
 (the shared byte-identity harness); the stream and search families keep
@@ -22,13 +26,22 @@ bespoke drivers because their contracts compare more than final answer
 sets.
 """
 
+from contextlib import ExitStack
+
 from helpers.differential import (
     MATCHERS,
     assert_combinations_identical,
+    assert_kernel_equals_cold,
     canonical as _canonical,
     make_workload,
+    warm_kernel,
 )
-from helpers.oracles import flat_search_off, kernel_off, recursive_exhaustive
+from helpers.oracles import (
+    flat_search_off,
+    kernel_off,
+    numpy_off,
+    recursive_exhaustive,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,8 +54,10 @@ from repro.matching import (
 )
 from repro.matching.evolution import EvolutionSession
 from repro.matching.objective import ObjectiveFunction
+from repro.matching.similarity.kernel import CostKernel
 from repro.matching.similarity.name import NameSimilarity
-from repro.schema import churn_delta
+from repro.matching.similarity.vectors import numpy_available
+from repro.schema import RepositoryDelta, churn_delta
 from repro.schema.generator import GeneratorConfig, generate_repository
 from repro.schema.mutations import extract_personal_schema
 from repro.util import rng
@@ -108,6 +123,109 @@ def test_kernel_identical_across_delta_stream(repo_seed, matcher, steps):
         assert canonical_answers(result.answer_sets) == canonical_answers(
             cold.answer_sets
         ), (name, step)
+
+
+#: churn kind mixes: (replace, add, remove) weights
+_KIND_WEIGHTS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (3.0, 1.0, 1.0))
+
+
+@st.composite
+def kernel_delta_steps(draw, steps):
+    """Per step: a churn delta's parameters plus a duplicated-content edit."""
+    return [
+        (
+            draw(st.sampled_from((0.25, 0.5, 0.75))),
+            draw(st.integers(min_value=0, max_value=1000)),
+            draw(st.sampled_from(_KIND_WEIGHTS)),
+            draw(st.sampled_from((None, "add", "replace"))),
+        )
+        for _ in range(steps)
+    ]
+
+
+def _delta_step(repository, step, churn, seed, weights, duplicate):
+    """One stream delta: seeded churn, then maybe a duplicated-content edit.
+
+    ``"add"`` appends a copy of a schema under a fresh id; ``"replace"``
+    gives an untouched schema another schema's content under its own id.
+    Either way two digests share one label list.
+    """
+    replace, add, remove = weights
+    delta = churn_delta(
+        repository, churn, seed=seed,
+        replace_weight=replace, add_weight=add, remove_weight=remove,
+    )
+    schemas = repository.schemas()
+    touched = set(delta.edited_ids())
+    untouched = [s for s in schemas if s.schema_id not in touched]
+    source = schemas[seed % len(schemas)]
+    adds, replaces = list(delta.adds), list(delta.replaces)
+    if duplicate == "add":
+        adds.append(source.copy(schema_id=f"dup-{step}"))
+    elif duplicate == "replace":
+        targets = [s for s in untouched if s.schema_id != source.schema_id]
+        if targets:
+            target = targets[seed % len(targets)]
+            replaces.append(source.copy(schema_id=target.schema_id))
+    return RepositoryDelta(
+        adds=tuple(adds), removes=delta.removes, replaces=tuple(replaces)
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    repo_seed=st.integers(min_value=0, max_value=30),
+    num_schemas=st.integers(min_value=2, max_value=5),
+    stream=st.integers(min_value=1, max_value=4).flatmap(kernel_delta_steps),
+)
+def test_derived_kernel_equals_cold(repo_seed, num_schemas, stream):
+    """Every kernel derived along a delta stream equals a cold build.
+
+    The stream runs once per gather path: with numpy (carried
+    whole-repository buckets) and under the numpy oracle (carried
+    per-schema gathers).  Each version's kernel is warmed — rows and
+    gathers for every query label against every schema — before the
+    next one derives from it, so every carry path is exercised.
+    """
+    repository = generate_repository(
+        GeneratorConfig(
+            num_schemas=num_schemas, min_size=4, max_size=8, seed=repo_seed
+        )
+    )
+    queries = [
+        extract_personal_schema(
+            rng.make_tagged(repo_seed + index),
+            repository.schemas()[index % num_schemas],
+            None,
+            target_size=3,
+            schema_id=f"prop-derive-query-{index}",
+        )
+        for index in range(2)
+    ]
+    elements = [
+        (element.name, element.datatype)
+        for query in queries
+        for element in query.elements()
+    ]
+    modes = (False, True) if numpy_available() else (False,)
+    for vector in modes:
+        with ExitStack() as stack:
+            if not vector:
+                stack.enter_context(numpy_off())
+            objective = ObjectiveFunction(NameSimilarity())
+            kernel = CostKernel(objective, repository)
+            warm_kernel(kernel, elements, repository)
+            current = repository
+            for step, (churn, seed, weights, duplicate) in enumerate(stream):
+                delta = _delta_step(
+                    current, step, churn, seed, weights, duplicate
+                )
+                current, _report = current.apply(delta)
+                derived = CostKernel(objective, current, previous=kernel)
+                assert derived.rows_migrated == kernel.rows_cached
+                assert_kernel_equals_cold(derived, current, elements)
+                assert derived.rows_built == 0  # every row was carried
+                kernel = derived
 
 
 @settings(max_examples=30, deadline=None)

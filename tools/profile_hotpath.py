@@ -23,6 +23,19 @@ does not profile them.
 memo is hot and the profile shows steady-state scoring instead of
 cold-universe similarity computation (the contract benches warm the
 same way).
+
+``--deltas N`` profiles served repository churn instead of the sweep:
+the churn script of perfbench's replica-serve workload (one-schema
+partial renames, ``churn=0.025`` replace-only deltas) on the default
+40-schema workload, re-matched by
+:meth:`~repro.matching.evolution.EvolutionSession.apply` with the
+exhaustive matcher at δ = 0.3 over the workload's queries.  The cold
+baseline match runs un-profiled; the N applies run on the calling
+thread under the profiler.  A served re-match runs on an executor
+thread, so profiling ``serve`` or perfbench from the main thread shows
+only the event loop's wait::
+
+    PYTHONPATH=src python tools/profile_hotpath.py --deltas 40 --sort tottime
 """
 
 from __future__ import annotations
@@ -59,6 +72,38 @@ def _sweep(workload, thresholds):
     return results
 
 
+#: replica-serve's churn script: each delta replaces one schema of the
+#: 40 by a partial rename, seeded ``DELTA_SEED + index``
+CHURN = 0.025
+DELTA_SEED = 4242
+DELTA_MAX = 0.3
+
+
+def _churn(workload, count):
+    """A session matched cold on ``workload`` plus ``count`` churn deltas."""
+    from repro.matching import ExhaustiveMatcher
+    from repro.matching.evolution import EvolutionSession
+    from repro.schema import churn_delta
+
+    session = EvolutionSession(
+        ExhaustiveMatcher(workload.objective),
+        [scenario.query for scenario in workload.suite.scenarios],
+        DELTA_MAX,
+        cache=False,
+    )
+    session.match(workload.repository)
+    deltas = []
+    repository = workload.repository
+    for index in range(count):
+        delta = churn_delta(
+            repository, CHURN, seed=DELTA_SEED + index,
+            replace_weight=1.0, add_weight=0.0, remove_weight=0.0,
+        )
+        repository, _report = repository.apply(delta)
+        deltas.append(delta)
+    return session, deltas
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -88,7 +133,16 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="replay the sweep once un-timed first (hot name memo)",
     )
+    parser.add_argument(
+        "--deltas",
+        type=int,
+        default=None,
+        metavar="N",
+        help="profile N churn-delta re-matches instead of the sweep",
+    )
     args = parser.parse_args(argv)
+    if args.deltas is not None and args.deltas < 1:
+        parser.error("--deltas must be >= 1")
 
     from repro.evaluation import build_workload
     from repro.evaluation.workloads import WorkloadConfig
@@ -103,13 +157,19 @@ def main(argv: list[str] | None = None) -> int:
             query_size=5,
         )
     workload = build_workload(config)
-    if args.warm:
-        _sweep(workload, args.thresholds[:1])
-
     profiler = cProfile.Profile()
-    profiler.enable()
-    _sweep(workload, args.thresholds)
-    profiler.disable()
+    if args.deltas is not None:
+        session, deltas = _churn(workload, args.deltas)
+        profiler.enable()
+        for delta in deltas:
+            session.apply(delta)
+        profiler.disable()
+    else:
+        if args.warm:
+            _sweep(workload, args.thresholds[:1])
+        profiler.enable()
+        _sweep(workload, args.thresholds)
+        profiler.disable()
 
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.limit)
