@@ -13,7 +13,7 @@ unconditionally, the wall-clock half is skipped when
 single-shot timings flaky).
 
 The micro benches time the delta primitives themselves (churn-delta
-derivation + application, schema-granular token-index refresh), and the
+derivation + application), and the
 ``test_bench_rematch_*`` pair replays the contract's 5 %-churn stream
 incrementally vs cold, so their relative means in
 ``BENCH_evolution.json`` track the same ≥2× contract across commits.
@@ -29,7 +29,6 @@ from repro.matching import (
     MatchingPipeline,
     canonical_answers,
 )
-from repro.matching.similarity.matrix import TokenIndex
 from repro.schema import churn_delta
 
 _DELTA_MAX = 0.35
@@ -53,25 +52,6 @@ def test_bench_delta_apply(benchmark, warmed_bundle):
     repository = warmed_bundle.workload.repository
     delta = churn_delta(repository, _CHURN, 7)
     benchmark(lambda: repository.apply(delta))
-
-
-def test_bench_token_index_incremental_refresh(benchmark, warmed_bundle):
-    """Schema-granular invalidation: re-index after a churn delta."""
-    repository = warmed_bundle.workload.repository
-    previous = TokenIndex(repository)
-    evolved, _ = repository.apply(churn_delta(repository, _CHURN, 7))
-    refreshed = TokenIndex(evolved, previous=previous)
-    assert refreshed.reused_schemas >= len(evolved) - round(
-        _CHURN * len(repository)
-    )
-    benchmark(TokenIndex, evolved, previous)
-
-
-def test_bench_token_index_cold_rebuild(benchmark, warmed_bundle):
-    """The baseline the incremental refresh is saving against."""
-    repository = warmed_bundle.workload.repository
-    evolved, _ = repository.apply(churn_delta(repository, _CHURN, 7))
-    benchmark(TokenIndex, evolved)
 
 
 # -- incremental re-matching -------------------------------------------------

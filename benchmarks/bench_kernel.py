@@ -127,9 +127,7 @@ def test_bench_matrix_gather(benchmark, warmed_bundle):
     schema = workload.repository.schemas()[0]
     ScoreMatrix.build(workload.objective, query, schema, kernel=kernel)
 
-    benchmark(
-        ScoreMatrix.build, workload.objective, query, schema, None, kernel
-    )
+    benchmark(ScoreMatrix.build, workload.objective, query, schema, kernel)
 
 
 def test_bench_matrix_direct(benchmark, warmed_bundle):
@@ -157,12 +155,9 @@ def test_bench_exhaustive_flat(benchmark, warmed_bundle):
     """The flattened explicit-stack branch-and-bound, search-heavy δ."""
     workload = warmed_bundle.workload
     query, schema = _search_heavy_pair(workload)
-    substrate = workload.objective.substrate()
 
     def run():
-        search = SchemaSearch(
-            query, schema, workload.objective, substrate=substrate
-        )
+        search = SchemaSearch(query, schema, workload.objective)
         return list(search.exhaustive(0.45))
 
     benchmark(run)
@@ -172,12 +167,9 @@ def test_bench_exhaustive_recursive(benchmark, warmed_bundle):
     """The recursive reference generator on the identical search."""
     workload = warmed_bundle.workload
     query, schema = _search_heavy_pair(workload)
-    substrate = workload.objective.substrate()
 
     def run():
-        search = SchemaSearch(
-            query, schema, workload.objective, substrate=substrate
-        )
+        search = SchemaSearch(query, schema, workload.objective)
         return list(oracles.recursive_exhaustive(search, 0.45))
 
     benchmark(run)

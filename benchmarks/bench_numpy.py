@@ -2,10 +2,9 @@
 
 The numpy PR threads an optional vector layer through the scoring
 stack — batched kernel gathers, stable-argsort candidate orders,
-cumsum suffix-sum bounds, argpartition top-k cuts — whenever numpy is
-available, with the pure-python code kept as the executable
-specification (the spec arms hide numpy in-process through
-``helpers.oracles.numpy_off``).  These
+cumsum suffix-sum bounds — whenever numpy is available, with the
+pure-python code kept as the executable specification (the spec arms
+hide numpy in-process through ``helpers.oracles.numpy_off``).  These
 benches time each primitive against its spec twin on identical inputs,
 so the paired means in ``BENCH_numpy.json`` track the vector layer's
 advantage across commits the same way ``BENCH_kernel.json``'s pairs
@@ -93,24 +92,6 @@ def test_bench_suffix_sums_spec(benchmark):
             return suffix_cost_sums(minima)
 
     benchmark(spec_sums)
-
-
-def test_bench_topk_vector(benchmark):
-    """Top-k candidate cut: argpartition + exact pivot-tie resolution."""
-    row = _cost_row()
-    k = 8
-    spec = sorted(range(len(row)), key=lambda j: (row[j], j))[:k]
-    result = benchmark(vectors.topk_indices, row, k)
-    assert result == spec
-
-
-def test_bench_topk_spec(benchmark):
-    """Top-k candidate cut: the full ``(cost, id)`` sort spec."""
-    row = _cost_row()
-    k = 8
-    benchmark(
-        lambda: sorted(range(len(row)), key=lambda j: (row[j], j))[:k]
-    )
 
 
 # -- the repository-scale gather sweep pair ----------------------------------

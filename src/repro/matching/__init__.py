@@ -32,11 +32,11 @@ to serial matching.
 
 All searches draw on the **similarity substrate**
 (:mod:`repro.matching.similarity.matrix`): per-(query, schema) score
-matrices and a repository token index, precomputed once per objective
-function and shared across matchers, thresholds, sweeps and shards —
-with exact threshold-driven candidate pruning that provably never
-changes an answer set.  Underneath sits the **repository scoring
-kernel** (:mod:`repro.matching.similarity.kernel`): every distinct
+matrices, precomputed once per objective function and shared across
+matchers, thresholds, sweeps and shards — with exact threshold-driven
+candidate pruning that provably never changes an answer set.
+Underneath sits the **repository scoring kernel**
+(:mod:`repro.matching.similarity.kernel`): every distinct
 (normalised label, datatype) cost is computed once per repository into
 interned flat rows, matrices gather from them, clustering runs over the
 same interned surface, and the branch-and-bound itself is a flattened
@@ -146,7 +146,6 @@ from repro.matching.similarity import (
     SimilaritySubstrate,
     SparseBM25Backend,
     Thesaurus,
-    TokenIndex,
     ancestry_violations,
     datatype_penalty,
     numpy_available,
@@ -198,7 +197,6 @@ __all__ = [
     "Snapshot",
     "SparseBM25Backend",
     "Thesaurus",
-    "TokenIndex",
     "TopKCandidateMatcher",
     "WorkUnit",
     "WorkerHealth",

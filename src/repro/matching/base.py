@@ -32,7 +32,6 @@ from repro.core.answers import Answer, AnswerSet
 from repro.errors import MatchingError
 from repro.matching.mapping import Mapping
 from repro.matching.objective import ObjectiveFunction
-from repro.matching.similarity.matrix import SimilaritySubstrate
 from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
 
@@ -69,37 +68,18 @@ class Matcher(abc.ABC):
     ) -> Iterable[tuple[tuple[int, ...], float]]:
         """Yield ``(target_ids, score)`` for one repository schema."""
 
-    def _substrate(self) -> SimilaritySubstrate | None:
-        """The shared similarity substrate.
-
-        One substrate hangs off the objective function, so every matcher
-        built against the same objective — the bounds precondition —
-        shares precomputed score matrices and the repository token
-        index.  Callers keep a direct per-search branch for ``None``:
-        it is the substrate-less specification, which the tests reach
-        by faking this method.
-        """
-        return self.objective.substrate()
-
     def prepare(self, repository: SchemaRepository) -> None:
         """Repository-level precomputation hook (e.g. clustering).
 
-        Called once per repository before matching.  The default builds
-        the similarity substrate's token index for the repository
-        (idempotent, keyed by content digest); overriding matchers with
-        repository-global state of their own should call ``super()``.
-
-        Corpus-sensitive similarity backends (docs/backends.md) freeze
-        their repository statistics here even without a substrate — the
-        statistics are part of the *score definition*, not an
-        optimisation, so the substrate and substrate-less paths must see
-        the identical frozen corpus.
+        Called once per repository before matching.  The default
+        prepares the similarity substrate the objective shares with
+        every matcher built on it — the repository cost kernel, and for
+        corpus-sensitive backends (docs/backends.md) the frozen corpus
+        statistics (idempotent, keyed by content digest); overriding
+        matchers with repository-global state of their own should call
+        ``super()``.
         """
-        substrate = self._substrate()
-        if substrate is not None:
-            substrate.prepare(repository)
-        elif getattr(self.objective, "corpus_sensitive", False):
-            self.objective.prepare_corpus(repository)
+        self.objective.substrate().prepare(repository)
 
     def begin_query(self, query: Schema) -> None:
         """Optional per-query setup hook, run after :meth:`prepare`.

@@ -44,9 +44,7 @@ class BeamMatcher(Matcher):
     def _match_schema(
         self, query: Schema, schema: Schema, delta_max: float
     ) -> Iterable[tuple[tuple[int, ...], float]]:
-        search = SchemaSearch(
-            query, schema, self.objective, substrate=self._substrate()
-        )
+        search = SchemaSearch(query, schema, self.objective)
         yield from search.beam(delta_max, self.beam_width)
 
     def describe(self) -> dict[str, object]:

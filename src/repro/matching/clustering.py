@@ -197,8 +197,8 @@ class ClusteringMatcher(Matcher):
         Keyed on the content digest, not ``repository_id`` — synthetic
         workloads reuse the same id for different contents, and stale
         clusters would silently change (and, via the candidate cache,
-        poison) every subsequent match.  Also builds the similarity
-        substrate's token index (the ``super()`` default).
+        poison) every subsequent match.  Also prepares the similarity
+        substrate's cost kernel (the ``super()`` default).
         """
         super().prepare(repository)
         digest = repository.content_digest()
@@ -254,10 +254,7 @@ class ClusteringMatcher(Matcher):
         if len(in_schema) < len(query):
             return  # cannot host an injective mapping within the clusters
         allowed = [in_schema] * len(query)
-        search = SchemaSearch(
-            query, schema, self.objective, allowed=allowed,
-            substrate=self._substrate(),
-        )
+        search = SchemaSearch(query, schema, self.objective, allowed=allowed)
         yield from search.exhaustive(delta_max)
 
     def describe(self) -> dict[str, object]:

@@ -23,13 +23,12 @@ already-decided edge violations can never overestimate the final score.
 
 Similarity substrate + exact candidate pruning
 ----------------------------------------------
-When constructed with a ``substrate``
-(:class:`~repro.matching.similarity.matrix.SimilaritySubstrate`), the
-search reads the precomputed
-:class:`~repro.matching.similarity.matrix.ScoreMatrix` — cost matrix,
-cost-sorted candidate orders, per-element minima — instead of rederiving
-them, and additionally *trims* each element's candidate list to the
-targets whose static admissible bound
+Every search reads its costs from the objective's similarity substrate
+(:meth:`~repro.matching.objective.ObjectiveFunction.substrate`): the
+precomputed :class:`~repro.matching.similarity.matrix.ScoreMatrix`
+supplies the cost matrix, the cost-sorted candidate orders and the
+per-element minima, and the search *trims* each element's candidate
+list to the targets whose static admissible bound
 
     (1−sw)/k · (cost[i][j] + Σ_{i'≠i} min-cost[i'])
 
@@ -38,8 +37,9 @@ dynamic bound the search computes at expansion time (the actual prefix
 cost is at least the prefix of minima, and structure violations only
 add), so every trimmed candidate is one branch-and-bound provably never
 expands: the emitted mapping set is identical, candidate for candidate,
-to the untrimmed search — property-tested against the substrate-less
-path (``SchemaSearch`` without a ``substrate``).
+to the untrimmed search.  The tests keep the direct per-search scoring
+and the untrimmed search as the executable specification
+(``substrate_off`` in ``tests/helpers/oracles.py``).
 
 Flattened search
 ----------------
@@ -150,91 +150,64 @@ class SchemaSearch:
         schema: Schema,
         objective: ObjectiveFunction,
         allowed: Sequence[Sequence[int]] | None = None,
-        substrate: object | None = None,
-        prune: bool | None = None,
     ):
         """``allowed[i]``, when given, restricts query element i's targets.
 
         ``None`` (or a ``None`` entry) means all elements of the schema
-        are candidates.  ``substrate`` supplies the precomputed
-        :class:`~repro.matching.similarity.matrix.ScoreMatrix` for the
-        pair; ``prune`` toggles exact threshold-driven candidate
-        trimming (default: on exactly when a substrate is given, so the
-        substrate-less path is byte-for-byte the historical one).
+        are candidates.  Costs come from the objective's similarity
+        substrate, which builds the pair's
+        :class:`~repro.matching.similarity.matrix.ScoreMatrix` on first
+        use and serves it from cache afterwards.
         """
         self.query = query
         self.schema = schema
         self.objective = objective
-        self._prune = (substrate is not None) if prune is None else prune
-        self._context = self._prepare(allowed, substrate)
+        self._context = self._prepare(allowed)
 
     def _prepare(
-        self,
-        allowed: Sequence[Sequence[int]] | None,
-        substrate: object | None,
+        self, allowed: Sequence[Sequence[int]] | None
     ) -> _SearchContext | None:
         query, schema = self.query, self.schema
         k, m = len(query), len(schema)
         if m < k:
             return None  # injectivity impossible; no mappings exist
-        matrix = substrate.matrix(query, schema) if substrate is not None else None
-        if matrix is not None:
-            costs = matrix.costs
-        else:
-            costs = self.objective.cost_matrix(query, schema)
+        matrix = self.objective.substrate().matrix(query, schema)
+        costs = matrix.costs
         aligned_matrix = None
-        use_vectors = vectors.numpy_available()
-        if allowed is None and matrix is not None:
-            # Unrestricted search over a precomputed matrix: the context
-            # aliases the matrix's candidate orders and suffix sums
-            # outright — ``min_rest`` *is* suffix_cost_sums(row_min), the
-            # shared accumulation, so no per-search float work runs here.
+        if allowed is None:
+            # Unrestricted search: the context aliases the matrix's
+            # candidate orders and suffix sums outright — ``min_rest``
+            # *is* suffix_cost_sums(row_min), the shared accumulation, so
+            # no per-search float work runs here.
             candidates: list[Sequence[int]] = list(matrix.candidate_order)
             min_rest: Sequence[float] = matrix.min_rest
             aligned_matrix = matrix
         else:
+            use_vectors = vectors.numpy_available()
             candidates = []
             row_best: list[float] = []
             for i in range(k):
-                if allowed is not None and allowed[i] is not None:
-                    valid = [j for j in allowed[i] if 0 <= j < m]
-                    if not valid:
-                        return None  # some element has no candidate at all
-                    if use_vectors and len(valid) >= vectors.VECTOR_MIN:
-                        # lexsort on (cost, id) keys — the spec sort's
-                        # exact tie-break, batched; ``float()`` keeps
-                        # np.float64 out of the downstream accumulation
-                        np = vectors._np
-                        ids = np.asarray(valid, dtype=np.intp)
-                        row_np = (
-                            matrix.np_costs()[i]
-                            if matrix is not None
-                            else np.asarray(costs[i], dtype=np.float64)
-                        )
-                        picked = row_np[ids]
-                        ranked = ids[np.lexsort((ids, picked))]
-                        candidates.append(ranked.tolist())
-                        row_best.append(float(row_np[ranked[0]]))
-                    else:
-                        pairs = sorted((costs[i][j], j) for j in valid)
-                        candidates.append([j for _, j in pairs])
-                        row_best.append(pairs[0][0])  # cost-sorted: first is min
-                elif matrix is not None:
+                if allowed[i] is None:
                     candidates.append(matrix.candidate_order[i])
                     row_best.append(matrix.row_min[i])
+                    continue
+                valid = [j for j in allowed[i] if 0 <= j < m]
+                if not valid:
+                    return None  # some element has no candidate at all
+                if use_vectors and len(valid) >= vectors.VECTOR_MIN:
+                    # lexsort on (cost, id) keys — the spec sort's exact
+                    # tie-break, batched; ``float()`` keeps np.float64
+                    # out of the downstream accumulation
+                    np = vectors._np
+                    ids = np.asarray(valid, dtype=np.intp)
+                    row_np = matrix.np_costs()[i]
+                    ranked = ids[np.lexsort((ids, row_np[ids]))]
+                    candidates.append(ranked.tolist())
+                    row_best.append(float(row_np[ranked[0]]))
                 else:
-                    if use_vectors and m >= vectors.VECTOR_MIN:
-                        # stable argsort ties keep ascending target id —
-                        # identical to the (cost, id) pair sort; the
-                        # minimum is read back out of the spec row, so it
-                        # stays the same python float object chain
-                        order = vectors.stable_order(costs[i])
-                        candidates.append(order.tolist())
-                        row_best.append(costs[i][order[0]])
-                    else:
-                        pairs = sorted(zip(costs[i], range(m)))
-                        candidates.append([j for _, j in pairs])
-                        row_best.append(pairs[0][0])
+                    pairs = sorted((costs[i][j], j) for j in valid)
+                    candidates.append([j for _, j in pairs])
+                    row_best.append(pairs[0][0])  # cost-sorted: first is min
             min_rest = suffix_cost_sums(row_best)
         parents = query.parent_ids()
         num_edges = sum(1 for p in parents if p is not None)
@@ -267,14 +240,12 @@ class SchemaSearch:
         Returns ``None`` when some element keeps no candidate at all,
         which means the whole search is provably empty.
         """
-        if not self._prune:
-            return ctx.candidates
+        limit = cutoff + _TRIM_SLACK
         if ctx.aligned_matrix is not None and vectors.numpy_available():
-            vectorised = self._trimmed_candidates_vector(ctx, cutoff)
+            vectorised = self._trimmed_candidates_vector(ctx, limit)
             if vectorised is not NotImplemented:
                 return vectorised
         total_min = ctx.min_rest[0]
-        limit = cutoff + _TRIM_SLACK
         share = ctx.element_share
         trimmed: list[Sequence[int]] = []
         for i, ids in enumerate(ctx.candidates):
@@ -291,16 +262,17 @@ class SchemaSearch:
         return trimmed
 
     def _trimmed_candidates_vector(
-        self, ctx: _SearchContext, cutoff: float
+        self, ctx: _SearchContext, limit: float
     ) -> list[Sequence[int]] | None:
         """The batched form of the static trim (unrestricted matrix path).
 
         One broadcast evaluates ``share · (sorted_cost + rest)`` over the
-        whole cost-sorted matrix — the same two-operation float chain
-        (add, then multiply) the spec loop runs per candidate, so the
-        per-candidate booleans are identical and so is each row's first
-        exceeding position (``argmax`` of the boolean row ≡ the spec's
-        first-hit break).  Returns ``NotImplemented`` — run the spec loop
+        whole cost-sorted matrix and compares it with the loop's
+        ``limit`` — the same two-operation float chain (add, then
+        multiply) the spec loop runs per candidate, so the per-candidate
+        booleans are identical and so is each row's first exceeding
+        position (``argmax`` of the boolean row ≡ the spec's first-hit
+        break).  Returns ``NotImplemented`` — run the spec loop
         instead — for matrices below the 2-D dispatch floor
         (:data:`~repro.matching.similarity.vectors.VECTOR_MIN_AREA`,
         checked *before* any ndarray view is built, so small matrices
@@ -320,9 +292,7 @@ class SchemaSearch:
             ],
             dtype=np.float64,
         ).reshape(-1, 1)
-        exceeded = ctx.element_share * (sorted_costs + rests) > (
-            cutoff + _TRIM_SLACK
-        )
+        exceeded = ctx.element_share * (sorted_costs + rests) > limit
         first_hit = np.argmax(exceeded, axis=1)
         has_hit = np.any(exceeded, axis=1)
         trimmed: list[Sequence[int]] = []

@@ -29,7 +29,6 @@ class ExhaustiveMatcher(Matcher):
     def _match_schema(
         self, query: Schema, schema: Schema, delta_max: float
     ) -> Iterable[tuple[tuple[int, ...], float]]:
-        search = SchemaSearch(
-            query, schema, self.objective, substrate=self._substrate()
+        yield from SchemaSearch(query, schema, self.objective).exhaustive(
+            delta_max
         )
-        yield from search.exhaustive(delta_max)

@@ -66,10 +66,7 @@ class HybridMatcher(ClusteringMatcher):
         if len(in_schema) < len(query):
             return
         allowed = [in_schema] * len(query)
-        search = SchemaSearch(
-            query, schema, self.objective, allowed=allowed,
-            substrate=self._substrate(),
-        )
+        search = SchemaSearch(query, schema, self.objective, allowed=allowed)
         yield from search.beam(delta_max, self.beam_width)
 
     def describe(self) -> dict[str, object]:

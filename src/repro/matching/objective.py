@@ -101,10 +101,11 @@ class ObjectiveFunction:
         """The similarity substrate shared by every matcher on this Δ.
 
         Lazily created
-        :class:`~repro.matching.similarity.matrix.SimilaritySubstrate`.
-        Hanging it off the objective makes sharing automatic: matchers
-        must already share one objective instance (the bounds
-        precondition), so they get one matrix/index cache for free.
+        :class:`~repro.matching.similarity.matrix.SimilaritySubstrate`;
+        every search takes its costs from it.  Hanging it off the
+        objective makes sharing automatic: matchers must already share
+        one objective instance (the bounds precondition), so they get
+        one matrix cache and one cost kernel for free.
         """
         if self._substrate is None:
             from repro.matching.similarity.matrix import SimilaritySubstrate
@@ -143,18 +144,16 @@ class ObjectiveFunction:
         """The backend's frozen-corpus digest (``""`` when corpus-free)."""
         return self.backend.corpus_token()
 
-    def prepare_corpus(
-        self, repository: SchemaRepository, index=None
-    ) -> None:
+    def prepare_corpus(self, repository: SchemaRepository) -> None:
         """Freeze the backend's corpus statistics for ``repository``.
 
         Idempotent per repository content digest; the substrate calls
         this from :meth:`~repro.matching.similarity.matrix
-        .SimilaritySubstrate.prepare` (passing its token index) and
-        drops cached matrices and kernel rows when the corpus token
-        moved.  A no-op for corpus-insensitive backends.
+        .SimilaritySubstrate.prepare` and drops cached matrices and
+        kernel rows when the corpus token moved.  A no-op for
+        corpus-insensitive backends.
         """
-        self.backend.prepare(repository, index)
+        self.backend.prepare(repository)
 
     def check_same_as(self, other: "ObjectiveFunction") -> None:
         """Raise :class:`ObjectiveMismatchError` unless configured identically."""

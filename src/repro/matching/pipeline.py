@@ -67,7 +67,6 @@ from repro.matching.executor import (
     matcher_fingerprint,
     shutdown_workers,
 )
-from repro.matching.similarity.matrix import suffix_cost_sums
 from repro.schema.delta import DeltaReport
 from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
@@ -532,7 +531,7 @@ class MatchingPipeline:
         changed = set(report.changed)
         objective = matcher.objective
         structure_weight = objective.weights.structure
-        substrate = matcher._substrate()
+        substrate = objective.substrate()
         collected: list[dict[str, PairResult]] = []
         answer_sets: list[AnswerSet] = []
         for query_index, query in enumerate(queries):
@@ -561,13 +560,11 @@ class MatchingPipeline:
                     by_schema[schema_id] = []  # injectivity impossible
                     rematch_stats.pairs_skipped += 1
                     continue
-                if substrate is not None:
-                    floor = substrate.matrix(query, schema).min_rest[0]
-                else:
-                    costs = objective.cost_matrix(query, schema)
-                    floor = suffix_cost_sums([min(row) for row in costs])[0]
                 if threshold_unreachable(
-                    floor, len(query), structure_weight, delta_max
+                    substrate.matrix(query, schema).min_rest[0],
+                    len(query),
+                    structure_weight,
+                    delta_max,
                 ):
                     by_schema[schema_id] = []
                     rematch_stats.pairs_skipped += 1

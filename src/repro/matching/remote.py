@@ -24,7 +24,7 @@ answer.  Payloads are pickled dicts with an ``"op"`` key; pickle is an
 explicit trust statement: this protocol connects nodes of *one* cluster
 under one operator, it is not an internet-facing surface.  A
 connection opens with a ``hello`` naming :data:`PROTOCOL_VERSION`
-(currently 3); a worker refuses any other version.
+(currently 4); a worker refuses any other version.
 
 State install is **key-first**: the ``install`` op
 carries only the coordinator's ``state_key``.  A worker already holding
@@ -126,9 +126,10 @@ __all__ = [
 
 MAGIC = b"RPW1"
 #: 2 = key-first install (``install`` names the key; ``state`` ships it
-#: on demand); 3 = the ``state`` frame carries no ``switches`` field.
-#: Peers speaking any other version are refused at ``hello``
-PROTOCOL_VERSION = 3
+#: on demand); 3 = the ``state`` frame carries no ``switches`` field;
+#: 4 = the pickled substrate holds no token index.  Peers speaking any
+#: other version are refused at ``hello``, before any state unpickles
+PROTOCOL_VERSION = 4
 #: frame size cap — far above any real install payload, far below
 #: anything that could be a desynchronised stream read as a length
 MAX_FRAME = 1 << 30
@@ -635,15 +636,13 @@ class WorkerServer:
         matcher = message["matcher"]
         substrate_section = manifest.get("substrate_section")
         if substrate_section is not None:
-            substrate = matcher.objective.substrate()
-            if substrate is not None:
-                restore_substrate(
-                    substrate,
-                    store.read_section(substrate_section, manifest),
-                    repository,
-                )
+            restore_substrate(
+                matcher.objective.substrate(),
+                store.read_section(substrate_section, manifest),
+                repository,
+            )
         # Deterministic rebuild of repository-global matcher state
-        # (token index, clusters) — cold runs derive it the same way.
+        # (cost kernel, clusters) — cold runs derive it the same way.
         matcher.prepare(repository)
         return {
             "matcher": matcher,
@@ -1036,7 +1035,7 @@ class RemoteShardExecutor(ShardExecutor):
             self.store,
             state.repository,
             queries=state.queries,
-            substrate=state.matcher._substrate(),
+            substrate=state.matcher.objective.substrate(),
         )
 
     # -- execution -----------------------------------------------------------

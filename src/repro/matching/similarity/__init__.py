@@ -14,16 +14,17 @@ paper builds on (Cupid, COMA, iMAP):
 * :mod:`~repro.matching.similarity.structure` — ancestry preservation of
   whole mappings;
 * :mod:`~repro.matching.similarity.matrix` — the similarity substrate:
-  precomputed per-(query, schema) score matrices, the repository token
-  index, and the per-objective cache sharing both across matchers,
-  thresholds and pipeline shards;
+  precomputed per-(query, schema) score matrices and the per-objective
+  cache sharing them, with the repository kernel, across matchers,
+  thresholds and pipeline shards — the one place every search gets its
+  costs;
 * :mod:`~repro.matching.similarity.kernel` — the repository scoring
   kernel: distinct (normalised label, datatype) pairs interned into a
   per-repository universe with flat cost-row buffers, so each distinct
   cost is computed once per repository and matrices become gathers;
 * :mod:`~repro.matching.similarity.vectors` — the optional numpy
-  execution layer: batched gathers, vector candidate-order sorts,
-  suffix-sum folds and top-k cuts, with the pure-python code kept as
+  execution layer: batched gathers, vector candidate-order sorts and
+  suffix-sum folds, with the pure-python code kept as
   the executable spec (and as the only path when numpy is not
   installed).
 """
@@ -37,11 +38,7 @@ from repro.matching.similarity.backends import (
 )
 from repro.matching.similarity.datatype import datatype_penalty
 from repro.matching.similarity.kernel import CostKernel
-from repro.matching.similarity.matrix import (
-    ScoreMatrix,
-    SimilaritySubstrate,
-    TokenIndex,
-)
+from repro.matching.similarity.matrix import ScoreMatrix, SimilaritySubstrate
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
 from repro.matching.similarity.structure import ancestry_violations
 from repro.matching.similarity.vectors import numpy_available
@@ -57,7 +54,6 @@ __all__ = [
     "SimilaritySubstrate",
     "SparseBM25Backend",
     "Thesaurus",
-    "TokenIndex",
     "ancestry_violations",
     "datatype_penalty",
     "numpy_available",

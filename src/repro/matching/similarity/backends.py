@@ -96,14 +96,11 @@ class SimilarityBackend(ABC):
     def fingerprint(self) -> str:
         """Configuration identity string (never corpus state)."""
 
-    def prepare(self, repository: SchemaRepository, index=None) -> None:
+    def prepare(self, repository: SchemaRepository) -> None:
         """Freeze corpus statistics for ``repository``; idempotent.
 
-        ``index`` is the substrate's prepared
-        :class:`~repro.matching.similarity.matrix.TokenIndex` when one
-        is available — backends may derive statistics from its postings
-        instead of re-scanning the repository.  The default does
-        nothing (corpus-insensitive backends need no corpus).
+        The default does nothing (corpus-insensitive backends need no
+        corpus).
         """
 
     def corpus_token(self) -> str:
@@ -142,11 +139,7 @@ class SparseBM25Backend(SimilarityBackend):
     (:func:`~repro.util.text.tokenize_label`); each element of the
     repository is one document.  :meth:`prepare` freezes the corpus
     statistics — per-token document frequencies, document count and
-    average length — preferring the substrate's
-    :class:`~repro.matching.similarity.matrix.TokenIndex` postings
-    (``df[token] = |elements_with_token(token)|``) over a repository
-    scan; both routes produce identical statistics, because postings
-    record exactly the distinct-token membership the scan counts.
+    average length — in one scan over the repository's elements.
 
     A label's token weights follow the BM25 term shape with ``tf = 1``
     per distinct token (labels are a handful of words; multiplicity is
@@ -197,23 +190,15 @@ class SparseBM25Backend(SimilarityBackend):
     def fingerprint(self) -> str:
         return f"bm25(k1={self.k1!r},b={self.b!r})"
 
-    def prepare(self, repository: SchemaRepository, index=None) -> None:
+    def prepare(self, repository: SchemaRepository) -> None:
         digest = repository.content_digest()
         if digest == self._repository_digest:
             return
-        if index is not None and index.repository_digest == digest:
-            df = {
-                token: len(index.elements_with_token(token))
-                for token in index.tokens()
-            }
-        else:
-            df_sets: dict[str, set[tuple[str, int]]] = {}
-            for schema in repository:
-                for element_id, element in enumerate(schema.elements()):
-                    key = (schema.schema_id, element_id)
-                    for token in set(tokenize_label(element.name)):
-                        df_sets.setdefault(token, set()).add(key)
-            df = {token: len(keys) for token, keys in df_sets.items()}
+        df: dict[str, int] = {}
+        for schema in repository:
+            for element in schema.elements():
+                for token in set(tokenize_label(element.name)):
+                    df[token] = df.get(token, 0) + 1
         total_elements = sum(len(schema) for schema in repository)
         total_length = sum(df.values())  # Σ per-element distinct tokens
         self._idf = {
@@ -422,9 +407,9 @@ class EnsembleBackend(SimilarityBackend):
         )
         return f"ensemble({parts})"
 
-    def prepare(self, repository: SchemaRepository, index=None) -> None:
+    def prepare(self, repository: SchemaRepository) -> None:
         for component in self.components:
-            component.prepare(repository, index)
+            component.prepare(repository)
 
     def corpus_token(self) -> str:
         if not self.corpus_sensitive:

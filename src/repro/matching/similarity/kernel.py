@@ -9,11 +9,12 @@ replays, serving).  The :class:`~repro.matching.similarity.matrix
 collapses it further, to one cost per distinct pair **per repository**:
 
 * the **label universe** — repositories repeat a small distinct-label
-  surface (the :class:`~repro.matching.similarity.matrix.TokenIndex`'s
-  ``distinct_labels`` counter proves it), so the kernel interns every
-  distinct ``(normalised label, datatype)`` the repository contains into
-  a dense integer id, and records, per schema content digest, the label
-  id of each element;
+  surface (:attr:`CostKernel.distinct_labels` counts it), so the kernel
+  interns every distinct ``(normalised label, datatype)`` the repository
+  contains into a dense integer id, and records, per schema content
+  digest, the label id of each element.  It is the one per-repository
+  label structure the substrate keeps, and it follows deltas by
+  derivation (below);
 * **kernel rows** — for each distinct ``(normalised query label,
   datatype)``, one flat ``array('d')`` of costs against the whole
   universe, computed exactly once via
@@ -70,10 +71,11 @@ streams.  The kernel also exports/imports plain-data state
 the snapshot substrate payload persists so a warm-started service skips
 the recompute entirely (:mod:`repro.matching.similarity.persist`).
 
-The kernel-less build — ``ScoreMatrix.build`` without a kernel, the
-per-(query, schema) distinct-label path of PR 2 — stays in production
-for schemas a kernel does not cover, and is the reference the tests
-diff the gathers against.
+The kernel-less build — ``ScoreMatrix.build`` without a kernel, one
+cost per distinct label pair of one (query, schema) pair — stays in
+production for schemas a kernel does not cover, and is the reference
+the tests diff the gathers against (``kernel_off`` in
+``tests/helpers/oracles.py``).
 
 Vectorised gathers
 ------------------
@@ -564,10 +566,9 @@ class CostKernel:
         labels and rows but no lid maps, so every live schema takes the
         intern path, and rows are copied through the one old→new id map
         where a saved universe label matches a live one; the rest is
-        recomputed.  Like the token index's per-schema
-        digest-guarded reuse, this makes a payload saved against any
-        repository version safe: cost is a pure function of the label
-        pair, so matching labels carry over exactly and everything else
+        recomputed.  This makes a payload saved against any repository
+        version safe: cost is a pure function of the label pair, so
+        matching labels carry over exactly and everything else
         re-derives — a kernel saved mid-evolution warm-starts the
         overlap instead of being refused.  Structurally inconsistent
         payloads (row length disagreeing with the saved universe) raise

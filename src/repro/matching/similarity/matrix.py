@@ -1,4 +1,4 @@
-"""The similarity substrate: precomputed score matrices + token index.
+"""The similarity substrate: precomputed score matrices.
 
 The paper's premise is that matching is the expensive part ("exhaustive
 search of schema mappings needs exponential time") while the bounds math
@@ -12,30 +12,31 @@ materialises the pairwise similarity work **once** and shares it:
   per-element cost matrix, each row's cost-sorted candidate order, and
   the per-element minima / suffix sums the branch-and-bound admissible
   bound reads directly.
-* :class:`TokenIndex` — an inverted token index over repository element
-  labels, built once per repository and cached by content digest.  It
-  groups identically-labelled elements, so a matrix column (and row) is
-  computed once per *distinct* (label, datatype) instead of once per
-  element, and exposes token-posting lookups for diagnostics.
-  Rebuilds after repository evolution are **schema-granular**: per-schema
-  entries are reused for every schema whose content digest is unchanged,
-  so a delta re-indexes only what it touched.
-* :class:`SimilaritySubstrate` — the per-objective cache tying the two
-  together, keyed by schema *content* digests (like the pipeline's
-  candidate cache), so workload rebuilds and repository shards share
-  entries instead of recomputing them.  It also owns the repository
-  scoring kernel (:class:`~repro.matching.similarity.kernel.CostKernel`),
-  which collapses cost computation further — one cost per distinct
-  (normalised label, datatype) pair per *repository* — and turns
-  :meth:`ScoreMatrix.build` into a gather over interned rows.
+* :class:`SimilaritySubstrate` — the per-objective matrix cache, keyed
+  by schema *content* digests (like the pipeline's candidate cache), so
+  workload rebuilds and repository shards share entries instead of
+  recomputing them.  It also owns the repository scoring kernel
+  (:class:`~repro.matching.similarity.kernel.CostKernel`), the one
+  per-repository label structure: it interns each distinct (normalised
+  label, datatype) pair of the repository, follows repository deltas
+  by derivation, and turns :meth:`ScoreMatrix.build` into a gather over
+  interned cost rows.  A schema the kernel does not cover builds its
+  matrix directly, one cost per distinct (label, datatype) pair of that
+  (query, schema) pair.
+
+Every search takes its costs from here
+(:class:`~repro.matching.engine.SchemaSearch` reads
+``objective.substrate().matrix(query, schema)``); there is no second
+scoring path in production.
 
 Exactness
 ---------
 The substrate never changes an answer set.  Matrix entries are produced
-by the very same :meth:`ObjectiveFunction.element_cost` calls the
-direct path makes, so they are bit-identical floats; candidate orders
-use the same ``(cost, target_id)`` sort key as the engine.  The
-threshold-driven candidate pruning the engine layers on top
+by the very same :meth:`ObjectiveFunction.label_cost` expression the
+per-pair definition (:meth:`ObjectiveFunction.cost_matrix`) evaluates,
+so they are bit-identical floats; candidate orders use the same
+``(cost, target_id)`` sort key as the engine.  The threshold-driven
+candidate pruning the engine layers on top
 (:meth:`~repro.matching.engine.SchemaSearch`) only drops a pair
 ``(i, j)`` when the certified lower bound of *any* complete mapping
 assigning query element ``i`` to target ``j`` —
@@ -46,17 +47,17 @@ assigning query element ``i`` to target ``j`` —
 threshold cutoff, i.e. exactly the pairs the branch-and-bound's own
 admissible bound would refuse to expand.  The property suite
 (``tests/properties/test_prop_substrate.py``) asserts byte-identical
-answer sets against the substrate-less direct path for every matcher
-across a threshold sweep; that path stays in production
-(:class:`~repro.matching.engine.SchemaSearch` without a ``substrate``),
-and the tests reach it by faking
-:meth:`~repro.matching.base.Matcher._substrate`.
+answer sets against the direct path for every matcher across a
+threshold sweep: the ``substrate_off`` oracle in
+``tests/helpers/oracles.py`` scores each search with one
+``cost_matrix`` call and the ``(cost, id)`` tuple sort, and runs it
+untrimmed.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import MatchingError
@@ -64,13 +65,11 @@ from repro.matching.similarity import vectors
 from repro.matching.similarity.kernel import CostKernel
 from repro.schema.model import Schema
 from repro.schema.repository import ElementHandle, SchemaRepository
-from repro.util.text import tokenize_label
 
 __all__ = [
     "ScoreMatrix",
     "SimilaritySubstrate",
     "SubstrateStats",
-    "TokenIndex",
     "suffix_cost_sums",
 ]
 
@@ -124,178 +123,6 @@ def _label_groups(schema: Schema) -> LabelGroups:
     return tuple(
         (members[0], tuple(members)) for members in groups.values()
     )
-
-
-@dataclass(frozen=True)
-class _SchemaIndexEntry:
-    """Everything the index derives from one schema, digest-guarded.
-
-    Self-contained per schema, so an entry survives repository evolution
-    unchanged as long as the schema's content digest does — the reuse
-    unit of :meth:`TokenIndex.__init__`'s ``previous`` fast path.
-    """
-
-    digest: str
-    groups: LabelGroups
-    #: token -> (schema_id, element_id) keys contributed by this schema
-    postings: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
-
-
-def _index_schema(schema: Schema) -> _SchemaIndexEntry:
-    """Derive one schema's index entry (groups + token postings)."""
-    groups = _label_groups(schema)
-    postings: dict[str, list[tuple[str, int]]] = {}
-    for representative, members in groups:
-        element = schema.element(representative)
-        keys = [(schema.schema_id, member) for member in members]
-        for token in tokenize_label(element.name):
-            postings.setdefault(token, []).extend(keys)
-    return _SchemaIndexEntry(
-        digest=schema.content_digest(),
-        groups=groups,
-        postings=tuple(
-            (token, tuple(keys)) for token, keys in postings.items()
-        ),
-    )
-
-
-class TokenIndex:
-    """Inverted token index over one repository's element labels.
-
-    Built once per repository (cache it by
-    :meth:`~repro.schema.repository.SchemaRepository.content_digest`;
-    :class:`SimilaritySubstrate` does).  Two roles:
-
-    * **label compaction** — :meth:`column_groups` returns each schema's
-      elements grouped by exact (label, datatype), which lets
-      :meth:`ScoreMatrix.build` compute one cost per distinct label pair
-      and broadcast it over duplicates;
-    * **token postings** — :meth:`elements_with_token` /
-      :meth:`candidate_keys` answer "which repository elements share a
-      word token with this label", the inverted-index primitive behind
-      candidate diagnostics and future lexical pre-filters.
-
-    Invalidation is **schema-granular**: passing the previous version's
-    index as ``previous`` reuses every per-schema entry whose content
-    digest is unchanged (grouping and tokenisation are skipped; only the
-    cheap global postings merge re-runs), so re-indexing after a
-    repository delta costs proportionally to the schemas the delta
-    actually changed.  ``reused_schemas`` records how many entries the
-    fast path carried over.
-    """
-
-    def __init__(
-        self,
-        repository: SchemaRepository,
-        previous: "TokenIndex | dict[str, _SchemaIndexEntry] | None" = None,
-    ):
-        self.repository_digest = repository.content_digest()
-        if previous is None:
-            prior: dict[str, _SchemaIndexEntry] = {}
-        elif isinstance(previous, TokenIndex):
-            prior = previous._entries
-        else:  # a bare entry mapping (the persistence restore path)
-            prior = dict(previous)
-        entries: dict[str, _SchemaIndexEntry] = {}
-        reused = 0
-        for schema in repository:
-            entry = prior.get(schema.schema_id)
-            if entry is not None and entry.digest == schema.content_digest():
-                reused += 1
-            else:
-                entry = _index_schema(schema)
-            entries[schema.schema_id] = entry
-        postings: dict[str, set[tuple[str, int]]] = {}
-        for entry in entries.values():
-            for token, keys in entry.postings:
-                postings.setdefault(token, set()).update(keys)
-        self._postings: dict[str, frozenset[tuple[str, int]]] = {
-            token: frozenset(keys) for token, keys in postings.items()
-        }
-        self._entries = entries
-        self.distinct_labels = sum(
-            len(entry.groups) for entry in entries.values()
-        )
-        self.reused_schemas = reused
-
-    def __len__(self) -> int:
-        return len(self._postings)
-
-    def tokens(self) -> list[str]:
-        """All indexed tokens, sorted."""
-        return sorted(self._postings)
-
-    def elements_with_token(self, token: str) -> frozenset[tuple[str, int]]:
-        """``(schema_id, element_id)`` keys of elements containing ``token``."""
-        return self._postings.get(token, frozenset())
-
-    def candidate_keys(self, label: str) -> frozenset[tuple[str, int]]:
-        """Elements sharing at least one normalised token with ``label``."""
-        keys: set[tuple[str, int]] = set()
-        for token in tokenize_label(label):
-            keys |= self._postings.get(token, frozenset())
-        return frozenset(keys)
-
-    def export_state(self) -> list[dict]:
-        """JSON-able per-schema entries, for snapshot persistence.
-
-        The inverse of :meth:`from_state`; see
-        :mod:`repro.matching.similarity.persist`.
-        """
-        return [
-            {
-                "schema_id": schema_id,
-                "digest": entry.digest,
-                "groups": [
-                    [representative, list(members)]
-                    for representative, members in entry.groups
-                ],
-                "postings": [
-                    [token, [list(key) for key in keys]]
-                    for token, keys in entry.postings
-                ],
-            }
-            for schema_id, entry in self._entries.items()
-        ]
-
-    @classmethod
-    def from_state(
-        cls, repository: SchemaRepository, state: list[dict]
-    ) -> "TokenIndex":
-        """Rebuild an index from :meth:`export_state` output.
-
-        Every restored entry is digest-guarded against the live
-        repository by the constructor's reuse path, so an entry saved
-        for different schema content is re-derived rather than trusted;
-        only the cheap global postings merge runs either way.
-        """
-        entries = {
-            item["schema_id"]: _SchemaIndexEntry(
-                digest=item["digest"],
-                groups=tuple(
-                    (representative, tuple(members))
-                    for representative, members in item["groups"]
-                ),
-                postings=tuple(
-                    (token, tuple((key[0], key[1]) for key in keys))
-                    for token, keys in item["postings"]
-                ),
-            )
-            for item in state
-        }
-        return cls(repository, previous=entries)
-
-    def column_groups(self, schema: Schema) -> LabelGroups | None:
-        """Distinct-label groups for ``schema``, or ``None`` if unknown.
-
-        Guarded by content digest: a schema whose id is indexed but whose
-        content differs (synthetic workloads reuse ids across seeds) gets
-        ``None`` rather than stale groups.
-        """
-        entry = self._entries.get(schema.schema_id)
-        if entry is None or entry.digest != schema.content_digest():
-            return None
-        return entry.groups
 
 
 class ScoreMatrix:
@@ -414,7 +241,6 @@ class ScoreMatrix:
         objective,
         query: Schema,
         schema: Schema,
-        column_groups: LabelGroups | None = None,
         kernel: CostKernel | None = None,
     ) -> "ScoreMatrix":
         """Compute the matrix, one cost per distinct (label, datatype) pair.
@@ -424,19 +250,17 @@ class ScoreMatrix:
         knows the schema's content, the matrix is a pure **gather**: each
         distinct query row indexes the kernel's precomputed cost row with
         the schema's interned label ids and evaluates no similarity at
-        all — the costs are the bit-identical floats of the direct path,
-        because kernel entries come from the same
+        all — the costs are the bit-identical floats of the per-pair
+        definition, because kernel entries come from the same
         :meth:`~repro.matching.objective.ObjectiveFunction.label_cost`
         expression.
 
-        Without one, ``column_groups`` (from
-        :meth:`TokenIndex.column_groups`) skips re-deriving the schema's
-        label groups and one cost is computed per distinct (label,
-        datatype) pair of this (query, schema) pair.  Either way,
-        candidate orders sort ``(cost, id)`` pairs directly (no per-id
-        key calls), duplicate rows/columns alias the same tuples, and
-        repetitive repositories cost proportionally to their *distinct*
-        label surface.
+        Without one, the schema's elements are grouped by exact (label,
+        datatype) and one cost is computed per distinct pair of this
+        (query, schema) pair.  Either way, candidate orders sort
+        ``(cost, id)`` pairs directly (no per-id key calls), duplicate
+        rows/columns alias the same tuples, and repetitive repositories
+        cost proportionally to their *distinct* label surface.
         """
         row_groups = _label_groups(query)
         size = len(schema)
@@ -445,8 +269,7 @@ class ScoreMatrix:
         use_kernel = (
             kernel is not None and kernel.schema_label_ids(schema) is not None
         )
-        if not use_kernel and column_groups is None:
-            column_groups = _label_groups(schema)
+        columns = None if use_kernel else _label_groups(schema)
         for representative, members in row_groups:
             element = query.element(representative)
             if use_kernel:
@@ -455,7 +278,7 @@ class ScoreMatrix:
                 )
             else:
                 row = [0.0] * size
-                for column_rep, column_members in column_groups:
+                for column_rep, column_members in columns:
                     cost = objective.element_cost(
                         element, ElementHandle(schema, column_rep)
                     )
@@ -514,10 +337,6 @@ class SubstrateStats:
     matrices_built: int = 0
     matrix_hits: int = 0
     matrix_evictions: int = 0
-    index_builds: int = 0
-    #: per-schema index entries carried over across repository versions
-    #: (schema-granular invalidation; see :meth:`TokenIndex.__init__`)
-    index_schema_reuses: int = 0
     #: repository cost-kernel (re)builds (see
     #: :class:`~repro.matching.similarity.kernel.CostKernel`)
     kernel_builds: int = 0
@@ -535,7 +354,7 @@ class SubstrateStats:
 
 
 class SimilaritySubstrate:
-    """Per-objective cache of :class:`ScoreMatrix` / :class:`TokenIndex`.
+    """Per-objective cache of :class:`ScoreMatrix` plus the cost kernel.
 
     One substrate hangs off each :class:`ObjectiveFunction`
     (:meth:`~repro.matching.objective.ObjectiveFunction.substrate`), so
@@ -560,34 +379,24 @@ class SimilaritySubstrate:
         self.max_matrices = max_matrices
         self.stats = SubstrateStats()
         self._matrices: OrderedDict[tuple[str, str], ScoreMatrix] = OrderedDict()
-        self._index: TokenIndex | None = None
         self._kernel: CostKernel | None = None
 
     def __len__(self) -> int:
         return len(self._matrices)
 
-    def prepare(self, repository: SchemaRepository) -> TokenIndex:
-        """Build (or reuse) the repository's token index; idempotent.
+    def prepare(self, repository: SchemaRepository) -> CostKernel | None:
+        """Build (or derive) the repository's cost kernel; idempotent.
 
         Matchers call this from their
         :meth:`~repro.matching.base.Matcher.prepare` hook — once per
         repository, before any query runs, and in the pipeline before
-        sharding, so shards never rebuild it.
-
-        When the repository digest differs from the indexed one — the
-        repository evolved — the rebuild is **incremental**: per-schema
-        entries of the previous index are reused for every schema whose
-        content digest is unchanged, so a delta's re-indexing cost is
-        proportional to the schemas it changed, not the repository size.
-        (Score matrices need no such treatment: they are keyed by schema
+        sharding, so shards never rebuild it.  When the repository
+        evolved, the kernel is derived from the previous version's
+        (:meth:`kernel`), at a cost that follows the delta.  Score
+        matrices need no such treatment: they are keyed by schema
         content digests already, so matrices of untouched schemas keep
-        hitting across versions.)
+        hitting across versions.  Returns the kernel.
         """
-        digest = repository.content_digest()
-        if self._index is None or self._index.repository_digest != digest:
-            self._index = TokenIndex(repository, previous=self._index)
-            self.stats.index_builds += 1
-            self.stats.index_schema_reuses += self._index.reused_schemas
         objective = self.objective
         if getattr(objective, "corpus_sensitive", False):
             # Corpus-sensitive backends (docs/backends.md) score through
@@ -597,16 +406,11 @@ class SimilaritySubstrate:
             # matrix cache is keyed by schema content digests alone, so
             # it cannot tell two corpora apart by itself.
             before = objective.corpus_token()
-            objective.prepare_corpus(repository, self._index)
+            objective.prepare_corpus(repository)
             if objective.corpus_token() != before:
                 self._matrices.clear()
                 self._kernel = None
-        self.kernel(repository)
-        return self._index
-
-    def token_index(self) -> TokenIndex | None:
-        """The prepared repository index, or ``None`` before ``prepare``."""
-        return self._index
+        return self.kernel(repository)
 
     def kernel(
         self, repository: SchemaRepository | None = None
@@ -640,21 +444,17 @@ class SimilaritySubstrate:
 
     def adopt(
         self,
-        index: TokenIndex | None,
-        matrices: Iterator[ScoreMatrix] | list[ScoreMatrix] = (),
+        matrices: Iterable[ScoreMatrix] = (),
         kernel: CostKernel | None = None,
     ) -> None:
         """Install restored state — the warm-start path of a snapshot load.
 
-        ``index`` (if given) replaces the prepared token index;
         ``kernel`` (if given) replaces the repository cost kernel;
         ``matrices`` are inserted under their own digest keys, evicting
         LRU entries past ``max_matrices`` exactly like :meth:`matrix`
         does.  Counters keep running; adopted entries are not counted as
         builds.
         """
-        if index is not None:
-            self._index = index
         if kernel is not None:
             self._kernel = kernel
         for matrix in matrices:
@@ -673,15 +473,8 @@ class SimilaritySubstrate:
             self._matrices.move_to_end(key)
             self.stats.matrix_hits += 1
             return cached
-        kernel = self.kernel()
-        column_groups = None
-        if kernel is None or kernel.schema_label_ids(schema) is None:
-            column_groups = (
-                self._index.column_groups(schema) if self._index is not None else None
-            )
         built = ScoreMatrix.build(
-            self.objective, query, schema,
-            column_groups=column_groups, kernel=kernel,
+            self.objective, query, schema, kernel=self.kernel()
         )
         self._matrices[key] = built
         self.stats.matrices_built += 1
@@ -691,7 +484,6 @@ class SimilaritySubstrate:
         return built
 
     def clear(self) -> None:
-        """Drop matrices, the index and the kernel (counters keep running)."""
+        """Drop matrices and the kernel (counters keep running)."""
         self._matrices.clear()
-        self._index = None
         self._kernel = None

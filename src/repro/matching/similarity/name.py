@@ -22,10 +22,10 @@ from repro.util import rng as rng_util
 from repro.util.caching import fifo_put
 from repro.util.checks import check_probability
 from repro.util.text import (
+    jaccard,
     jaro_winkler,
     ngram_similarity,
     normalise_label,
-    token_set_similarity,
 )
 
 __all__ = ["Thesaurus", "NameSimilarity"]
@@ -64,8 +64,17 @@ class Thesaurus:
         return self._digest
 
     def synonymous(self, a: str, b: str) -> bool:
-        """Whether the thesaurus lists the two labels as synonyms."""
-        na, nb = normalise_label(a), normalise_label(b)
+        """Whether the thesaurus lists the two raw labels as synonyms."""
+        return self.synonymous_normalised(normalise_label(a), normalise_label(b))
+
+    def synonymous_normalised(self, na: str, nb: str) -> bool:
+        """Whether the thesaurus lists two *normalised* labels as synonyms.
+
+        The lookup itself, for callers that hold normalised labels
+        already (:meth:`NameSimilarity._compute`); equal to
+        :meth:`synonymous` on the raw labels because
+        :func:`~repro.util.text.normalise_label` is idempotent.
+        """
         if not na or not nb or na == nb:
             return False
         return frozenset((na, nb)) in self._pairs
@@ -137,7 +146,7 @@ class NameSimilarity:
     constantly.  The memo is keyed on the **normalised** label pair
     (order-canonicalised): every component of the score — Jaro-Winkler,
     n-gram Dice and token-set Jaccard on the normalised forms, plus the
-    thesaurus, which normalises internally — is a pure, symmetric
+    thesaurus, which is keyed on normalised pairs — is a pure, symmetric
     function of the normalised labels, so ``"Order ID"`` vs
     ``"order_id"`` and ``"OrderId"`` vs ``"ORDER-ID"`` all share one
     entry with identical values.  ``memo_limit`` bounds the memo
@@ -224,13 +233,16 @@ class NameSimilarity:
         return value
 
     def _compute(self, na: str, nb: str) -> float:
-        """Score two already-normalised labels.
+        """Score two already-normalised labels, as they are.
 
         Every component is a pure symmetric function of the normalised
-        forms — ``token_set_similarity`` tokenises via
-        :func:`~repro.util.text.normalise_label` (idempotent), and the
-        thesaurus normalises its arguments internally — which is what
-        makes the normalised memo key in :meth:`similarity` exact.
+        forms, which is what makes the normalised memo key in
+        :meth:`similarity` exact.  Nothing here normalises again: a
+        normalised label's word tokens are its ``split()``, and the
+        thesaurus is asked through its normalised-pair lookup — both
+        equal to the raw-label forms (``token_set_similarity``,
+        :meth:`Thesaurus.synonymous`) because
+        :func:`~repro.util.text.normalise_label` is idempotent.
         """
         if not na or not nb:
             return 0.0
@@ -239,9 +251,11 @@ class NameSimilarity:
         blend = (
             self.jaro_weight * jaro_winkler(na, nb)
             + self.ngram_weight * ngram_similarity(na, nb)
-            + self.token_weight * token_set_similarity(na, nb)
+            + self.token_weight * jaccard(na.split(), nb.split())
         )
         lexical = max(0.0, blend - self.ramp_low) / (1.0 - self.ramp_low)
-        if self.thesaurus is not None and self.thesaurus.synonymous(na, nb):
+        if self.thesaurus is not None and self.thesaurus.synonymous_normalised(
+            na, nb
+        ):
             return max(lexical, self.thesaurus_score)
         return lexical

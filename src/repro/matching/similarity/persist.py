@@ -5,8 +5,7 @@ to keep schemas on disk with integrity checks; this module layers the
 matching-side state on top so that a restarted process **warm-starts in
 O(load)** instead of re-matching:
 
-* the similarity substrate — the repository :class:`TokenIndex`, the
-  repository scoring kernel
+* the similarity substrate — the repository scoring kernel
   (:class:`~repro.matching.similarity.kernel.CostKernel`: interned label
   universe + per-query-label cost rows, so a warm start skips every
   similarity evaluation, not just the assembled matrices) and every
@@ -52,11 +51,7 @@ from repro.matching.pipeline import (
     matcher_fingerprint,
 )
 from repro.matching.similarity.kernel import CostKernel
-from repro.matching.similarity.matrix import (
-    ScoreMatrix,
-    SimilaritySubstrate,
-    TokenIndex,
-)
+from repro.matching.similarity.matrix import ScoreMatrix, SimilaritySubstrate
 from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
 from repro.schema.store import SnapshotStore, payload_digest
@@ -89,7 +84,7 @@ def _digest_named(stem: str, payload: str) -> str:
 # ---------------------------------------------------------------------------
 
 def substrate_payload(substrate: SimilaritySubstrate) -> str:
-    """Serialize a substrate's index + kernel + matrices to a JSON section.
+    """Serialize a substrate's kernel + matrices to a JSON section.
 
     The kernel section is optional in both directions: a substrate
     saved before its first ``prepare`` writes ``"kernel": null``, and
@@ -98,15 +93,10 @@ def substrate_payload(substrate: SimilaritySubstrate) -> str:
     ``prepare``", so snapshot format compatibility holds across the
     kernel's introduction.
     """
-    index = substrate.token_index()
     kernel = substrate.kernel()
     return json.dumps(
         {
             "objective_fingerprint": substrate.objective.fingerprint(),
-            "index": None if index is None else {
-                "repository_digest": index.repository_digest,
-                "entries": index.export_state(),
-            },
             "kernel": None if kernel is None else kernel.export_state(),
             "matrices": [
                 {
@@ -129,10 +119,12 @@ def restore_substrate(
     """Adopt a persisted substrate payload; returns matrices restored.
 
     The payload must have been saved under an identically configured
-    objective (fingerprints compared, not trusted); the token index is
-    rebuilt through the digest-guarded per-schema reuse path against the
-    *live* repository, so entries saved for other content re-derive
-    instead of corrupting candidate generation.
+    objective (fingerprints compared, not trusted); the kernel's
+    universe and label-id maps are re-derived from the *live*
+    repository, so state saved for other content cannot corrupt
+    candidate generation.  Payloads written by earlier versions also
+    carry an ``"index"`` section (a token index the substrate no longer
+    keeps); it is ignored.
     """
     state = json.loads(payload)
     recorded = state.get("objective_fingerprint")
@@ -142,16 +134,13 @@ def restore_substrate(
             "substrate snapshot was saved under a different objective "
             f"configuration:\n  saved  {recorded}\n  loaded {live}"
         )
-    index = None
-    if state.get("index") is not None:
-        index = TokenIndex.from_state(repository, state["index"]["entries"])
     if getattr(substrate.objective, "corpus_sensitive", False):
         # Freeze the backend's corpus statistics against the restored
         # repository *before* touching the kernel: the kernel's
         # migration gate compares corpus tokens, so an unprepared
         # objective (token "") would refuse every persisted row and
         # silently cold-start the similarity plane.
-        substrate.objective.prepare_corpus(repository, index)
+        substrate.objective.prepare_corpus(repository)
     kernel = None
     # Payloads written before the scoring kernel existed have no
     # "kernel" key; either way the kernel is rebuilt on first prepare().
@@ -163,7 +152,7 @@ def restore_substrate(
         ScoreMatrix.restore(item["query"], item["schema"], item["costs"])
         for item in state.get("matrices", [])
     ]
-    substrate.adopt(index, matrices, kernel=kernel)
+    substrate.adopt(matrices, kernel=kernel)
     return len(matrices)
 
 

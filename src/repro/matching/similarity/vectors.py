@@ -1,13 +1,13 @@
 """The optional numpy execution layer.
 
-The scoring stack's remaining per-expansion work after the kernel PR is
-pure-python arithmetic: gathering kernel rows into matrices, sorting
-candidate orders, accumulating suffix-sum admissible bounds, cutting
-top-k candidate lists.  This module provides vectorised forms of those
-primitives.  Every caller keeps its pure-python loop beside the vector
-form as the **executable specification**: it is the only path when
-numpy is absent, and the tests diff the two (``tests/helpers/oracles.py``
-hides numpy in-process by setting ``vectors._np`` to ``None``).
+The scoring stack's remaining per-expansion work around the cost kernel
+is pure-python arithmetic: gathering kernel rows into matrices, sorting
+candidate orders, accumulating suffix-sum admissible bounds.  This
+module provides vectorised forms of those primitives.  Every caller
+keeps its pure-python loop beside the vector form as the **executable
+specification**: it is the only path when numpy is absent, and the
+tests diff the two (``tests/helpers/oracles.py`` hides numpy in-process
+by setting ``vectors._np`` to ``None``).
 
 Byte-identity discipline
 ------------------------
@@ -23,9 +23,6 @@ by accident:
   a prepended ``0.0`` — ``cumsum`` is a strict sequential left fold, so
   every partial sum is the identical float chain of the spec loop in
   :func:`~repro.matching.similarity.matrix.suffix_cost_sums`.
-* **Top-k** narrows with ``argpartition`` and then resolves the pivot
-  ties exactly, so the kept target set equals the spec's full
-  ``(cost, id)`` sort cut at k.
 * Results are converted back to python floats/ints (``tolist`` is
   value-exact for float64), so everything downstream — the search loop,
   answer sets, serialized snapshots — holds the same objects it would
@@ -54,7 +51,6 @@ __all__ = [
     "numpy_available",
     "stable_order",
     "suffix_sums",
-    "topk_indices",
     "vector_thresholds",
 ]
 
@@ -132,23 +128,3 @@ def suffix_sums(row_minima: Sequence[float]) -> tuple[float, ...]:
     reversed_with_zero[0] = 0.0
     reversed_with_zero[1:] = _np.asarray(row_minima, dtype=_np.float64)[::-1]
     return tuple(_np.cumsum(reversed_with_zero)[::-1].tolist())
-
-
-def topk_indices(costs: Sequence[float], k: int) -> list[int]:
-    """The ``k`` cheapest target ids of one cost row, ``(cost, id)`` order.
-
-    Equal to ``sorted(range(len(costs)), key=lambda j: (costs[j], j))[:k]``
-    — the top-k matcher's spec cut — but via ``argpartition``:
-    partitioning finds the k-th smallest cost, every id at or below that
-    pivot cost is collected (``nonzero`` yields them id-ascending), and
-    one stable sort of that usually-tiny slice resolves pivot ties by id
-    exactly as the spec's tuple sort does.
-    """
-    arr = _np.asarray(costs, dtype=_np.float64)
-    size = arr.shape[0]
-    if k >= size:
-        return stable_order(arr).tolist()
-    pivot = arr[_np.argpartition(arr, k - 1)[:k]].max()
-    eligible = _np.nonzero(arr <= pivot)[0]
-    ranked = eligible[_np.argsort(arr[eligible], kind="stable")]
-    return ranked[:k].tolist()

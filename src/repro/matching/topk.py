@@ -18,7 +18,6 @@ from repro.errors import MatchingError
 from repro.matching.base import Matcher
 from repro.matching.engine import SchemaSearch
 from repro.matching.objective import ObjectiveFunction
-from repro.matching.similarity import vectors
 from repro.schema.model import Schema
 
 __all__ = ["TopKCandidateMatcher"]
@@ -48,39 +47,14 @@ class TopKCandidateMatcher(Matcher):
     ) -> Iterable[tuple[tuple[int, ...], float]]:
         if len(schema) < len(query):
             return
-        substrate = self._substrate()
-        if substrate is not None:
-            # the substrate's candidate orders use the same (cost, id)
-            # sort key, so the cut keeps exactly the same targets
-            matrix = substrate.matrix(query, schema)
-            allowed = [
-                list(matrix.candidate_order[i][: self.candidates_per_element])
-                for i in range(len(query))
-            ]
-        else:
-            costs = self.objective.cost_matrix(query, schema)
-            allowed = []
-            for i in range(len(query)):
-                if (
-                    len(schema) >= vectors.VECTOR_MIN
-                    and vectors.numpy_available()
-                ):
-                    # argpartition narrows to the k cheapest, then exact
-                    # (cost, id) tie resolution at the pivot — the same
-                    # targets in the same order as the spec sort's cut
-                    allowed.append(
-                        vectors.topk_indices(
-                            costs[i], self.candidates_per_element
-                        )
-                    )
-                else:
-                    ranked = sorted(
-                        range(len(schema)), key=lambda j: (costs[i][j], j)
-                    )
-                    allowed.append(ranked[: self.candidates_per_element])
-        search = SchemaSearch(
-            query, schema, self.objective, allowed=allowed, substrate=substrate
-        )
+        # the matrix's candidate orders sort by the engine's (cost, id)
+        # key, so each cut keeps the k cheapest targets, ties by id
+        matrix = self.objective.substrate().matrix(query, schema)
+        allowed = [
+            matrix.candidate_order[i][: self.candidates_per_element]
+            for i in range(len(query))
+        ]
+        search = SchemaSearch(query, schema, self.objective, allowed=allowed)
         yield from search.exhaustive(delta_max)
 
     def describe(self) -> dict[str, object]:

@@ -7,21 +7,23 @@ the byte-identity suite diffs against:
 =========== ========================================= =========================================
 toggle      production path                           spec the context swaps in
 =========== ========================================= =========================================
-substrate   precomputed score matrices + exact        direct per-search scoring: each caller's
-            candidate pruning                         substrate-less branch (``_substrate()``
-                                                      answers ``None``)
+substrate   cached score matrices + exact static      direct per-search scoring
+            candidate trim                            (:func:`direct_matrix`: one
+                                                      ``cost_matrix`` call, the ``(cost, id)``
+                                                      tuple sort) and no trim
 kernel      interned label-universe cost rows +       per-matrix distinct-label build
             matrix gathers; the shared interned       (``ScoreMatrix.build`` without a kernel)
             cluster build                             and :func:`cluster_scan`
 flat-search flattened explicit-stack branch-and-bound :func:`recursive_exhaustive`
 numpy       vectorised gathers / sorts / bounds /     the python loops (``vectors._np`` is
-            top-k cuts                                ``None``, as when numpy is absent)
+            static trim                               ``None``, as when numpy is absent)
 =========== ========================================= =========================================
 
 Each context manager patches attributes in-process only (one per
-toggle, two for the kernel, which has two consumers) and restores them
-on exit, also when the block raises.  Nothing here is visible to pool
-or socket workers — differential runs are serial.
+toggle, two for the substrate and the kernel, which each replace two
+mechanisms) and restores them on exit, also when the block raises.
+Nothing here is visible to pool or socket workers — differential runs
+are serial.
 
 Two answer-set specs are plain functions, diffed against their
 replacements by ``tests/properties/test_prop_answers.py``:
@@ -42,15 +44,16 @@ from unittest import mock
 from repro.core.answers import AnswerSet
 from repro.core.measures import Counts, measure
 from repro.core.thresholds import ThresholdSchedule
-from repro.matching.base import Matcher
 from repro.matching.clustering import ElementCluster, ElementClusterer
 from repro.matching.engine import _EPSILON, SchemaSearch
 from repro.matching.similarity import vectors
-from repro.matching.similarity.matrix import SimilaritySubstrate
+from repro.matching.similarity.matrix import ScoreMatrix, SimilaritySubstrate
+from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
 
 __all__ = [
     "cluster_scan",
+    "direct_matrix",
     "flat_search_off",
     "fold_union",
     "kernel_off",
@@ -168,20 +171,49 @@ def profile_by_threshold(
     return tuple(measure(answers.at_threshold(delta), truth) for delta in schedule)
 
 
-def _no_substrate(matcher: Matcher) -> None:
-    return None
-
-
 def _no_kernel(
     substrate: SimilaritySubstrate, repository: SchemaRepository | None = None
 ) -> None:
     return None
 
 
+def direct_matrix(
+    substrate: SimilaritySubstrate, query: Schema, schema: Schema
+) -> ScoreMatrix:
+    """One pair's matrix, scored the way a search did before the substrate.
+
+    :meth:`SimilaritySubstrate.matrix`'s spec: one
+    :meth:`~repro.matching.objective.ObjectiveFunction.cost_matrix` call,
+    candidate orders by the ``(cost, id)`` tuple sort, no cache and no
+    kernel.
+    """
+    costs = tuple(
+        tuple(row) for row in substrate.objective.cost_matrix(query, schema)
+    )
+    orders = tuple(
+        tuple(j for _, j in sorted(zip(row, range(len(row))))) for row in costs
+    )
+    return ScoreMatrix(
+        query.content_digest(), schema.content_digest(), costs, orders
+    )
+
+
+def _untrimmed(search: SchemaSearch, ctx, cutoff: float):
+    return ctx.candidates
+
+
 @contextmanager
 def substrate_off() -> Iterator[None]:
-    """Match without the substrate: every caller's direct branch runs."""
-    with mock.patch.object(Matcher, "_substrate", _no_substrate):
+    """Match without the substrate: direct costs, untrimmed searches.
+
+    Every search scores its pair through :func:`direct_matrix` and
+    expands its full cost-sorted candidate lists; the cache, the kernel
+    gathers and the static trim never run.
+    """
+    with (
+        mock.patch.object(SimilaritySubstrate, "matrix", direct_matrix),
+        mock.patch.object(SchemaSearch, "_trimmed_candidates", _untrimmed),
+    ):
         yield
 
 

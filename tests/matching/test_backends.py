@@ -13,7 +13,6 @@ from repro.matching.similarity.backends import (
 )
 from repro.matching.similarity.datatype import datatype_penalty
 from repro.matching.similarity.kernel import CostKernel
-from repro.matching.similarity.matrix import TokenIndex
 from repro.matching.similarity.name import NameSimilarity
 from repro.schema.generator import GeneratorConfig, generate_repository
 
@@ -70,23 +69,6 @@ class TestSparseBM25Backend:
         assert backend.similarity("alpha beta", "beta gamma") == pytest.approx(
             1.0 / 3.0
         )
-
-    def test_index_and_scan_paths_agree(self):
-        repository = _repository(seed=4)
-        index = TokenIndex(repository)
-        via_index = SparseBM25Backend()
-        via_index.prepare(repository, index)
-        via_scan = SparseBM25Backend()
-        via_scan.prepare(repository)
-        assert via_index.corpus_token() == via_scan.corpus_token()
-        labels = [
-            element.name
-            for schema in repository
-            for element in schema.elements()
-        ]
-        for a in labels[:5]:
-            for b in labels[:5]:
-                assert via_index.similarity(a, b) == via_scan.similarity(a, b)
 
     def test_corpus_token_tracks_repository(self):
         backend = SparseBM25Backend()

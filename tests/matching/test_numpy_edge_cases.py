@@ -219,14 +219,6 @@ class TestVectorPrimitives:
             assert vectors.suffix_sums(row) == spec
             assert vectors.suffix_sums(row)[len(row)] == 0.0
 
-    def test_topk_matches_sort_cut(self):
-        for row in self.ROWS:
-            for k in (1, 2, 3, len(row), len(row) + 5):
-                spec = sorted(
-                    range(len(row)), key=lambda j: (row[j], j)
-                )[:k]
-                assert vectors.topk_indices(row, k) == spec
-
     def test_suffix_sums_preserve_float_chain(self):
         """The cumsum fold replays the spec's exact addition order."""
         row = [0.1, 0.2, 0.3, 0.1, 0.7, 0.123456789, 1e-17, 0.5]

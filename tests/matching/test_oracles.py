@@ -13,7 +13,6 @@ import pytest
 from helpers import oracles
 from helpers.differential import MATCHERS, make_workload
 from repro.matching import make_matcher, numpy_available
-from repro.matching.base import Matcher
 from repro.matching.clustering import ElementClusterer
 from repro.matching.engine import SchemaSearch
 from repro.matching.similarity import vectors
@@ -22,7 +21,10 @@ from repro.matching.similarity.matrix import SimilaritySubstrate
 
 #: every context with the (owner, attribute) pairs it swaps
 PATCHED = {
-    oracles.substrate_off: [(Matcher, "_substrate")],
+    oracles.substrate_off: [
+        (SimilaritySubstrate, "matrix"),
+        (SchemaSearch, "_trimmed_candidates"),
+    ],
     oracles.kernel_off: [
         (SimilaritySubstrate, "kernel"),
         (ElementClusterer, "cluster"),
@@ -61,14 +63,19 @@ def _spy(monkeypatch, owner, attribute) -> list:
 
 
 class TestSpecRunsInside:
-    def test_substrate_off(self, workload):
-        objective = workload.objective()
-        matcher = make_matcher("exhaustive", objective)
+    def test_substrate_off(self, workload, monkeypatch):
+        directs = _spy(monkeypatch, oracles, "direct_matrix")
+        trims = _spy(monkeypatch, SchemaSearch, "_trimmed_candidates")
         with oracles.substrate_off():
-            assert matcher._substrate() is None
-            for query in workload.queries:
-                matcher.match(query, workload.repository, 0.3)
-        assert objective._substrate is None  # never even created
+            objective = _match_all(workload)
+        assert directs  # every matcher family scored directly
+        assert trims == []  # and searched untrimmed
+        stats = objective.substrate().stats
+        assert stats.matrices_built == 0 and stats.matrix_hits == 0
+        inside = len(directs)
+        _match_all(workload)  # control: production caches and trims
+        assert len(directs) == inside
+        assert trims
 
     def test_kernel_off(self, workload, monkeypatch):
         gathers = _spy(monkeypatch, CostKernel, "gather")

@@ -29,6 +29,7 @@ from repro.matching.similarity.persist import (
     substrate_payload,
 )
 from repro.schema import SnapshotStore, churn_delta
+from repro.util.text import tokenize_label
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,32 @@ def _canonical(answer_sets) -> bytes:
     ).encode()
 
 
+def _index_entry(schema) -> dict:
+    """One schema's entry of the ``"index"`` section older payloads carry.
+
+    The shape the retired token index exported per schema: element ids
+    grouped by exact (label, datatype), and token postings of
+    ``[schema_id, element_id]`` keys.
+    """
+    groups: dict = {}
+    for element_id, element in enumerate(schema.elements()):
+        groups.setdefault((element.name, element.datatype), []).append(
+            element_id
+        )
+    postings: dict = {}
+    for members in groups.values():
+        for token in tokenize_label(schema.element(members[0]).name):
+            postings.setdefault(token, []).extend(
+                [schema.schema_id, member] for member in members
+            )
+    return {
+        "schema_id": schema.schema_id,
+        "digest": schema.content_digest(),
+        "groups": [[members[0], members] for members in groups.values()],
+        "postings": [[token, keys] for token, keys in postings.items()],
+    }
+
+
 def _fresh_universe():
     """A content-identical workload with its own objective/substrate.
 
@@ -84,13 +111,12 @@ class TestSubstrateRoundTrip:
             assert twin.costs == matrix.costs
             assert twin.candidate_order == matrix.candidate_order
             assert twin.min_rest == matrix.min_rest
-        # the index carried over without re-tokenising a single schema
-        index = substrate.token_index()
-        assert index is not None
-        assert index.reused_schemas == len(fresh.repository)
-        assert index.tokens() == (
-            workload.objective.substrate().token_index().tokens()
-        )
+        # the kernel's label universe and cost rows carried over
+        kernel = substrate.kernel()
+        saved = workload.objective.substrate().kernel()
+        assert kernel is not None
+        assert kernel.export_state() == saved.export_state()
+        assert kernel.rows_migrated == saved.rows_cached > 0
 
     def test_warm_substrate_builds_nothing(self, workload, queries, result):
         payload = substrate_payload(workload.objective.substrate())
@@ -190,6 +216,66 @@ class TestWholeSnapshots:
         assert _canonical(snapshot.result.answer_sets) == _canonical(
             result.answer_sets
         )
+
+    def test_index_section_restores_and_serves(
+        self, tmp_path, workload, queries, result
+    ):
+        """Format compatibility: a substrate section with an ``"index"`` key.
+
+        Substrate payloads written while the substrate kept a token index
+        carry an ``"index"`` section beside the kernel and the matrices.
+        The snapshot format version did not change, so such a snapshot
+        must restore (the section is ignored) and serve byte-identically.
+        """
+        import json
+
+        from repro.matching.similarity import persist
+
+        saved = workload.objective.substrate()
+        payload = json.loads(substrate_payload(saved))
+        assert "index" not in payload  # no longer written
+        payload["index"] = {
+            "repository_digest": workload.repository.content_digest(),
+            "entries": [_index_entry(schema) for schema in workload.repository],
+        }
+        indexed_payload = json.dumps(payload, sort_keys=True)
+
+        store = SnapshotStore(tmp_path / "snap")
+        meta = {
+            "repository": SnapshotStore.repository_meta(workload.repository),
+            "queries": SnapshotStore.query_meta(queries),
+            "matcher_fingerprint": result.matcher_key,
+            "delta_max": result.delta_max,
+            "objective_fingerprint": saved.objective.fingerprint(),
+        }
+        sections = SnapshotStore.schema_sections(
+            workload.repository.schemas() + queries
+        )
+        results = results_payload(result)
+        meta["results_section"] = persist._digest_named("results", results)
+        sections[meta["results_section"]] = results
+        meta["substrate_section"] = persist._digest_named(
+            "substrate", indexed_payload
+        )
+        sections[meta["substrate_section"]] = indexed_payload
+        store.save(meta, sections)
+
+        fresh = _fresh_universe()
+        matcher = ExhaustiveMatcher(fresh.objective)
+        snapshot = load_snapshot(store, matcher)
+        substrate = fresh.objective.substrate()
+        assert snapshot.matrices_restored == len(payload["matrices"]) > 0
+        assert substrate.kernel().export_state() == (
+            saved.kernel().export_state()
+        )
+        assert _canonical(snapshot.result.answer_sets) == _canonical(
+            result.answer_sets
+        )
+        live = MatchingPipeline(matcher, cache=False).run(
+            snapshot.queries, snapshot.repository, 0.3
+        )
+        assert _canonical(live.answer_sets) == _canonical(result.answer_sets)
+        assert substrate.stats.matrices_built == 0  # served warm
 
     def test_repository_only_snapshot(self, tmp_path, workload):
         store = save_snapshot(tmp_path / "bare", workload.repository)

@@ -622,16 +622,19 @@ class TestFaultInjection:
 
 class TestVersionAndState:
     def test_version_mismatch_refused(self):
-        """Any other version is refused at hello — v1 and v2 peers included.
+        """Any other version is refused at hello — v1 to v3 peers included.
 
         A v2 coordinator would otherwise pass ``hello`` and then fail its
         install on the ``switches`` field v3 dropped from the ``state``
-        frame, with an opaque error reply.
+        frame, with an opaque error reply; a v3 coordinator's pickled
+        substrate carries a token index class v4 no longer has, so it
+        would fail at unpickling instead of at ``hello``.
         """
+        assert PROTOCOL_VERSION == 4
         worker = WorkerServer().start()
         replies = []
         try:
-            for version in (1, 2, 999):
+            for version in (1, 2, 3, 999):
                 sock = socket.create_connection(worker.address, timeout=5)
                 send_message(sock, {"op": "hello", "version": version})
                 replies.append(recv_message(sock))

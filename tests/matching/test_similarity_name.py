@@ -130,3 +130,44 @@ class TestNameSimilarity:
         b = Thesaurus([("a1", "b1"), ("c1", "e1")])
         assert len(a) == len(b)
         assert NameSimilarity(a).fingerprint() != NameSimilarity(b).fingerprint()
+
+    def test_compute_scores_normalised_labels_without_renormalising(
+        self, monkeypatch
+    ):
+        """A new pair is normalised once per raw label, never in ``_compute``.
+
+        The labels reach ``_compute`` normalised already; its token
+        Jaccard and thesaurus lookup use them as they are, and the score
+        equals the raw-label forms of both components.
+        """
+        from repro.matching.similarity import name as name_module
+        from repro.util import text
+
+        thesaurus = Thesaurus([("first name", "forename")])
+        sim = NameSimilarity(thesaurus)
+        expected = NameSimilarity(thesaurus).similarity("FirstName", "fore_name")
+        calls = []
+        original = text.normalise_label
+
+        def counting(label):
+            calls.append(label)
+            return original(label)
+
+        monkeypatch.setattr(text, "normalise_label", counting)
+        monkeypatch.setattr(name_module, "normalise_label", counting)
+        for a, b in [("first name", "forename"), ("order number", "order id")]:
+            before = len(calls)
+            value = sim._compute(a, b)
+            assert len(calls) == before  # zero normalisations inside
+            blend = (
+                sim.jaro_weight * text.jaro_winkler(a, b)
+                + sim.ngram_weight * text.ngram_similarity(a, b)
+                + sim.token_weight * text.token_set_similarity(a, b)
+            )
+            lexical = max(0.0, blend - sim.ramp_low) / (1.0 - sim.ramp_low)
+            if thesaurus.synonymous(a, b):
+                lexical = max(lexical, sim.thesaurus_score)
+            assert value == lexical
+        calls.clear()
+        assert sim.similarity("FirstName", "fore_name") == expected
+        assert calls == ["FirstName", "fore_name"]  # once per raw label

@@ -1,10 +1,10 @@
-"""Unit tests of the similarity substrate (matrix, index, cache).
+"""Unit tests of the similarity substrate (matrix, kernel, cache).
 
 The substrate's contract is speed without semantic change: matrix
 entries are bit-identical to the direct objective computation, candidate
-orders match the engine's sort, the token index groups and indexes
-exactly the repository's labels, and the per-objective cache reuses both
-across matchers.  Answer-set identity under the substrate is covered by
+orders match the engine's sort, the kernel is prepared once per
+repository version, and the per-objective cache reuses matrices across
+matchers.  Answer-set identity under the substrate is covered by
 ``tests/properties/test_prop_substrate.py``.
 """
 
@@ -12,13 +12,9 @@ import pytest
 
 from helpers.oracles import substrate_off
 from repro.errors import MatchingError
-from repro.matching import ExhaustiveMatcher, SchemaSearch
+from repro.matching import SchemaSearch
 from repro.matching.objective import ObjectiveFunction
-from repro.matching.similarity.matrix import (
-    ScoreMatrix,
-    SimilaritySubstrate,
-    TokenIndex,
-)
+from repro.matching.similarity.matrix import ScoreMatrix, SimilaritySubstrate
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
 from repro.schema.generator import GeneratorConfig, generate_repository
 from repro.schema.model import Datatype, Schema, SchemaElement
@@ -59,41 +55,6 @@ def _handmade_repository():
     )
 
 
-class TestTokenIndex:
-    def test_postings_cover_all_label_tokens(self):
-        repo = _handmade_repository()
-        index = TokenIndex(repo)
-        assert index.elements_with_token("order") == frozenset(
-            {("orders", 0), ("orders", 1)}
-        )
-        assert index.elements_with_token("ship") == frozenset(
-            {("orders", 2), ("orders", 3)}
-        )
-        assert index.elements_with_token("nope") == frozenset()
-
-    def test_candidate_keys_union_over_tokens(self):
-        index = TokenIndex(_handmade_repository())
-        keys = index.candidate_keys("customer order")
-        assert ("customers", 0) in keys and ("orders", 0) in keys
-
-    def test_column_groups_merge_identical_labels(self):
-        repo = _handmade_repository()
-        index = TokenIndex(repo)
-        groups = dict(index.column_groups(repo.schema("orders")))
-        assert groups[2] == (2, 3)  # the two shipDate leaves share a group
-
-    def test_column_groups_guarded_by_content_digest(self):
-        repo = _handmade_repository()
-        index = TokenIndex(repo)
-        impostor = Schema("orders", SchemaElement("different", Datatype.COMPLEX))
-        assert index.column_groups(impostor) is None
-
-    def test_distinct_labels_counted(self):
-        index = TokenIndex(_handmade_repository())
-        assert index.distinct_labels == 5  # 6 elements, one duplicated label
-        assert "order" in index.tokens()
-
-
 class TestScoreMatrix:
     def test_costs_bit_identical_to_objective(self, setup):
         repo, objective, query = setup
@@ -125,18 +86,6 @@ class TestScoreMatrix:
             )
         assert matrix.schema_size == len(schema)
 
-    def test_column_groups_do_not_change_entries(self, setup):
-        _, objective, query = setup
-        repo = _handmade_repository()
-        index = TokenIndex(repo)
-        schema = repo.schema("orders")
-        grouped = ScoreMatrix.build(
-            objective, query, schema, column_groups=index.column_groups(schema)
-        )
-        plain = ScoreMatrix.build(objective, query, schema)
-        assert grouped.costs == plain.costs
-        assert grouped.candidate_order == plain.candidate_order
-
 
 class TestSimilaritySubstrate:
     def test_matrix_cached_by_content(self, setup):
@@ -153,13 +102,13 @@ class TestSimilaritySubstrate:
     def test_prepare_idempotent_per_content(self, setup):
         repo, objective, _ = setup
         substrate = SimilaritySubstrate(objective)
-        index = substrate.prepare(repo)
-        assert substrate.prepare(repo) is index
-        assert substrate.token_index() is index
-        assert substrate.stats.index_builds == 1
+        kernel = substrate.prepare(repo)
+        assert substrate.prepare(repo) is kernel
+        assert substrate.kernel() is kernel
+        assert substrate.stats.kernel_builds == 1
         other = _handmade_repository()
-        assert substrate.prepare(other) is not index
-        assert substrate.stats.index_builds == 2
+        assert substrate.prepare(other) is not kernel
+        assert substrate.stats.kernel_builds == 2
 
     def test_lru_eviction_bounded(self, setup):
         repo, objective, query = setup
@@ -169,7 +118,7 @@ class TestSimilaritySubstrate:
         assert len(substrate) == 2
         assert substrate.stats.matrix_evictions == 2
         substrate.clear()
-        assert len(substrate) == 0 and substrate.token_index() is None
+        assert len(substrate) == 0 and substrate.kernel() is None
 
     def test_invalid_capacity_rejected(self, setup):
         _, objective, _ = setup
@@ -180,43 +129,32 @@ class TestSimilaritySubstrate:
         _, objective, _ = setup
         assert objective.substrate() is objective.substrate()
 
-    def test_matcher_skips_substrate_when_disabled(self, setup):
-        """The substrate oracle reaches every caller's direct branch."""
-        repo, objective, _ = setup
-        matcher = ExhaustiveMatcher(objective)
-        with substrate_off():
-            assert matcher._substrate() is None
-        assert matcher._substrate() is objective.substrate()
-
 
 class TestEnginePruning:
     @pytest.mark.parametrize("delta", [0.0, 0.1, 0.25, 0.5, 1.0])
     def test_trimming_preserves_exhaustive_output(self, setup, delta):
         repo, objective, query = setup
         for schema in repo:
-            pruned = SchemaSearch(
-                query, schema, objective,
-                substrate=objective.substrate(),
-            )
-            plain = SchemaSearch(query, schema, objective, prune=False)
-            assert list(pruned.exhaustive(delta)) == list(plain.exhaustive(delta))
+            pruned = SchemaSearch(query, schema, objective)
+            with substrate_off():
+                plain = SchemaSearch(query, schema, objective)
+                untrimmed = list(plain.exhaustive(delta))
+            assert list(pruned.exhaustive(delta)) == untrimmed
 
     @pytest.mark.parametrize("delta", [0.1, 0.3])
     def test_trimming_preserves_beam_output(self, setup, delta):
         repo, objective, query = setup
         for schema in repo:
-            pruned = SchemaSearch(
-                query, schema, objective, substrate=objective.substrate()
-            )
-            plain = SchemaSearch(query, schema, objective, prune=False)
-            assert list(pruned.beam(delta, 6)) == list(plain.beam(delta, 6))
+            pruned = SchemaSearch(query, schema, objective)
+            with substrate_off():
+                plain = SchemaSearch(query, schema, objective)
+                untrimmed = list(plain.beam(delta, 6))
+            assert list(pruned.beam(delta, 6)) == untrimmed
 
     def test_trimming_actually_drops_candidates(self, setup):
         repo, objective, query = setup
         schema = max(repo, key=len)
-        search = SchemaSearch(
-            query, schema, objective, substrate=objective.substrate()
-        )
+        search = SchemaSearch(query, schema, objective)
         ctx = search._context
         trimmed = search._trimmed_candidates(ctx, cutoff=0.05 + 1e-9)
         full = sum(len(ids) for ids in ctx.candidates)

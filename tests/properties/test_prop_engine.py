@@ -2,10 +2,14 @@
 
 Random small schemas + random thresholds; the engine must return exactly
 the brute-force answer set with identical scores.  This property is what
-entitles the rest of the reproduction to call S1 "exhaustive".
+entitles the rest of the reproduction to call S1 "exhaustive".  The same
+holds for a candidate-restricted search (``allowed=…``, what clustering
+and top-k run): it must return exactly the brute-force assignments whose
+every target is allowed — no fewer.
 """
 
 import itertools
+from contextlib import nullcontext
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,7 @@ from repro.matching.engine import SchemaSearch
 from repro.matching.mapping import Mapping
 from repro.matching.objective import ObjectiveFunction, ObjectiveWeights
 from repro.matching.similarity.name import NameSimilarity
+from repro.matching.similarity.vectors import vector_thresholds
 from repro.schema.model import Datatype, Schema, SchemaElement
 from repro.schema.repository import ElementHandle
 
@@ -46,9 +51,19 @@ def engine_cases(draw):
     return query, schema, delta, structure
 
 
-def brute_force(query, schema, objective, delta_max):
+def brute_force(query, schema, objective, delta_max, allowed=None):
+    """Every injective assignment within δ, restricted to ``allowed``.
+
+    ``allowed[i]`` (when given and not ``None``) lists query element
+    ``i``'s permitted targets, as :class:`SchemaSearch` takes them.
+    """
     out = {}
     for combo in itertools.permutations(range(len(schema)), len(query)):
+        if allowed is not None and any(
+            allowed[i] is not None and j not in allowed[i]
+            for i, j in enumerate(combo)
+        ):
+            continue
         mapping = Mapping(
             query.schema_id,
             tuple(ElementHandle(schema, j) for j in combo),
@@ -84,3 +99,40 @@ def test_beam_subset_of_exhaustive(case, beam_width):
     assert set(beam) <= set(full)
     for key, score in beam.items():
         assert score == full[key]
+
+
+@st.composite
+def restricted_cases(draw):
+    """An engine case plus per-element allowed lists.
+
+    Each list is ``None`` (unrestricted) or distinct ids in shuffled
+    order, possibly empty, possibly naming ids outside the schema — the
+    search must ignore those.
+    """
+    query, schema, delta, structure = draw(engine_cases())
+    allowed = [
+        draw(
+            st.none()
+            | st.lists(
+                st.integers(min_value=-2, max_value=len(schema) + 1),
+                unique=True,
+                max_size=len(schema) + 2,
+            )
+        )
+        for _ in range(len(query))
+    ]
+    return query, schema, delta, structure, allowed
+
+
+@settings(max_examples=80, deadline=None)
+@given(restricted_cases(), st.booleans())
+def test_restricted_search_equals_restricted_brute_force(case, vectorised):
+    query, schema, delta, structure, allowed = case
+    objective = ObjectiveFunction(
+        NameSimilarity(), ObjectiveWeights(structure=structure)
+    )
+    with vector_thresholds(0, 0) if vectorised else nullcontext():
+        search = SchemaSearch(query, schema, objective, allowed=allowed)
+        engine = dict(search.exhaustive(delta))
+    reference = brute_force(query, schema, objective, delta, allowed)
+    assert engine == reference

@@ -41,6 +41,7 @@ from helpers.oracles import (
     kernel_off,
     numpy_off,
     recursive_exhaustive,
+    substrate_off,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -251,18 +252,16 @@ def test_flat_search_emits_reference_sequence(
         schema_id="prop-flat-query",
     )
     for schema in repo:
-        if with_substrate:
-            search = SchemaSearch(
-                query, schema, objective, substrate=objective.substrate()
-            )
-        else:
+        with ExitStack() as stack:
+            if not with_substrate:
+                stack.enter_context(substrate_off())
             search = SchemaSearch(query, schema, objective)
-        flat = list(search.exhaustive(delta))
-        reference = list(recursive_exhaustive(search, delta))
-        assert flat == reference  # sequence equality: order and floats
-        with flat_search_off():
-            dispatched = list(search.exhaustive(delta))
-        assert dispatched == reference
+            flat = list(search.exhaustive(delta))
+            reference = list(recursive_exhaustive(search, delta))
+            assert flat == reference  # sequence equality: order and floats
+            with flat_search_off():
+                dispatched = list(search.exhaustive(delta))
+            assert dispatched == reference
 
 
 def test_pre_kernel_snapshot_restores_and_serves(tmp_path):

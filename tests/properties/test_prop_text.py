@@ -9,6 +9,7 @@ from repro.util.text import (
     levenshtein,
     levenshtein_similarity,
     ngram_similarity,
+    normalise_label,
     token_set_similarity,
 )
 
@@ -80,3 +81,11 @@ def test_ngram_symmetric(a, b):
 @given(words)
 def test_ngram_identity(a):
     assert ngram_similarity(a, a) == 1.0
+
+
+@given(st.text(max_size=24))
+def test_normalise_label_idempotent(label):
+    """Normalised labels are fixed points, so they score as they are."""
+    once = normalise_label(label)
+    assert normalise_label(once) == once
+    assert token_set_similarity(once, "x") == token_set_similarity(label, "x")
