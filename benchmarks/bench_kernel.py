@@ -313,15 +313,15 @@ def _contract_arm(pre_kernel: bool, numpy_on: bool = True):
 
 
 def test_kernel_sweep_numpy_axis_identical():
-    """The numpy axis of the contract sweep: same bytes on the python loops.
+    """The numpy axis of the contract sweep: same bytes on the python gather.
 
     One full contract sweep on the kernel path with numpy hidden must
-    produce answer sets byte-identical to the vectorised run — the third
-    axis of the oracle grid (``bench_substrate`` covers
+    produce answer sets byte-identical to the batched-gather run — the
+    third axis of the oracle grid (``bench_substrate`` covers
     the substrate axis, ``test_kernel_sweep_speedup_and_identical`` the
     kernel and flat-search axes).  Identity only: the numpy timing
     contract lives in ``test_numpy_gather_sweep_speedup_and_identical``
-    where the vector path's regime is actually measurable.
+    where the batched gather's regime is actually measurable.
     """
     vector_answers, _ = _contract_arm(pre_kernel=False, numpy_on=True)
     spec_answers, _ = _contract_arm(pre_kernel=False, numpy_on=False)
@@ -363,7 +363,7 @@ def test_kernel_sweep_speedup_and_identical():
 # -- the numpy contract ------------------------------------------------------
 
 #: the gather-sweep contract workload: wider and deeper than the sweep
-#: contract's, because the vector gather's regime is repository *breadth*
+#: contract's, because the batched gather's regime is repository *breadth*
 #: (schemas per batch) — one fancy-index plus one batched argsort per
 #: query label replaces one python sort per (label, schema) pair
 _GATHER_CONFIG = WorkloadConfig(
@@ -378,7 +378,7 @@ _GATHER_CONFIG = WorkloadConfig(
 def _gather_sweep_trial(kernel, elements, schemas, numpy_on: bool):
     """One timed cold gather sweep on the given kernel; (gathers, seconds).
 
-    "Cold" means the gather caches are emptied first — the cost rows
+    "Cold" means the gather cache is emptied first — the cost rows
     stay warm (row construction is the same python objective loop on
     both paths and both arms share the kernel), so the timed window
     isolates exactly what the numpy path changes: gathering every
@@ -386,7 +386,6 @@ def _gather_sweep_trial(kernel, elements, schemas, numpy_on: bool):
     pauses land outside the window, symmetrically.
     """
     kernel._gathers.clear()
-    kernel._vgathers.clear()
     with ExitStack() as specs:
         if not numpy_on:
             specs.enter_context(oracles.numpy_off())
@@ -411,10 +410,11 @@ def test_numpy_gather_sweep_speedup_and_identical():
 
     Every (query element, schema) gather of the repository-scale
     workload — the exact cache entries every matcher's matrices are
-    assembled from — must be byte-identical between the vectorised and
-    the pure-python path (asserted on every trial, unconditionally, via
-    ``repr`` so float bits count), and the vectorised sweep must be
-    ≥ 2× faster (measured ~2.4–2.6× on a quiet core).  One shared
+    assembled from — must be byte-identical between the batched numpy
+    gather and the python gather (asserted on every trial,
+    unconditionally, via ``repr`` so float bits count), and the batched
+    sweep must be ≥ 2× faster (measured 2.0–3.3×, median 2.5×, over
+    nine runs on a shared 2-vCPU VM).  One shared
     universe, five interleaved cold-cache trials per arm, best trial
     each — single-shot sweeps on a loaded machine swing more than the
     contract's margin, and the minimum over interleaved trials is the
@@ -444,7 +444,7 @@ def test_numpy_gather_sweep_speedup_and_identical():
             kernel, elements, schemas, numpy_on=False
         )
         assert vector_gathers == spec_gathers, (
-            "vectorised gathers differ from the pure-python spec gathers"
+            "batched gathers differ from the python gathers"
         )
         vector_seconds.append(fast)
         spec_seconds.append(slow)
@@ -452,6 +452,6 @@ def test_numpy_gather_sweep_speedup_and_identical():
     slow = min(spec_seconds)
     if os.environ.get("BENCH_TIMING_ASSERTS", "1") != "0":
         assert slow >= 2.0 * fast, (
-            f"vectorised gather sweep ({fast:.3f}s) is not ≥2x faster "
+            f"batched gather sweep ({fast:.3f}s) is not ≥2x faster "
             f"than the pure-python gather path ({slow:.3f}s)"
         )

@@ -41,12 +41,12 @@ Underneath sits the **repository scoring kernel**
 interned flat rows, matrices gather from them, clustering runs over the
 same interned surface, and the branch-and-bound itself is a flattened
 explicit-stack loop over bitmasks.  When numpy is installed
-(:func:`numpy_available`), the hot gather/sort/bound arithmetic
-additionally runs **vectorised** (:mod:`repro.matching.similarity
-.vectors`), with the pure-python loops as the path when it is not.
+(:func:`numpy_available`), the kernel gathers each query label's costs
+and candidate orders for the whole repository in one batch, with the
+python gather as the path when it is not.
 Each layer has one production path; the code it replaced (direct
 per-pair scoring, the per-matrix build, the recursive search, the
-per-element cluster scan, the python loops) serves as a test oracle in
+per-element cluster scan, the python gather) serves as a test oracle in
 ``tests/helpers/oracles.py``, and the tests assert byte-identical
 answers against every combination of them.
 

@@ -62,7 +62,6 @@ from dataclasses import dataclass
 
 from repro.errors import MatchingError
 from repro.matching.objective import ObjectiveFunction
-from repro.matching.similarity import vectors
 from repro.matching.similarity.matrix import suffix_cost_sums
 from repro.schema.model import Schema
 
@@ -135,10 +134,6 @@ class _SearchContext:
     num_edges: int
     element_share: float  # (1 - sw) / k
     structure_share: float  # sw / p  (0 when p == 0)
-    #: the substrate ScoreMatrix when ``candidates`` aliases its
-    #: candidate orders row for row (the unrestricted fast path) — lets
-    #: the static trim run batched over the matrix's cached ndarrays
-    aligned_matrix: object | None = None
 
 
 class SchemaSearch:
@@ -154,8 +149,10 @@ class SchemaSearch:
         """``allowed[i]``, when given, restricts query element i's targets.
 
         ``None`` (or a ``None`` entry) means all elements of the schema
-        are candidates.  Costs come from the objective's similarity
-        substrate, which builds the pair's
+        are candidates.  An allowed list counts as a set: repeated ids
+        are one candidate, and ids outside the schema are ignored.
+        Costs come from the objective's similarity substrate, which
+        builds the pair's
         :class:`~repro.matching.similarity.matrix.ScoreMatrix` on first
         use and serves it from cache afterwards.
         """
@@ -173,7 +170,6 @@ class SchemaSearch:
             return None  # injectivity impossible; no mappings exist
         matrix = self.objective.substrate().matrix(query, schema)
         costs = matrix.costs
-        aligned_matrix = None
         if allowed is None:
             # Unrestricted search: the context aliases the matrix's
             # candidate orders and suffix sums outright — ``min_rest``
@@ -181,9 +177,7 @@ class SchemaSearch:
             # no per-search float work runs here.
             candidates: list[Sequence[int]] = list(matrix.candidate_order)
             min_rest: Sequence[float] = matrix.min_rest
-            aligned_matrix = matrix
         else:
-            use_vectors = vectors.numpy_available()
             candidates = []
             row_best: list[float] = []
             for i in range(k):
@@ -191,23 +185,12 @@ class SchemaSearch:
                     candidates.append(matrix.candidate_order[i])
                     row_best.append(matrix.row_min[i])
                     continue
-                valid = [j for j in allowed[i] if 0 <= j < m]
+                valid = {j for j in allowed[i] if 0 <= j < m}
                 if not valid:
                     return None  # some element has no candidate at all
-                if use_vectors and len(valid) >= vectors.VECTOR_MIN:
-                    # lexsort on (cost, id) keys — the spec sort's exact
-                    # tie-break, batched; ``float()`` keeps np.float64
-                    # out of the downstream accumulation
-                    np = vectors._np
-                    ids = np.asarray(valid, dtype=np.intp)
-                    row_np = matrix.np_costs()[i]
-                    ranked = ids[np.lexsort((ids, row_np[ids]))]
-                    candidates.append(ranked.tolist())
-                    row_best.append(float(row_np[ranked[0]]))
-                else:
-                    pairs = sorted((costs[i][j], j) for j in valid)
-                    candidates.append([j for _, j in pairs])
-                    row_best.append(pairs[0][0])  # cost-sorted: first is min
+                pairs = sorted((costs[i][j], j) for j in valid)
+                candidates.append([j for _, j in pairs])
+                row_best.append(pairs[0][0])  # cost-sorted: first is min
             min_rest = suffix_cost_sums(row_best)
         parents = query.parent_ids()
         num_edges = sum(1 for p in parents if p is not None)
@@ -222,7 +205,6 @@ class SchemaSearch:
             num_edges=num_edges,
             element_share=(1.0 - sw) / k,
             structure_share=(sw / num_edges) if num_edges else 0.0,
-            aligned_matrix=aligned_matrix,
         )
 
     # -- exact candidate pruning --------------------------------------------
@@ -241,10 +223,6 @@ class SchemaSearch:
         which means the whole search is provably empty.
         """
         limit = cutoff + _TRIM_SLACK
-        if ctx.aligned_matrix is not None and vectors.numpy_available():
-            vectorised = self._trimmed_candidates_vector(ctx, limit)
-            if vectorised is not NotImplemented:
-                return vectorised
         total_min = ctx.min_rest[0]
         share = ctx.element_share
         trimmed: list[Sequence[int]] = []
@@ -259,51 +237,6 @@ class SchemaSearch:
             if keep == 0:
                 return None
             trimmed.append(ids if keep == len(ids) else ids[:keep])
-        return trimmed
-
-    def _trimmed_candidates_vector(
-        self, ctx: _SearchContext, limit: float
-    ) -> list[Sequence[int]] | None:
-        """The batched form of the static trim (unrestricted matrix path).
-
-        One broadcast evaluates ``share · (sorted_cost + rest)`` over the
-        whole cost-sorted matrix and compares it with the loop's
-        ``limit`` — the same two-operation float chain (add, then
-        multiply) the spec loop runs per candidate, so the per-candidate
-        booleans are identical and so is each row's first exceeding
-        position (``argmax`` of the boolean row ≡ the spec's first-hit
-        break).  Returns ``NotImplemented`` — run the spec loop
-        instead — for matrices below the 2-D dispatch floor
-        (:data:`~repro.matching.similarity.vectors.VECTOR_MIN_AREA`,
-        checked *before* any ndarray view is built, so small matrices
-        pay nothing here).
-        """
-        matrix = ctx.aligned_matrix
-        if matrix.query_size * matrix.schema_size < vectors.VECTOR_MIN_AREA:
-            return NotImplemented
-        sorted_costs = matrix.np_sorted_costs()
-        np = vectors._np
-        min_rest = ctx.min_rest
-        total_min = min_rest[0]
-        rests = np.asarray(
-            [
-                total_min - (min_rest[i] - min_rest[i + 1])
-                for i in range(len(ctx.candidates))
-            ],
-            dtype=np.float64,
-        ).reshape(-1, 1)
-        exceeded = ctx.element_share * (sorted_costs + rests) > limit
-        first_hit = np.argmax(exceeded, axis=1)
-        has_hit = np.any(exceeded, axis=1)
-        trimmed: list[Sequence[int]] = []
-        for i, ids in enumerate(ctx.candidates):
-            if not has_hit[i]:
-                trimmed.append(ids)
-                continue
-            keep = int(first_hit[i])
-            if keep == 0:
-                return None
-            trimmed.append(ids[:keep])
         return trimmed
 
     # -- exact enumeration --------------------------------------------------

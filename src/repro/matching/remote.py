@@ -783,9 +783,8 @@ class RemoteShardExecutor(ShardExecutor):
     executor.
 
     Every remote op runs under a per-op deadline from ``deadlines`` (a
-    :class:`DeadlineBudget`; the default budget adopts
-    ``connect_timeout`` for its connect bound), so a hung peer is
-    reclassified as a crashed one after at most one deadline.  The
+    :class:`DeadlineBudget`, default ``DeadlineBudget()``), so a hung
+    peer is reclassified as a crashed one after at most one deadline.  The
     executor also keeps a per-address :class:`WorkerHealth` circuit
     breaker: a failure opens the address's breaker for
     ``breaker_backoff * 2**(consecutive failures - 1)`` seconds (capped
@@ -810,7 +809,6 @@ class RemoteShardExecutor(ShardExecutor):
         addresses: Sequence["str | tuple[str, int]"],
         *,
         store: SnapshotStore | str | Path | None = None,
-        connect_timeout: float = 10.0,
         deadlines: DeadlineBudget | None = None,
         breaker_backoff: float = 0.5,
         breaker_backoff_cap: float = 30.0,
@@ -838,11 +836,8 @@ class RemoteShardExecutor(ShardExecutor):
             if store is None or isinstance(store, SnapshotStore)
             else SnapshotStore(store)
         )
-        self.connect_timeout = connect_timeout
         self.deadlines = (
-            deadlines
-            if deadlines is not None
-            else DeadlineBudget(connect=connect_timeout)
+            deadlines if deadlines is not None else DeadlineBudget()
         )
         self.breaker_backoff = breaker_backoff
         self.breaker_backoff_cap = breaker_backoff_cap

@@ -21,12 +21,9 @@ paper builds on (Cupid, COMA, iMAP):
 * :mod:`~repro.matching.similarity.kernel` — the repository scoring
   kernel: distinct (normalised label, datatype) pairs interned into a
   per-repository universe with flat cost-row buffers, so each distinct
-  cost is computed once per repository and matrices become gathers;
-* :mod:`~repro.matching.similarity.vectors` — the optional numpy
-  execution layer: batched gathers, vector candidate-order sorts and
-  suffix-sum folds, with the pure-python code kept as
-  the executable spec (and as the only path when numpy is not
-  installed).
+  cost is computed once per repository and matrices become gathers —
+  batched over the whole repository when the optional numpy is
+  installed (:func:`numpy_available`), one schema at a time otherwise.
 """
 
 from repro.matching.similarity.backends import (
@@ -37,11 +34,10 @@ from repro.matching.similarity.backends import (
     SparseBM25Backend,
 )
 from repro.matching.similarity.datatype import datatype_penalty
-from repro.matching.similarity.kernel import CostKernel
+from repro.matching.similarity.kernel import CostKernel, numpy_available
 from repro.matching.similarity.matrix import ScoreMatrix, SimilaritySubstrate
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
 from repro.matching.similarity.structure import ancestry_violations
-from repro.matching.similarity.vectors import numpy_available
 
 __all__ = [
     "CostKernel",

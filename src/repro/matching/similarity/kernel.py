@@ -57,7 +57,7 @@ that follows the delta rather than the repository:
   digest that survived carry over; a bucket that lacks a digest (the
   schemas the delta changed) fills that digest alone.  A gather is a
   pure function of (normalised label, datatype, schema content), and
-  the vector and spec gathers are identical, so a carried or
+  the batched and one-schema gathers are identical, so a carried or
   singly-filled entry equals a cold kernel's.
 
 Rows and gathers carry only from a kernel of the same objective
@@ -77,37 +77,59 @@ production for schemas a kernel does not cover, and is the reference
 the tests diff the gathers against (``kernel_off`` in
 ``tests/helpers/oracles.py``).
 
-Vectorised gathers
-------------------
-When numpy is available
-(:func:`~repro.matching.similarity.vectors.numpy_available`), the kernel
-additionally keeps the schema label-id maps stacked into one padded 2-D
-``ndarray``, and the first gather of a query label fancy-indexes its
-cost row through that stack and batch-argsorts **every schema's**
-candidate order in two vector ops, prefilling the gather cache for the
-whole repository at once.  The cached values are the same python tuples
-the spec path builds (``tolist`` round-trips float64 exactly; stable
-argsort ties break by ascending id exactly like the ``(cost, id)``
-sort), so everything downstream is byte-identical either way — the
-property suite (``tests/properties/test_prop_numpy.py``) pins it down.
+Batched gathers
+---------------
+Gathers are cached in one bucket per query label: (normalised label,
+datatype) -> {schema digest -> (costs, order)}.  numpy is the one
+optional dependency of the package, and this is its one use.  When it
+imports (:func:`numpy_available`), the kernel keeps the schema label-id
+maps stacked into one padded 2-D ``ndarray``, and the first gather of a
+query label fancy-indexes its cost row through that stack and
+batch-argsorts **every schema's** candidate order in two vector ops,
+filling the label's bucket for the whole repository at once.  Without
+numpy a new bucket starts empty and fills one schema at a time through
+the python gather (:meth:`CostKernel._gather_one`), the executable
+specification.  The batched values are the same python tuples
+(``tolist`` round-trips float64 exactly; stable argsort ties break by
+ascending id exactly like the ``(cost, id)`` sort), so everything
+downstream is byte-identical either way — the property suite
+(``tests/properties/test_prop_numpy.py``) pins it down.
+
+``REPRO_NO_NUMPY=1`` in the environment skips the import, which is how
+CI runs the whole suite in the numpy-absent configuration without a
+second image; the tests hide numpy in-process by setting this module's
+``_np`` to ``None`` (``numpy_off`` in ``tests/helpers/oracles.py``).
 """
 
 from __future__ import annotations
 
+import os
 from array import array
 from operator import itemgetter
 
 from repro.errors import SnapshotError
-from repro.matching.similarity import vectors
 from repro.schema.model import Datatype, Schema
 from repro.schema.repository import SchemaRepository
 from repro.util.caching import fifo_put
 from repro.util.text import normalise_label
 
-__all__ = ["CostKernel"]
+if os.environ.get("REPRO_NO_NUMPY") == "1":  # the forced-absent CI mode
+    _np = None
+else:
+    try:
+        import numpy as _np
+    except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
+        _np = None
+
+__all__ = ["CostKernel", "numpy_available"]
 
 #: one interned universe entry: (normalised label, datatype)
 LabelKey = tuple[str, Datatype]
+
+
+def numpy_available() -> bool:
+    """Whether numpy imported at all (``REPRO_NO_NUMPY=1`` forces false)."""
+    return _np is not None
 
 
 def _picker(indices: list[int]):
@@ -149,15 +171,14 @@ class CostKernel:
         "_rows",
         "_norms",
         "_gathers",
-        "_vgathers",
         "_vindex",
         "rows_built",
         "rows_migrated",
     )
 
-    #: bound on the derived (query label, schema) gather cache; entries
-    #: re-derive from the rows in microseconds, so eviction only caps
-    #: memory in long-lived services
+    #: bound on the derived (query label, schema) gather cache, counted
+    #: as buckets times schemas; entries re-derive from the rows in
+    #: microseconds, so eviction only caps memory in long-lived services
     MAX_GATHERS = 65_536
     #: bound on materialised cost rows (one per distinct query label);
     #: evicted rows re-derive exactly on next use, and the cap also
@@ -236,19 +257,15 @@ class CostKernel:
         self._schema_lids = schema_lids
         self._rows: dict[LabelKey, array] = {}
         self._norms: dict[str, str] = {}  # raw label -> normalised
-        #: (normalised label, datatype, schema digest) -> (costs, order),
-        #: the per-(query label, schema) gather with its (cost, id)-sorted
-        #: candidate order — both pure functions of the key
-        self._gathers: dict[tuple, tuple[tuple, tuple]] = {}
-        #: the vector path's two-level gather cache: (normalised label,
-        #: datatype) -> {schema digest -> (costs, order)}.  Same values
-        #: as ``_gathers`` under a different shape — one whole-repository
-        #: bucket per query label, filled by one batched gather, looked
-        #: up by interned-string digest (no per-call tuple keys, whose
-        #: enum hashing is a python-level call on the hot path)
-        self._vgathers: dict[tuple, dict[str, tuple[tuple, tuple]]] = {}
-        #: lazy stacked schema-lids index of the vectorised gather path
-        #: (:meth:`_vector_index`); None until the first vector gather
+        #: the gather cache: (normalised label, datatype) -> {schema
+        #: digest -> (costs, order)}, each the per-(query label, schema)
+        #: gather with its (cost, id)-sorted candidate order — pure
+        #: functions of the key.  One bucket per query label, looked up
+        #: by interned-string digest (no per-call tuple keys, whose enum
+        #: hashing is a python-level call on the hot path)
+        self._gathers: dict[LabelKey, dict[str, tuple[tuple, tuple]]] = {}
+        #: lazy stacked schema-lids index of the batched gather
+        #: (:meth:`_vector_index`); None until the first batched gather
         self._vindex = None
         self.rows_built = 0
         self.rows_migrated = 0
@@ -291,18 +308,13 @@ class CostKernel:
             if digest not in schema_lids
         }
         self._norms = dict(previous._norms)
-        self._gathers = {
-            key: gathered
-            for key, gathered in previous._gathers.items()
-            if key[2] not in gone
-        }
-        # whole buckets, newest last, within the vector path's memory cap
+        # whole buckets, newest last, within the gather cache's memory cap
         buckets = max(1, self.MAX_GATHERS // max(1, len(schema_lids)))
-        for key, bucket in list(previous._vgathers.items())[-buckets:]:
+        for key, bucket in list(previous._gathers.items())[-buckets:]:
             bucket = bucket.copy()
             for digest in gone:
                 bucket.pop(digest, None)
-            self._vgathers[key] = bucket
+            self._gathers[key] = bucket
         labels = self._labels
         inverse = [-1] * len(labels)
         for old_lid, lid in enumerate(remap):
@@ -395,12 +407,12 @@ class CostKernel:
         content): costs gather the kernel row through the schema's label
         ids, the order sorts ``(cost, id)`` pairs — the engine's exact
         tie-break — so results are cached per that key and *aliased*
-        across every query and matrix that shares the label, bounded by
-        :data:`MAX_GATHERS` (insertion-order eviction; entries re-derive
-        exactly).  The vector path keeps the same values in per-label
-        whole-repository buckets (``_vgathers``) filled by one batched
-        gather each; both caches are invisible to callers — every entry
-        is a pure function of its key.
+        across every query and matrix that shares the label.  The cache
+        holds one bucket per query label: with numpy a new bucket is
+        filled for the whole repository by one batched gather
+        (:meth:`_gather_all`), without it a bucket fills one schema at a
+        time; whole buckets are evicted oldest first past
+        :data:`MAX_GATHERS` (entries re-derive exactly).
         """
         digest = schema.content_digest()
         lids = self._schema_lids.get(digest)
@@ -411,26 +423,33 @@ class CostKernel:
         normalised = self._norms.get(name)
         if normalised is None:
             normalised = self._normalise(name)
-        # the inlined body of vectors.numpy_available() — this runs once
-        # per (query element, schema) pair, where a function call is
-        # measurable against the ~µs of useful work per hit
-        if vectors._np is not None:
-            bucket = self._vgathers.get((normalised, datatype))
-            if bucket is None:
-                return self._gather_vector(name, normalised, datatype, digest)
-            cached = bucket.get(digest)
-            if cached is None:
-                # a bucket carried across a delta lacks the schemas the
-                # delta changed: fill this one alone (vector and spec
-                # gathers are identical)
-                cached = bucket[digest] = self._gather_one(name, datatype, lids)
-            return cached
-        key = (normalised, datatype, digest)
-        cached = self._gathers.get(key)
+        bucket = self._gathers.get((normalised, datatype))
+        if bucket is None:
+            bucket = self._new_bucket(name, normalised, datatype)
+        cached = bucket.get(digest)
         if cached is None:
-            cached = self._gather_one(name, datatype, lids)
-            fifo_put(self._gathers, key, cached, self.MAX_GATHERS)
+            # a python-path bucket, or a bucket carried across a delta
+            # that lacks the schemas the delta changed: fill this one
+            # alone (batched and one-schema gathers are identical)
+            cached = bucket[digest] = self._gather_one(name, datatype, lids)
         return cached
+
+    def _new_bucket(self, name, normalised, datatype):
+        """Start the gather bucket of one query label, evicting old ones.
+
+        Batched over the whole repository when numpy imported, else
+        empty.  Whole buckets go oldest first while buckets times
+        schemas exceed :data:`MAX_GATHERS`; the new one always stays.
+        """
+        bucket = self._gather_all(name, datatype) if _np is not None else {}
+        gathers = self._gathers
+        gathers[(normalised, datatype)] = bucket
+        while (
+            len(gathers) > 1
+            and len(gathers) * len(self._schema_lids) > self.MAX_GATHERS
+        ):
+            del gathers[next(iter(gathers))]
+        return bucket
 
     def _gather_one(self, name, datatype, lids):
         """The spec gather of one schema: costs and ``(cost, id)`` order."""
@@ -440,17 +459,17 @@ class CostKernel:
         return costs, order
 
     def _vector_index(self):
-        """The stacked schema label-id index of the vector gather path.
+        """The stacked schema label-id index of the batched gather.
 
         One padded 2-D integer matrix holding every schema's label ids
         (row per schema content digest, padded to the widest schema)
-        plus the real lengths — built lazily on the first vector gather
+        plus the real lengths — built lazily on the first batched gather
         and shared by every query label thereafter.  Pure structure, no
         costs: it never goes stale within one kernel (the lid maps are
         fixed at construction).
         """
         if self._vindex is None:
-            np = vectors._np
+            np = _np
             digests = list(self._schema_lids)
             lid_rows = list(self._schema_lids.values())
             lengths = [len(lids) for lids in lid_rows]
@@ -464,23 +483,22 @@ class CostKernel:
             self._vindex = (digests, lengths, stacked, padding)
         return self._vindex
 
-    def _gather_vector(self, name, normalised, datatype, wanted_digest):
-        """Batched gather: fill the cache for **every** schema at once.
+    def _gather_all(self, name, datatype):
+        """Batched gather: one query label's bucket for **every** schema.
 
-        The first request for a query label fancy-indexes its cost row
-        through the stacked lid matrix (one copy) and batch-argsorts all
-        candidate orders (one stable sort over the padded matrix, with
-        ``inf`` in the padding lanes so they rank strictly last — real
-        costs are finite, and even a hypothetical ``inf`` cost would
-        still win its tie against padding because stable sort keeps the
-        lower column first).  Results are converted back to the exact
-        python tuples the spec path builds — ``tolist`` round-trips
-        float64 values exactly, and stable argsort's ascending-position
-        tie-break *is* the ``(cost, id)`` order — then stored as one
-        digest-keyed whole-repository bucket under ``_vgathers``, so
-        both paths serve identical values.
+        Fancy-indexes the label's cost row through the stacked lid
+        matrix (one copy) and batch-argsorts all candidate orders (one
+        stable sort over the padded matrix, with ``inf`` in the padding
+        lanes so they rank strictly last — real costs are finite, and
+        even a hypothetical ``inf`` cost would still win its tie against
+        padding because stable sort keeps the lower column first).
+        Results are converted back to the exact python tuples
+        :meth:`_gather_one` builds — ``tolist`` round-trips float64
+        values exactly, and stable argsort's ascending-position
+        tie-break *is* the ``(cost, id)`` order — so every entry equals
+        the one-schema gather.
         """
-        np = vectors._np
+        np = _np
         row = self.row(name, datatype)
         digests, lengths, stacked, padding = self._vector_index()
         gathered = np.frombuffer(row, dtype=np.float64)[stacked]
@@ -502,15 +520,7 @@ class CostKernel:
                 tuple(cost_lists[position][:length]),
                 tuple(order_lists[position][:length]),
             )
-        self._vgathers[(normalised, datatype)] = bucket
-        # whole-bucket eviction, oldest first, same memory cap as the
-        # flat cache; the bucket just filled always survives
-        while (
-            len(self._vgathers) > 1
-            and len(self._vgathers) * len(digests) > self.MAX_GATHERS
-        ):
-            del self._vgathers[next(iter(self._vgathers))]
-        return bucket[wanted_digest]
+        return bucket
 
     def __getstate__(self):
         """Pickle every slot except the ndarray gather index.
@@ -518,7 +528,7 @@ class CostKernel:
         Worker payloads (the pipeline pickles substrates, kernels
         included, into shard workers) ship the warm row and gather
         caches but not ``_vindex`` — its stacked matrices rebuild in one
-        lazy pass on the first vector gather, identically.
+        lazy pass on the first batched gather, identically.
         """
         state = {slot: getattr(self, slot) for slot in self.__slots__}
         state["_vindex"] = None
@@ -588,7 +598,6 @@ class CostKernel:
         saved._rows = {}
         saved._norms = {}
         saved._gathers = {}
-        saved._vgathers = {}
         saved._vindex = None
         saved.rows_built = 0
         saved.rows_migrated = 0

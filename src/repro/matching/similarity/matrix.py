@@ -61,7 +61,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import MatchingError
-from repro.matching.similarity import vectors
 from repro.matching.similarity.kernel import CostKernel
 from repro.schema.model import Schema
 from repro.schema.repository import ElementHandle, SchemaRepository
@@ -86,15 +85,7 @@ def suffix_cost_sums(row_minima) -> tuple[float, ...]:
     all sum through here, so their floats are bit-identical by
     construction — byte-identity of pruning decisions depends on it.
     Returns length ``len(row_minima) + 1`` (the trailing 0.0 included).
-
-    With numpy available, long inputs accumulate through
-    :func:`~repro.matching.similarity.vectors.suffix_sums` — a strict
-    sequential ``cumsum`` fold over the reversed minima, the identical
-    float chain of the loop below (the loop stays as the executable
-    spec, and is still what short inputs run).
     """
-    if len(row_minima) >= vectors.VECTOR_MIN and vectors.numpy_available():
-        return vectors.suffix_sums(row_minima)
     out = [0.0] * (len(row_minima) + 1)
     for i in range(len(row_minima) - 1, -1, -1):
         out[i] = out[i + 1] + row_minima[i]
@@ -105,13 +96,8 @@ def _candidate_order(row) -> tuple[int, ...]:
     """Target ids of one cost row, sorted by the engine's ``(cost, id)``.
 
     The candidate-order sort of the direct (kernel-less) build and the
-    snapshot restore path.  On the numpy path this is one stable argsort
-    — equal costs keep ascending position, which for a row indexed by
-    target id *is* the ``(cost, id)`` tie-break — so both forms return
-    the identical tuple.
+    snapshot restore path.
     """
-    if len(row) >= vectors.VECTOR_MIN and vectors.numpy_available():
-        return tuple(vectors.stable_order(row).tolist())
     return tuple(j for _, j in sorted(zip(row, range(len(row)))))
 
 
@@ -142,8 +128,7 @@ class ScoreMatrix:
     """
 
     __slots__ = ("query_digest", "schema_digest", "costs", "candidate_order",
-                 "row_min", "min_rest", "_np_costs", "_np_orders",
-                 "_np_sorted")
+                 "row_min", "min_rest")
 
     def __init__(
         self,
@@ -158,65 +143,10 @@ class ScoreMatrix:
         self.candidate_order = candidate_order
         self.row_min = tuple(min(row) for row in costs)
         self.min_rest = suffix_cost_sums(self.row_min)
-        self._np_costs = None
-        self._np_orders = None
-        self._np_sorted = None
-
-    def np_costs(self):
-        """2-D float64 ndarray of ``costs`` (vector path), else ``None``.
-
-        Built on first request and cached on the matrix, so the
-        conversion amortises across every search the substrate's LRU
-        serves from this matrix.  ``None`` whenever numpy is unavailable
-        — callers fall back to the tuple spec unconditionally.
-        """
-        if not vectors.numpy_available():
-            return None
-        if self._np_costs is None:
-            np = vectors._np
-            if self.costs and self.costs[0]:
-                self._np_costs = np.asarray(self.costs, dtype=np.float64)
-            else:
-                self._np_costs = np.zeros(
-                    (len(self.costs), 0), dtype=np.float64
-                )
-        return self._np_costs
-
-    def np_orders(self):
-        """2-D intp ndarray of ``candidate_order``, else ``None`` (as above)."""
-        if not vectors.numpy_available():
-            return None
-        if self._np_orders is None:
-            np = vectors._np
-            if self.candidate_order and self.candidate_order[0]:
-                self._np_orders = np.asarray(
-                    self.candidate_order, dtype=np.intp
-                )
-            else:
-                self._np_orders = np.zeros(
-                    (len(self.candidate_order), 0), dtype=np.intp
-                )
-        return self._np_orders
-
-    def np_sorted_costs(self):
-        """``costs`` gathered into candidate order (row i follows
-        ``candidate_order[i]``), cached like the other ndarray views —
-        what the engine's batched static trim broadcasts over.  ``None``
-        whenever numpy is unavailable.
-        """
-        if not vectors.numpy_available():
-            return None
-        if self._np_sorted is None:
-            np = vectors._np
-            self._np_sorted = np.take_along_axis(
-                self.np_costs(), self.np_orders(), axis=1
-            )
-        return self._np_sorted
 
     def __getstate__(self):
         # pickle only the defining fields: derived minima/suffix sums
-        # recompute identically, and the lazy ndarray views would bloat
-        # worker payloads for state that rebuilds in microseconds
+        # recompute identically in microseconds
         return (
             self.query_digest,
             self.schema_digest,

@@ -30,11 +30,10 @@ Floats survive the round trip exactly: scores and costs are serialized
 by :mod:`json`, whose float formatting is ``repr``-based and
 round-trip-exact for Python floats.
 
-Payloads are **numpy-agnostic**: kernel rows export from the
-``array('d')`` spec buffers and matrices from their cost tuples, never
-from ndarray views — so a snapshot saved with the vectorised path on
-restores (and serves byte-identically) in a process without numpy, and
-vice versa.  The numpy property suite pins both diagonals.
+Payloads are **numpy-agnostic**: kernel rows export from their
+``array('d')`` buffers and matrices from their cost tuples — so a
+snapshot saved with the kernel's numpy gather on restores (and serves
+byte-identically) in a process without numpy, and vice versa.  The numpy property suite pins both diagonals.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.evaluation.workloads import small_config
-from repro.experiments.harness import run_experiment
+from repro.experiments.harness import base_runs, run_experiment
+from repro.matching.pipeline import default_cache
 
 CONFIG = small_config()
 
@@ -92,3 +93,14 @@ class TestAblMatchers:
         for table in result.tables:
             sizes = [row[2] for row in table.rows]
             assert sizes == sorted(sizes)
+
+    def test_sweep_times_searches_not_cache_hits(self):
+        """No timed row is served from the shared candidate cache.
+
+        The base runs fill that cache for three of the swept settings,
+        so a cached row would time lookups, not a search.
+        """
+        base_runs(CONFIG)  # the base runs' own lookups happen here
+        hits = default_cache().stats.hits
+        run_experiment("abl-matchers", CONFIG)
+        assert default_cache().stats.hits == hits

@@ -16,11 +16,6 @@ equality lives here for the same reason: a cost kernel derived across
 a repository delta must equal a cold build of the new version
 (:func:`assert_kernel_equals_cold`).
 
-Runs happen under
-:func:`~repro.matching.similarity.vectors.vector_thresholds` forced to
-zero, so the vector forms actually execute on hypothesis-sized
-workloads instead of ducking under their adaptive dispatch floors.
-
 Each run builds a **fresh** :class:`ObjectiveFunction` (the workload's
 memoised :class:`NameSimilarity` is shared — it is a pure value cache
 both paths consume), so no run can serve another's cached matrices and
@@ -39,7 +34,6 @@ from repro.matching import make_matcher
 from repro.matching.objective import ObjectiveFunction
 from repro.matching.similarity.kernel import CostKernel
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
-from repro.matching.similarity.vectors import vector_thresholds
 from repro.schema.generator import GeneratorConfig, generate_repository
 from repro.schema.mutations import extract_personal_schema
 from repro.schema.vocabulary import builtin_domains
@@ -166,7 +160,6 @@ def match_canonical(
     """
     matcher = make_matcher(matcher_name, workload.objective(), **params)
     with ExitStack() as stack:
-        stack.enter_context(vector_thresholds(0, 0))
         for toggle in disabled:
             stack.enter_context(TOGGLE_CONTEXTS[toggle]())
         return tuple(

@@ -15,8 +15,9 @@ kernel      interned label-universe cost rows +       per-matrix distinct-label 
             matrix gathers; the shared interned       (``ScoreMatrix.build`` without a kernel)
             cluster build                             and :func:`cluster_scan`
 flat-search flattened explicit-stack branch-and-bound :func:`recursive_exhaustive`
-numpy       vectorised gathers / sorts / bounds /     the python loops (``vectors._np`` is
-            static trim                               ``None``, as when numpy is absent)
+numpy       the kernel's batched whole-repository     the one-schema python gather
+            gather                                    (``kernel._np`` is ``None``, as when
+                                                      numpy is absent)
 =========== ========================================= =========================================
 
 Each context manager patches attributes in-process only (one per
@@ -46,7 +47,7 @@ from repro.core.measures import Counts, measure
 from repro.core.thresholds import ThresholdSchedule
 from repro.matching.clustering import ElementCluster, ElementClusterer
 from repro.matching.engine import _EPSILON, SchemaSearch
-from repro.matching.similarity import vectors
+from repro.matching.similarity import kernel as kernel_module
 from repro.matching.similarity.matrix import ScoreMatrix, SimilaritySubstrate
 from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
@@ -242,6 +243,6 @@ def flat_search_off() -> Iterator[None]:
 
 @contextmanager
 def numpy_off() -> Iterator[None]:
-    """Hide numpy from the vector layer: the python loops run."""
-    with mock.patch.object(vectors, "_np", None):
+    """Hide numpy from the cost kernel: the python gather runs."""
+    with mock.patch.object(kernel_module, "_np", None):
         yield

@@ -12,6 +12,7 @@ Answer-set identity under the kernel is covered by
 """
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -75,13 +76,12 @@ def _schema(schema_id, names, datatype=Datatype.STRING):
 
 
 def _cached_gathers(kernel):
-    """Every cached gather key, on whichever gather path ran."""
-    vector = {
+    """Every cached gather key, as (label, datatype, schema digest)."""
+    return {
         (label, datatype, digest)
-        for (label, datatype), bucket in kernel._vgathers.items()
+        for (label, datatype), bucket in kernel._gathers.items()
         for digest in bucket
     }
-    return vector | set(kernel._gathers)
 
 
 @pytest.fixture
@@ -147,6 +147,33 @@ class TestCostKernel:
         second = ScoreMatrix.build(objective, query, schema, kernel=kernel)
         assert first.costs[0] is second.costs[0]  # shared gather tuples
         assert first.candidate_order[0] is second.candidate_order[0]
+
+    @pytest.mark.parametrize("numpy_on", [True, False])
+    def test_one_gather_cache_on_both_paths(
+        self, setup, monkeypatch, numpy_on
+    ):
+        """Both gathers fill one bucket per query label, capped whole.
+
+        A batched gather fills a new bucket for every schema at once,
+        the python gather one schema at a time; past ``MAX_GATHERS``
+        (buckets times schemas) the oldest bucket goes.
+        """
+        if numpy_on and not kernel_module.numpy_available():
+            pytest.skip("numpy not installed")
+        repo, objective, _ = setup
+        kernel = CostKernel(objective, repo)
+        schemas = len(kernel._schema_lids)
+        monkeypatch.setattr(CostKernel, "MAX_GATHERS", 2 * schemas)
+        labels = ["order id", "customer name", "ship date"]
+        with nullcontext() if numpy_on else oracles.numpy_off():
+            for label in labels:
+                kernel.gather(label, Datatype.STRING, repo.schemas()[0])
+        assert list(kernel._gathers) == [
+            (kernel_module.normalise_label(label), Datatype.STRING)
+            for label in labels[1:]
+        ]
+        filled = {len(bucket) for bucket in kernel._gathers.values()}
+        assert filled == ({schemas} if numpy_on else {1})
 
     def test_unknown_schema_falls_back(self, setup):
         repo, objective, query = setup

@@ -1,17 +1,13 @@
-"""Edge cases of the vectorised execution path (and its spec twins).
+"""Edge cases of the kernel's batched gather (and its python twin).
 
-The numpy layer's byte-identity proofs lean on structural facts —
+The batched gather's byte-identity proof leans on structural facts —
 stable sorts break ties by position, costs are finite, padding sorts
 last — that degenerate inputs stress hardest.  This module pins the
 degenerate corners: empty repositories, single-element schemas,
 all-identical labels (maximal ties), the threshold extremes 0.0 and
-1.0, and the finiteness regression the vector sort order depends on
+1.0, and the finiteness regression the batched sort order depends on
 (NaN orders differently under numpy's sort than python's, so a NaN in
 a kernel row would be the first byte-identity break).
-
-The vector primitives are also unit-tested directly against their spec
-equivalents, on exactly the shapes the proofs argue about (ties at the
-pivot, ``k >= n``, negative zero, empty input).
 """
 
 import math
@@ -25,11 +21,8 @@ from helpers.differential import (
 )
 from helpers.oracles import numpy_off
 from repro.errors import SchemaError
-from repro.matching import numpy_available
 from repro.matching.objective import ObjectiveFunction
-from repro.matching.similarity import vectors
 from repro.matching.similarity.kernel import CostKernel
-from repro.matching.similarity.matrix import suffix_cost_sums
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
 from repro.schema.generator import GeneratorConfig, generate_repository
 from repro.schema.model import Datatype, Schema, SchemaElement
@@ -141,7 +134,7 @@ class TestDegenerateWorkloads:
 
 class TestKernelRowFiniteness:
     def test_kernel_rows_never_contain_nan_or_inf(self):
-        """The regression the vector sort order depends on.
+        """The regression the batched sort order depends on.
 
         Objective costs live in [0, 1]; a NaN or inf entering a kernel
         row would sort differently under numpy than under python's
@@ -192,45 +185,3 @@ class TestKernelRowFiniteness:
                 assert sorted(order) == list(range(len(schema)))
                 for value in costs:
                     assert math.isfinite(value)
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-class TestVectorPrimitives:
-    """The vector helpers against their spec equivalents, corner shapes."""
-
-    ROWS = [
-        [],
-        [0.5],
-        [0.0, 0.0, 0.0, 0.0],
-        [1.0, 0.0, 1.0, 0.0],
-        [0.25, -0.0, 0.25, 0.0, 1.0, 0.75, 0.25],
-        [float(i % 7) / 7.0 for i in range(100)],
-    ]
-
-    def test_stable_order_matches_tuple_sort(self):
-        for row in self.ROWS:
-            spec = [j for _, j in sorted(zip(row, range(len(row))))]
-            assert vectors.stable_order(row).tolist() == spec
-
-    def test_suffix_sums_match_spec_accumulation(self):
-        for row in self.ROWS:
-            with numpy_off():
-                spec = suffix_cost_sums(row)
-            assert vectors.suffix_sums(row) == spec
-            assert vectors.suffix_sums(row)[len(row)] == 0.0
-
-    def test_suffix_sums_preserve_float_chain(self):
-        """The cumsum fold replays the spec's exact addition order."""
-        row = [0.1, 0.2, 0.3, 0.1, 0.7, 0.123456789, 1e-17, 0.5]
-        with numpy_off():
-            spec = suffix_cost_sums(row)
-        observed = vectors.suffix_sums(row)
-        assert [repr(value) for value in observed] == [
-            repr(value) for value in spec
-        ]
-
-    def test_vector_thresholds_override_and_restore(self):
-        before = (vectors.VECTOR_MIN, vectors.VECTOR_MIN_AREA)
-        with vectors.vector_thresholds(0, 0):
-            assert (vectors.VECTOR_MIN, vectors.VECTOR_MIN_AREA) == (0, 0)
-        assert (vectors.VECTOR_MIN, vectors.VECTOR_MIN_AREA) == before

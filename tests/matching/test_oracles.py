@@ -15,7 +15,7 @@ from helpers.differential import MATCHERS, make_workload
 from repro.matching import make_matcher, numpy_available
 from repro.matching.clustering import ElementClusterer
 from repro.matching.engine import SchemaSearch
-from repro.matching.similarity import vectors
+from repro.matching.similarity import kernel as kernel_module
 from repro.matching.similarity.kernel import CostKernel
 from repro.matching.similarity.matrix import SimilaritySubstrate
 
@@ -30,7 +30,7 @@ PATCHED = {
         (ElementClusterer, "cluster"),
     ],
     oracles.flat_search_off: [(SchemaSearch, "exhaustive")],
-    oracles.numpy_off: [(vectors, "_np")],
+    oracles.numpy_off: [(kernel_module, "_np")],
 }
 
 
@@ -100,7 +100,7 @@ class TestSpecRunsInside:
     def test_numpy_off(self):
         with oracles.numpy_off():
             assert not numpy_available()
-            assert vectors._np is None
+            assert kernel_module._np is None
 
 
 @pytest.mark.parametrize(

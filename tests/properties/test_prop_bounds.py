@@ -11,6 +11,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from properties.strategies import (
+    improvement_scenarios,
+    scenario_to_profiles,
+)
 
 from repro.core.bounds import (
     best_case_correct,
@@ -28,10 +32,6 @@ from repro.core.incremental import (
 from repro.core.measures import Counts
 from repro.core.random_baseline import expected_correct
 
-from tests.properties.strategies import (
-    improvement_scenarios,
-    scenario_to_profiles,
-)
 
 counts_triples = st.tuples(
     st.integers(min_value=0, max_value=500),  # answers

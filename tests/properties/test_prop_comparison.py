@@ -7,14 +7,13 @@ better, the realised truths must agree — over every generated world.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from repro.core.comparison import Verdict, compare_bounds, dominates
-from repro.core.incremental import compute_incremental_bounds
-
-from tests.properties.strategies import (
+from properties.strategies import (
     increment_lists,
     scenario_to_profiles,
 )
+
+from repro.core.comparison import Verdict, compare_bounds, dominates
+from repro.core.incremental import compute_incremental_bounds
 
 
 @st.composite

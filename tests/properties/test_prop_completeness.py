@@ -20,8 +20,6 @@ Clustering's allowed set is its nomination: every element of the schema
 in the clusters the query nominates.
 """
 
-from contextlib import nullcontext
-
 from helpers.differential import make_workload
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +29,6 @@ from repro.matching import (
     ExhaustiveMatcher,
     TopKCandidateMatcher,
 )
-from repro.matching.similarity.vectors import vector_thresholds
 
 _EPSILON = 1e-9
 
@@ -66,7 +63,6 @@ def view_cases(draw):
         "delta": draw(st.sampled_from((0.1, 0.2, 0.3, 0.45))),
         # δ' = δ + slack: S1 may run at any threshold at or above S2's
         "slack": draw(st.sampled_from((0.0, 0.05, 0.3))),
-        "vectorised": draw(st.booleans()),
     }
 
 
@@ -98,19 +94,18 @@ def test_topk_is_the_s1_view(case, k):
     workload = _workload(case)
     objective = workload.objective()
     delta = case["delta"]
-    with vector_thresholds(0, 0) if case["vectorised"] else nullcontext():
-        for query in workload.queries:
-            s1 = _s1_pairs(
-                objective, query, workload.repository, delta + case["slack"]
-            )
-            topk = TopKCandidateMatcher(objective, candidates_per_element=k)
-            topk.prepare(workload.repository)
-            topk.begin_query(query)
-            for schema in workload.repository:
-                allowed = spec_topk_allowed(objective, query, schema, k)
-                expected = s1_view(s1[schema.schema_id], delta, allowed)
-                observed = topk.match_pair(query, schema, delta)
-                assert observed == expected, (schema.schema_id, k)
+    for query in workload.queries:
+        s1 = _s1_pairs(
+            objective, query, workload.repository, delta + case["slack"]
+        )
+        topk = TopKCandidateMatcher(objective, candidates_per_element=k)
+        topk.prepare(workload.repository)
+        topk.begin_query(query)
+        for schema in workload.repository:
+            allowed = spec_topk_allowed(objective, query, schema, k)
+            expected = s1_view(s1[schema.schema_id], delta, allowed)
+            observed = topk.match_pair(query, schema, delta)
+            assert observed == expected, (schema.schema_id, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,23 +114,22 @@ def test_clustering_is_the_s1_view(case, clusters_per_element):
     workload = _workload(case)
     objective = workload.objective()
     delta = case["delta"]
-    with vector_thresholds(0, 0) if case["vectorised"] else nullcontext():
-        for query in workload.queries:
-            s1 = _s1_pairs(
-                objective, query, workload.repository, delta + case["slack"]
-            )
-            clustering = ClusteringMatcher(
-                objective, clusters_per_element=clusters_per_element
-            )
-            clustering.prepare(workload.repository)
-            clustering.begin_query(query)
-            nominated = clustering.allowed_element_keys(query)
-            for schema in workload.repository:
-                in_clusters = {
-                    j for j in range(len(schema))
-                    if (schema.schema_id, j) in nominated
-                }
-                allowed = [in_clusters] * len(query)
-                expected = s1_view(s1[schema.schema_id], delta, allowed)
-                observed = clustering.match_pair(query, schema, delta)
-                assert observed == expected, schema.schema_id
+    for query in workload.queries:
+        s1 = _s1_pairs(
+            objective, query, workload.repository, delta + case["slack"]
+        )
+        clustering = ClusteringMatcher(
+            objective, clusters_per_element=clusters_per_element
+        )
+        clustering.prepare(workload.repository)
+        clustering.begin_query(query)
+        nominated = clustering.allowed_element_keys(query)
+        for schema in workload.repository:
+            in_clusters = {
+                j for j in range(len(schema))
+                if (schema.schema_id, j) in nominated
+            }
+            allowed = [in_clusters] * len(query)
+            expected = s1_view(s1[schema.schema_id], delta, allowed)
+            observed = clustering.match_pair(query, schema, delta)
+            assert observed == expected, schema.schema_id

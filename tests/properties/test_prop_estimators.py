@@ -4,15 +4,15 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from properties.strategies import (
+    improvement_scenarios,
+    scenario_to_profiles,
+)
 
 from repro.core.estimators import estimate_curve
 from repro.core.confidence import random_curve_deviation
 from repro.core.incremental import compute_incremental_bounds
 
-from tests.properties.strategies import (
-    improvement_scenarios,
-    scenario_to_profiles,
-)
 
 STRATEGIES = ("midpoint", "random", "pessimistic", "optimistic")
 

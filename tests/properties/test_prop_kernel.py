@@ -52,12 +52,12 @@ from repro.matching import (
     SchemaSearch,
     canonical_answers,
     make_matcher,
+    numpy_available,
 )
 from repro.matching.evolution import EvolutionSession
 from repro.matching.objective import ObjectiveFunction
 from repro.matching.similarity.kernel import CostKernel
 from repro.matching.similarity.name import NameSimilarity
-from repro.matching.similarity.vectors import numpy_available
 from repro.schema import RepositoryDelta, churn_delta
 from repro.schema.generator import GeneratorConfig, generate_repository
 from repro.schema.mutations import extract_personal_schema

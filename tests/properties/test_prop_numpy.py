@@ -1,21 +1,22 @@
-"""Property tests: the numpy execution path never changes an answer.
+"""Property tests: the kernel's numpy gather never changes an answer.
 
-The vectorised layer (:mod:`repro.matching.similarity.vectors`) runs
-whenever numpy is available.  Its licence is the same as the other
-optimised layers': it may only move work, never answers.  Four families
-pin it down:
+The cost kernel's batched whole-repository gather
+(:class:`~repro.matching.similarity.kernel.CostKernel`) runs whenever
+numpy is available.  Its licence is the same as the other optimised
+layers': it may only move work, never answers.  Four families pin it
+down:
 
 * **Numpy vs. spec** — for random repositories, queries, matchers and
-  thresholds, the vectorised path must produce byte-identical answer
-  sets to the pure-python spec path (numpy hidden in-process by
+  thresholds, the batched gather must produce byte-identical answer
+  sets to the one-schema python gather (numpy hidden in-process by
   :func:`helpers.oracles.numpy_off`).
 * **The full toggle grid** — all 2⁴ combinations of the four oracle
   toggles (substrate, kernel, flat-search, numpy) agree byte for
   byte; this is the flagship run of the :mod:`helpers.differential`
   harness.
 * **Evolving streams** — an incremental
-  :class:`~repro.matching.evolution.EvolutionSession` on the vectorised
-  path stays byte-identical to numpy-off cold re-matches across churn
+  :class:`~repro.matching.evolution.EvolutionSession` on the batched
+  gather stays byte-identical to numpy-off cold re-matches across churn
   deltas.
 * **Snapshots across modes** — a substrate payload saved with numpy on
   equals, byte for byte, one saved with numpy off; and each restores
@@ -23,11 +24,7 @@ pin it down:
   from the ``array('d')`` spec buffers, so they are numpy-agnostic by
   construction — these tests keep that true.)
 
-Every run forces the adaptive dispatch floors to zero (the harness
-does; bespoke drivers here use
-:func:`~repro.matching.similarity.vectors.vector_thresholds`), so the
-vector forms actually execute on hypothesis-sized workloads.  With
-numpy not installed (or hidden via ``REPRO_NO_NUMPY=1``) the same
+With numpy not installed (or hidden via ``REPRO_NO_NUMPY=1``) the same
 tests run spec-against-spec and still must pass — the subprocess test
 at the bottom pins the absent-numpy configuration explicitly.
 """
@@ -57,7 +54,6 @@ from repro.matching.evolution import EvolutionSession
 from repro.matching.objective import ObjectiveFunction
 from repro.matching.similarity import persist
 from repro.matching.similarity.name import NameSimilarity
-from repro.matching.similarity.vectors import vector_thresholds
 from repro.schema import churn_delta
 from repro.schema.generator import GeneratorConfig, generate_repository
 from repro.schema.mutations import extract_personal_schema
@@ -110,7 +106,7 @@ def test_all_toggle_combinations_byte_identical(case):
     steps=st.integers(min_value=1, max_value=3),
 )
 def test_numpy_identical_across_delta_stream(repo_seed, matcher, steps):
-    """Vectorised incremental sessions match numpy-off cold re-matches."""
+    """Batched-gather incremental sessions match numpy-off cold re-matches."""
     name, params = matcher
     repo = generate_repository(
         GeneratorConfig(num_schemas=4, min_size=5, max_size=8, seed=repo_seed)
@@ -126,32 +122,31 @@ def test_numpy_identical_across_delta_stream(repo_seed, matcher, steps):
         )
         for index in range(2)
     ]
-    with vector_thresholds(0, 0):
-        session = EvolutionSession(
-            make_matcher(name, objective, **params), queries, 0.3, cache=False
-        )
-        session.match(repo)
-        for step in range(steps):
-            delta = churn_delta(session.repository, churn=0.4, seed=step)
-            result, _report = session.apply(delta)
-            with numpy_off():
-                cold = MatchingPipeline(
-                    make_matcher(
-                        name, ObjectiveFunction(NameSimilarity()), **params
-                    ),
-                    cache=False,
-                ).run(queries, session.repository, 0.3)
-            assert canonical_answers(result.answer_sets) == canonical_answers(
-                cold.answer_sets
-            ), (name, step)
+    session = EvolutionSession(
+        make_matcher(name, objective, **params), queries, 0.3, cache=False
+    )
+    session.match(repo)
+    for step in range(steps):
+        delta = churn_delta(session.repository, churn=0.4, seed=step)
+        result, _report = session.apply(delta)
+        with numpy_off():
+            cold = MatchingPipeline(
+                make_matcher(
+                    name, ObjectiveFunction(NameSimilarity()), **params
+                ),
+                cache=False,
+            ).run(queries, session.repository, 0.3)
+        assert canonical_answers(result.answer_sets) == canonical_answers(
+            cold.answer_sets
+        ), (name, step)
 
 
 def _matched_substrate(numpy_on: bool):
     """One seeded workload matched end to end; returns (objective, answers).
 
-    A fresh objective each call, the whole run under one numpy mode with
-    the dispatch floors at zero — so the substrate's persisted state
-    (kernel rows, cached matrices) was *built* by that mode's code.
+    A fresh objective each call, the whole run under one numpy mode — so
+    the substrate's persisted state (kernel rows, cached matrices) was
+    *built* by that mode's code.
     """
     repo = generate_repository(
         GeneratorConfig(num_schemas=4, min_size=5, max_size=9, seed=11)
@@ -165,12 +160,11 @@ def _matched_substrate(numpy_on: bool):
         schema_id="prop-numpy-snapshot-query",
     )
     matcher = make_matcher("exhaustive", objective)
-    with vector_thresholds(0, 0):
-        if numpy_on:
+    if numpy_on:
+        answers = matcher.match(query, repo, 0.3)
+    else:
+        with numpy_off():
             answers = matcher.match(query, repo, 0.3)
-        else:
-            with numpy_off():
-                answers = matcher.match(query, repo, 0.3)
     return repo, objective, query, answers
 
 
@@ -195,7 +189,7 @@ def test_snapshot_payload_identical_across_numpy_modes():
     # save numpy-on -> restore & serve numpy-off
     fresh_off = ObjectiveFunction(NameSimilarity())
     persist.restore_substrate(fresh_off.substrate(), payload_on, repo_on)
-    with vector_thresholds(0, 0), numpy_off():
+    with numpy_off():
         served_off = make_matcher("exhaustive", fresh_off).match(
             query, repo_on, 0.3
         )
@@ -204,10 +198,9 @@ def test_snapshot_payload_identical_across_numpy_modes():
     # save numpy-off -> restore & serve numpy-on
     fresh_on = ObjectiveFunction(NameSimilarity())
     persist.restore_substrate(fresh_on.substrate(), payload_off, repo_off)
-    with vector_thresholds(0, 0):
-        served_on = make_matcher("exhaustive", fresh_on).match(
-            query, repo_off, 0.3
-        )
+    served_on = make_matcher("exhaustive", fresh_on).match(
+        query, repo_off, 0.3
+    )
     assert _canonical(served_on) == _canonical(answers_off)
 
 
@@ -237,11 +230,11 @@ sys.stdout.write(
 
 
 def test_numpy_absent_process_byte_identical():
-    """A numpy-less interpreter serves the same bytes as the vector path.
+    """A numpy-less interpreter serves the same bytes as the batched path.
 
     Spawns a subprocess with ``REPRO_NO_NUMPY=1`` (the CI mechanism for
     the numpy-absent configuration), matches the same seeded workload
-    this process matches on the vectorised path, and compares the
+    this process matches on the batched gather, and compares the
     canonical answers across the process boundary.
     """
     env = dict(os.environ)

@@ -9,16 +9,15 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from properties.strategies import (
+    improvement_scenarios,
+    scenario_to_profiles,
+)
 
 from repro.core.answers import AnswerSet
 from repro.core.incremental import compute_incremental_bounds
 from repro.core.relative import relative_bounds
 from repro.core.topn import cutoffs_to_schedule, topn_bounds
-
-from tests.properties.strategies import (
-    improvement_scenarios,
-    scenario_to_profiles,
-)
 
 
 @st.composite

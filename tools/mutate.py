@@ -76,8 +76,8 @@ MUTANTS = (
     Mutant(
         name="restricted-row-filter",
         path="repro/matching/engine.py",
-        snippet="valid = [j for j in allowed[i] if 0 <= j < m]",
-        replacement="valid = [j for j in allowed[i] if 0 < j < m]",
+        snippet="valid = {j for j in allowed[i] if 0 <= j < m}",
+        replacement="valid = {j for j in allowed[i] if 0 < j < m}",
         tests=(
             "tests/properties/test_prop_engine.py",
             "tests/properties/test_prop_completeness.py",
@@ -106,8 +106,73 @@ MUTANTS = (
             "tests/properties/test_prop_engine.py",
             "tests/matching/test_substrate.py",
         ),
-        why="the static trim (loop and vector form) drops candidates "
-        "that still fit the threshold",
+        why="the static trim drops candidates that still fit the threshold",
+    ),
+    Mutant(
+        name="batched-gather-padding",
+        path="repro/matching/similarity/kernel.py",
+        snippet="gathered[padding] = np.inf",
+        replacement="gathered[padding] = 0.0",
+        tests=(
+            "tests/properties/test_prop_numpy.py",
+            "tests/matching/test_numpy_edge_cases.py",
+            "tests/matching/test_kernel.py",
+        ),
+        why="the batched gather ranks padding lanes before real costs, so "
+        "a narrow schema's candidate order names targets it lacks "
+        "(numpy only: without it this line never runs)",
+    ),
+    Mutant(
+        name="spec-gather-tie-break",
+        path="repro/matching/similarity/kernel.py",
+        snippet=(
+            "order = tuple(j for _, j in sorted(zip(costs, range(len(costs)))))"
+        ),
+        replacement=(
+            "order = tuple(j for _, j in sorted("
+            "zip(costs, range(len(costs))), key=lambda p: (p[0], -p[1])))"
+        ),
+        tests=(
+            "tests/properties/test_prop_numpy.py",
+            "tests/matching/test_numpy_edge_cases.py",
+            "tests/matching/test_kernel.py",
+        ),
+        why="the python gather breaks cost ties by descending target id, "
+        "not the (cost, id) order",
+    ),
+    Mutant(
+        name="answers-size-at-exclusive",
+        path="repro/core/answers.py",
+        snippet="return bisect.bisect_right(self._scores, delta)",
+        replacement="return bisect.bisect_left(self._scores, delta)",
+        tests=(
+            "tests/core/test_answers.py",
+            "tests/properties/test_prop_answers.py",
+        ),
+        why="|A^δ| leaves out the answers scored exactly δ",
+    ),
+    Mutant(
+        name="worst-case-floor",
+        path="repro/core/bounds.py",
+        snippet="return max(0, improved_answers - incorrect)",
+        replacement="return max(1, improved_answers - incorrect)",
+        tests=(
+            "tests/core/test_bounds.py",
+            "tests/properties/test_prop_bounds.py",
+        ),
+        why="the worst case credits S2 with a correct answer it may lack",
+    ),
+    Mutant(
+        name="incremental-best-not-summed",
+        path="repro/core/incremental.py",
+        snippet="best_total += best_case_correct(inc1.correct, inc2_size)",
+        replacement="best_total = best_case_correct(inc1.correct, inc2_size)",
+        tests=(
+            "tests/core/test_incremental.py",
+            "tests/properties/test_prop_bounds.py",
+        ),
+        why="the incremental best case keeps only the last increment's "
+        "count instead of summing them (the algorithm's step 4)",
     ),
 )
 
@@ -140,14 +205,7 @@ def passes(modules: tuple[str, ...], mutant: Mutant | None = None) -> bool:
         )
         if mutant is not None:
             (src / mutant.path).write_text(mutated(mutant, src))
-        # the repository root on the path resolves the suite's own
-        # ``tests.…`` imports; it holds no ``repro`` package to shadow
-        # the copy
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.pathsep.join((str(src), str(ROOT))),
-            HYPOTHESIS_PROFILE="ci",
-        )
+        env = dict(os.environ, PYTHONPATH=str(src), HYPOTHESIS_PROFILE="ci")
         # run from the temporary directory, so pytest's and hypothesis's
         # caches land there and not in the working tree
         completed = subprocess.run(

@@ -11,10 +11,10 @@ Usage (from the repository root)::
     PYTHONPATH=src python tools/profile_hotpath.py
     PYTHONPATH=src python tools/profile_hotpath.py --limit 30 --sort tottime
     PYTHONPATH=src python tools/profile_hotpath.py --schemas 260  # repo scale
-    REPRO_NO_NUMPY=1 PYTHONPATH=src python tools/profile_hotpath.py  # python loops
+    REPRO_NO_NUMPY=1 PYTHONPATH=src python tools/profile_hotpath.py  # python gather
 
-The pure-python loops behind the numpy path run whenever numpy is
-absent, so ``REPRO_NO_NUMPY=1`` profiles them.  The other replaced code
+The kernel's python gather runs whenever numpy is absent, so
+``REPRO_NO_NUMPY=1`` profiles it.  The other replaced code
 paths (the pre-kernel scoring, the recursive search) are test oracles
 in ``tests/helpers/oracles.py``, not production modes, so this tool
 does not profile them.
