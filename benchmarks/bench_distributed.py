@@ -60,7 +60,6 @@ def _sweep(workload, queries, executor):
         queries,
         workload.repository,
         _DELTA_MAX,
-        cache=False,
         shards=_SHARDS,
         executor=executor,
     )
@@ -221,7 +220,7 @@ def test_bench_replica_delta_apply(benchmark):
     def replica_round():
         async def scenario():
             group = replica_group(
-                "exhaustive", workload.objective, 2, _DELTA_MAX, cache=False
+                "exhaustive", workload.objective, 2, _DELTA_MAX
             )
             await group.start(workload.repository)
             for query in queries:
@@ -290,7 +289,7 @@ def test_distributed_byte_identity_and_overhead():
 
     async def replicated():
         group = replica_group(
-            "exhaustive", workload.objective, 2, _DELTA_MAX, cache=False
+            "exhaustive", workload.objective, 2, _DELTA_MAX
         )
         await group.start(workload.repository)
         waves = [[await group.match_all(q) for q in queries]]
@@ -304,7 +303,7 @@ def test_distributed_byte_identity_and_overhead():
     matcher = ExhaustiveMatcher(workload.objective)
     for wave, repository in zip(waves, repositories):
         offline = canonical_answers(
-            matcher.batch_match(queries, repository, _DELTA_MAX, cache=False)
+            matcher.batch_match(queries, repository, _DELTA_MAX)
         )
         for replica in range(2):
             served = canonical_answers([a[replica] for a in wave])

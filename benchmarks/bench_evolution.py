@@ -89,7 +89,6 @@ def test_bench_rematch_incremental(benchmark):
         workload, queries = _fresh_setup()
         session = EvolutionSession(
             ExhaustiveMatcher(workload.objective), queries, _DELTA_MAX,
-            cache=False,
         )
         session.match(workload.repository)
         return (session, _stream_deltas(workload.repository)), {}
@@ -107,7 +106,7 @@ def test_bench_rematch_cold(benchmark):
     def setup():
         workload, queries = _fresh_setup()
         pipeline = MatchingPipeline(
-            ExhaustiveMatcher(workload.objective), cache=False
+            ExhaustiveMatcher(workload.objective)
         )
         pipeline.run(queries, workload.repository, _DELTA_MAX)
         versions = []
@@ -131,19 +130,18 @@ def _stream_trial(churn: float, steps: int, delta_max: float):
     (incremental); universe B re-runs a cold pipeline on every evolved
     version.  Separate workloads (hence separate objectives/substrates)
     keep the comparison honest: each universe pays its own score-matrix
-    builds for delta-changed schemas, both are substrate-warm from their
-    own baseline, both cache-free.  Byte-identity is asserted per step;
+    builds for delta-changed schemas, and both are substrate-warm from
+    their own baseline.  Byte-identity is asserted per step;
     returns the two aggregate wall-clock totals.
     """
     workload_a, queries_a = _fresh_setup()
     session = EvolutionSession(
         ExhaustiveMatcher(workload_a.objective), queries_a, delta_max,
-        cache=False,
     )
     session.match(workload_a.repository)
     workload_b, queries_b = _fresh_setup()
     cold_pipeline = MatchingPipeline(
-        ExhaustiveMatcher(workload_b.objective), cache=False
+        ExhaustiveMatcher(workload_b.objective)
     )
     cold_pipeline.run(queries_b, workload_b.repository, delta_max)
     repository_b = workload_b.repository

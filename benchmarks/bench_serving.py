@@ -49,7 +49,7 @@ def _write_snapshot(root):
     """Run the standard sweep once and persist it; returns expected answers."""
     workload, queries = _fresh_setup()
     matcher = ExhaustiveMatcher(workload.objective)
-    result = MatchingPipeline(matcher, cache=False).run(
+    result = MatchingPipeline(matcher).run(
         queries, workload.repository, _DELTA_MAX
     )
     save_snapshot(
@@ -80,7 +80,7 @@ def _warm_start(root, workload):
 def _cold_start(workload, queries):
     """The cold restart path: prepare + full repository sweep."""
     matcher = ExhaustiveMatcher(workload.objective)
-    result = MatchingPipeline(matcher, cache=False).run(
+    result = MatchingPipeline(matcher).run(
         queries, workload.repository, _DELTA_MAX
     )
     return result.answer_sets
@@ -111,7 +111,7 @@ def test_bench_cold_start(benchmark, snapshot):
     def cold(fresh):
         workload, queries = fresh
         matcher = ExhaustiveMatcher(workload.objective)
-        result = MatchingPipeline(matcher, cache=False).run(
+        result = MatchingPipeline(matcher).run(
             queries, workload.repository, _DELTA_MAX
         )
         assert _canonical(result.answer_sets) == expected
@@ -124,7 +124,7 @@ def test_bench_snapshot_write(benchmark, tmp_path):
     """Checkpointing cost: serialize live state to a snapshot directory."""
     workload, queries = _fresh_setup()
     matcher = ExhaustiveMatcher(workload.objective)
-    result = MatchingPipeline(matcher, cache=False).run(
+    result = MatchingPipeline(matcher).run(
         queries, workload.repository, _DELTA_MAX
     )
     benchmark(

@@ -32,7 +32,7 @@ def main() -> None:
     workload = build_workload(small_config())
     queries = [scenario.query for scenario in workload.suite.scenarios]
     matcher = ExhaustiveMatcher(workload.objective)
-    session = EvolutionSession(matcher, queries, DELTA_MAX, cache=False)
+    session = EvolutionSession(matcher, queries, DELTA_MAX)
     baseline = session.match(workload.repository)
     print(
         f"baseline: {len(workload.repository)} schemas, {len(queries)} "
@@ -56,9 +56,7 @@ def main() -> None:
     for step in steps:
         result, report = session.rebase(step.repository, step.report)
         stats = result.rematch
-        cold = matcher.batch_match(
-            queries, step.repository, DELTA_MAX, cache=False
-        )
+        cold = matcher.batch_match(queries, step.repository, DELTA_MAX)
         identical = [a.answers() for a in cold] == [
             a.answers() for a in result.answer_sets
         ]

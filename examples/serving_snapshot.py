@@ -40,8 +40,7 @@ async def demo(snapshot_dir: str) -> None:
     workload = build_workload(small_config())
     queries = [scenario.query for scenario in workload.suite.scenarios]
     service = MatchingService(
-        ExhaustiveMatcher(workload.objective), DELTA_MAX,
-        store=snapshot_dir, cache=False,
+        ExhaustiveMatcher(workload.objective), DELTA_MAX, store=snapshot_dir
     )
     started = perf_counter()
     await service.start(workload.repository)
@@ -61,8 +60,7 @@ async def demo(snapshot_dir: str) -> None:
     # 3. "Restart": a fresh universe, warm-started from the snapshot.
     fresh = build_workload(small_config())  # deterministic ⇒ same objective
     restarted = MatchingService(
-        ExhaustiveMatcher(fresh.objective), DELTA_MAX,
-        store=snapshot_dir, cache=False,
+        ExhaustiveMatcher(fresh.objective), DELTA_MAX, store=snapshot_dir
     )
     started = perf_counter()
     await restarted.start()          # no repository argument: all from disk
@@ -88,7 +86,7 @@ async def demo(snapshot_dir: str) -> None:
     report = await restarted.apply_delta(delta)
     evolved = await asyncio.gather(*[restarted.match(q) for q in queries])
     offline = restarted.matcher.batch_match(
-        queries, restarted.repository, DELTA_MAX, cache=False
+        queries, restarted.repository, DELTA_MAX
     )
     assert canonical(evolved) == canonical(offline), "served ≠ offline!"
     await restarted.stop()

@@ -14,7 +14,7 @@ The library has four layers:
 * :mod:`repro.matching` — matching systems: the exhaustive original and
   four non-exhaustive improvements (beam, clustering, top-k, and their
   hybrid) sharing one objective function, plus the sharded parallel
-  matching pipeline with its candidate cache.
+  matching pipeline.
 * :mod:`repro.evaluation` — oracle ground truth, judges, scenarios,
   pooling, and end-to-end bounds validation.
 

@@ -447,8 +447,7 @@ def _cmd_evolve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
     queries = [scenario.query for scenario in workload.suite.scenarios]
     steps = build_evolution(workload, evolution)
     session = evolution_session(
-        name, workload.objective, queries, args.delta,
-        params=params, cache=False,
+        name, workload.objective, queries, args.delta, params=params
     )
     baseline = session.match(workload.repository)
     print(
@@ -464,7 +463,7 @@ def _cmd_evolve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
         verified = ""
         if args.verify:
             cold = session.matcher.batch_match(
-                queries, step.repository, args.delta, cache=False
+                queries, step.repository, args.delta
             )
             # answers() carries items, scores and order — the strongest
             # equality the AnswerSet type offers
@@ -513,7 +512,7 @@ def _cmd_snapshot(args: argparse.Namespace, config: WorkloadConfig | None) -> in
     workload = build_workload(config)
     queries = [scenario.query for scenario in workload.suite.scenarios]
     matcher = make_matcher(name, workload.objective, **params)
-    result = MatchingPipeline(matcher, cache=False).run(
+    result = MatchingPipeline(matcher).run(
         queries, workload.repository, args.delta
     )
     # the matcher's objective, not the workload's: backend variants
@@ -581,13 +580,13 @@ def _cmd_serve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
             front = replica_group(
                 name, workload.objective, args.replicas, args.delta,
                 params=params, store=store, max_batch=args.max_batch,
-                cache=False, executor=executor,
+                executor=executor,
             )
             first = front.services[0]
         else:
             front = MatchingService(
                 matcher, args.delta, store=store, max_batch=args.max_batch,
-                cache=False, executor=executor,
+                executor=executor,
             )
             first = front
         started = perf_counter()
@@ -616,7 +615,7 @@ def _cmd_serve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
             verified = ""
             if args.verify:
                 offline = matcher.batch_match(
-                    queries, front.repository, args.delta, cache=False
+                    queries, front.repository, args.delta
                 )
                 expected = canonical_answers(offline) * args.repeat
                 if canonical_answers(answers) != expected:

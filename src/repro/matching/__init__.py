@@ -26,7 +26,7 @@ matcher family, compared by the bounds technique within the family —
 never across backends, whose scores are not comparable.
 
 Batch workloads go through :mod:`repro.matching.pipeline`: repository
-sharding, optional worker processes and an LRU candidate cache behind
+sharding and optional worker processes behind
 :meth:`~repro.matching.base.Matcher.batch_match`, with output identical
 to serial matching.
 
@@ -101,8 +101,6 @@ from repro.matching.hybrid import HybridMatcher
 from repro.matching.mapping import Mapping, canonical_answers
 from repro.matching.objective import ObjectiveFunction, ObjectiveWeights
 from repro.matching.pipeline import (
-    CandidateCache,
-    MatchIncrement,
     MatchingPipeline,
     PipelineResult,
     RematchStats,
@@ -159,7 +157,6 @@ from repro.matching.topk import TopKCandidateMatcher
 
 __all__ = [
     "BeamMatcher",
-    "CandidateCache",
     "ClusteringMatcher",
     "CostKernel",
     "DeadlineBudget",
@@ -174,7 +171,6 @@ __all__ = [
     "HybridMatcher",
     "LexicalBackend",
     "Mapping",
-    "MatchIncrement",
     "Matcher",
     "MatchingPipeline",
     "MatchingService",

@@ -94,7 +94,7 @@ class Matcher(abc.ABC):
     ) -> list[tuple[tuple[int, ...], float]]:
         """Scored assignments ``(target_ids, score)`` for one repository schema.
 
-        The unit of work the sharded pipeline caches and fans out.
+        The unit of work the sharded pipeline fans out.
         Requires :meth:`prepare` and :meth:`begin_query` to have run;
         :meth:`match` and the pipeline both guarantee that.
         """
@@ -162,8 +162,8 @@ class Matcher(abc.ABC):
         *,
         workers: int | None = None,
         shards: int | None = None,
-        cache: object | None = None,
         executor: object | None = None,
+        cache: object | None = None,
     ) -> list[AnswerSet]:
         """Answer sets for many queries via the sharded matching pipeline.
 
@@ -171,17 +171,18 @@ class Matcher(abc.ABC):
         out (``None`` uses the module default set by
         :func:`repro.matching.pipeline.configure`; 1 is a deterministic
         serial fallback).  ``shards`` controls repository partitioning
-        (default: one shard per worker) and ``cache`` the candidate cache
-        (``None`` = shared module default, ``False`` = disabled, or a
-        :class:`~repro.matching.pipeline.CandidateCache`).  Results are
-        identical to ``[self.match(q, repository, delta_max) ...]``
-        regardless of workers/shards/cache.
+        (default: one shard per worker) and ``executor`` the transport
+        (see :class:`~repro.matching.pipeline.MatchingPipeline`).
+        Results are identical to
+        ``[self.match(q, repository, delta_max) ...]`` regardless of
+        workers/shards/executor.  ``cache`` accepts only ``None`` or
+        ``False`` (:func:`~repro.matching.pipeline.reject_cache`).
         """
-        from repro.matching.pipeline import MatchingPipeline
+        from repro.matching.pipeline import MatchingPipeline, reject_cache
 
+        reject_cache(cache)
         pipeline = MatchingPipeline(
-            self, workers=workers, shards=shards, cache=cache,
-            executor=executor,
+            self, workers=workers, shards=shards, executor=executor
         )
         return pipeline.run(queries, repository, delta_max).answer_sets
 
@@ -195,7 +196,6 @@ class Matcher(abc.ABC):
         report: "DeltaReport",
         workers: int | None = None,
         shards: int | None = None,
-        cache: object | None = None,
         executor: object | None = None,
     ) -> list[AnswerSet]:
         """Incremental :meth:`batch_match` after a repository delta.
@@ -214,7 +214,7 @@ class Matcher(abc.ABC):
         from repro.matching.pipeline import MatchingPipeline
 
         pipeline = MatchingPipeline(
-            self, workers=workers, shards=shards, cache=cache
+            self, workers=workers, shards=shards, executor=executor
         )
         return pipeline.rematch(
             queries, repository, delta_max, previous=previous, report=report

@@ -196,8 +196,7 @@ class ClusteringMatcher(Matcher):
 
         Keyed on the content digest, not ``repository_id`` — synthetic
         workloads reuse the same id for different contents, and stale
-        clusters would silently change (and, via the candidate cache,
-        poison) every subsequent match.  Also prepares the similarity
+        clusters would silently change every subsequent match.  Also prepares the similarity
         substrate's cost kernel (the ``super()`` default).
         """
         super().prepare(repository)

@@ -38,7 +38,6 @@ from repro.errors import MatchingError
 from repro.matching.base import Matcher
 from repro.matching.executor import ShardExecutor
 from repro.matching.pipeline import (
-    CandidateCache,
     MatchingPipeline,
     PipelineResult,
     RematchStats,
@@ -55,7 +54,7 @@ class EvolutionSession:
     """Matcher + queries + threshold, tracked across repository versions.
 
     The session owns a :class:`~repro.matching.pipeline.MatchingPipeline`
-    (``workers``/``shards``/``cache`` as in
+    (``workers``/``shards``/``executor`` as in
     :meth:`~repro.matching.base.Matcher.batch_match`) and remembers the
     last repository and result, so replaying a delta stream is::
 
@@ -77,7 +76,6 @@ class EvolutionSession:
         *,
         workers: int | None = None,
         shards: int | None = None,
-        cache: CandidateCache | bool | None = None,
         executor: ShardExecutor | None = None,
     ):
         if delta_max < 0:
@@ -88,8 +86,7 @@ class EvolutionSession:
             raise MatchingError("an evolution session needs at least one query")
         self.delta_max = delta_max
         self._pipeline = MatchingPipeline(
-            matcher, workers=workers, shards=shards, cache=cache,
-            executor=executor,
+            matcher, workers=workers, shards=shards, executor=executor
         )
         self._repository: SchemaRepository | None = None
         self._result: PipelineResult | None = None
@@ -105,7 +102,6 @@ class EvolutionSession:
         *,
         workers: int | None = None,
         shards: int | None = None,
-        cache: CandidateCache | bool | None = None,
         executor: ShardExecutor | None = None,
     ) -> "EvolutionSession":
         """Resume a session from a previously computed result.
@@ -146,7 +142,6 @@ class EvolutionSession:
             result.delta_max,
             workers=workers,
             shards=shards,
-            cache=cache,
             executor=executor,
         )
         session._repository = repository

@@ -55,12 +55,13 @@ __all__ = [
     "shutdown_workers",
 ]
 
-#: one pair's search result, as in :mod:`repro.matching.pipeline`
+#: one pair's search result: the ``(target_ids, score)`` list of
+#: :meth:`~repro.matching.base.Matcher.match_pair`
 PairResult = list[tuple[tuple[int, ...], float]]
 
 
 def matcher_fingerprint(matcher: Matcher) -> str:
-    """Configuration identity of a matcher, for cache and state keys.
+    """Configuration identity of a matcher, for state keys and snapshots.
 
     :meth:`Matcher.describe` covers the system name, its parameters and
     the objective fingerprint — which itself folds in the thesaurus
@@ -77,9 +78,8 @@ def matcher_fingerprint(matcher: Matcher) -> str:
 class WorkUnit:
     """One (query, shard) unit of fan-out work.
 
-    ``schema_ids`` are the shard's schemas still to search (the pipeline
-    strips cached pairs before building units), referencing the
-    installed schema table so a unit submission carries only scalars.
+    ``schema_ids`` are the shard's schemas, referencing the installed
+    schema table so a unit submission carries only scalars.
     """
 
     query_index: int

@@ -118,9 +118,9 @@ class ObjectiveFunction:
 
         Two matchers share an objective function exactly when their
         fingerprints are equal; the bounds pipeline enforces this, and
-        the candidate cache keys results on it.  Weights are rendered at
-        full ``repr`` precision — rounding here would let two objectives
-        that *score differently* share cache entries.  The name plane's
+        worker state and snapshots are keyed on it.  Weights are
+        rendered at full ``repr`` precision — rounding here would let
+        two objectives that *score differently* share installed state.  The name plane's
         identity is the backend's fingerprint: for the default
         :class:`~repro.matching.similarity.backends.LexicalBackend` that
         is the wrapped name similarity's fingerprint verbatim, so

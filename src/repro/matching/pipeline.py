@@ -1,29 +1,23 @@
-"""Sharded, parallel repository matching with per-pair memoisation.
+"""Sharded, parallel repository matching.
 
 The paper's cost driver is the per-schema mapping search: matching one
 query against a repository is ``|repository|`` independent
 :meth:`~repro.matching.base.Matcher.match_pair` calls.  This module
-exploits that independence three ways:
+exploits that independence two ways:
 
 * **Sharding** — :func:`shard_repository` partitions the repository
   deterministically (round robin) into sub-repositories.
 * **Parallel fan-out** — :class:`MatchingPipeline` runs each
   (query, shard) unit in a pool of worker processes; ``workers=1`` is a
   deterministic serial fallback with no multiprocessing involved.
-* **Memoisation** — a :class:`CandidateCache` (LRU) keyed by matcher
-  configuration, repository content, query content and threshold stores
-  every pair's ``(target_ids, score)`` list, so repeated workloads
-  (top-n sweeps, threshold sweeps, the figure experiments) stop
-  recomputing identical searches.
 
 Results are **identical to serial matching** by construction: the
 matcher ``prepare()``s on the *full* repository before sharding (so
 repository-global state such as clustering is unaffected), per-pair
 results are reassembled in repository order, and mapping scores are
 rounded by the shared objective, so process boundaries cannot introduce
-drift.  Per-shard results stream back as :class:`MatchIncrement` values
-in completion order; the final :class:`PipelineResult` is
-order-independent.
+drift.  Units complete in any order; the final :class:`PipelineResult`
+is order-independent.
 
 Two further mechanisms ride on the same per-pair decomposition:
 
@@ -42,15 +36,14 @@ Two further mechanisms ride on the same per-pair decomposition:
   output (see :mod:`repro.matching.evolution` for the stateful
   session API).
 
-Module-level defaults (used when ``workers``/``shards``/``cache`` are
-not given explicitly) are set with :func:`configure`; the CLI's
+Module-level defaults (used when ``workers``/``shards`` are not given
+explicitly) are set with :func:`configure`; the CLI's
 ``--workers``/``--shards`` flags call it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -60,6 +53,7 @@ from repro.matching.base import Matcher
 from repro.matching.engine import threshold_unreachable
 from repro.matching.executor import (
     ExecutionState,
+    PairResult,
     ProcessPoolShardExecutor,
     SerialExecutor,
     ShardExecutor,
@@ -72,116 +66,17 @@ from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
 
 __all__ = [
-    "CacheStats",
-    "CandidateCache",
-    "MatchIncrement",
     "MatchingPipeline",
     "PipelineResult",
     "PipelineStats",
     "RematchStats",
     "configure",
-    "default_cache",
     "matcher_fingerprint",
     "pipeline_defaults",
-    "schema_digest",
+    "reject_cache",
     "shard_repository",
     "shutdown_workers",
 ]
-
-#: one pair's search result: the ``(target_ids, score)`` list of
-#: :meth:`~repro.matching.base.Matcher.match_pair`
-PairResult = list[tuple[tuple[int, ...], float]]
-
-
-# ---------------------------------------------------------------------------
-# Fingerprints (cache identity)
-# ---------------------------------------------------------------------------
-
-def schema_digest(schema: Schema) -> str:
-    """Content hash of everything matching can observe about a schema.
-
-    Alias for :meth:`~repro.schema.model.Schema.content_digest` — names,
-    datatypes and parent/child structure; ``concept`` provenance is
-    deliberately excluded (only the oracle judge reads it).  The
-    repository-level counterpart,
-    :meth:`~repro.schema.repository.SchemaRepository.content_digest`,
-    enters every cache key because per-pair results of repository-global
-    matchers (clustering) depend on all schemas, not just the pair's.
-    """
-    return schema.content_digest()
-
-
-# ---------------------------------------------------------------------------
-# Candidate cache
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters of one :class:`CandidateCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-_MISS = object()
-
-
-class CandidateCache:
-    """LRU memo of per-(matcher, repository, query, schema, δ) results.
-
-    Values are the ``(target_ids, score)`` lists of
-    :meth:`~repro.matching.base.Matcher.match_pair` — plain tuples, so
-    entries are independent of live ``Schema`` objects and survive
-    workload rebuilds (keys are content hashes, not object identities).
-
-    ``maxsize`` counts entries (pairs), not bytes.  The cache is not
-    thread-safe; the pipeline only touches it from the coordinating
-    process.
-    """
-
-    def __init__(self, maxsize: int = 8192):
-        if maxsize < 0:
-            raise MatchingError(f"cache maxsize must be >= 0, got {maxsize!r}")
-        self.maxsize = maxsize
-        self.stats = CacheStats()
-        self._entries: OrderedDict[Hashable, PairResult] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable) -> PairResult | None:
-        """The cached pair result, or ``None`` on a miss."""
-        entry = self._entries.get(key, _MISS)
-        if entry is _MISS:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return entry  # type: ignore[return-value]
-
-    def put(self, key: Hashable, value: PairResult) -> None:
-        """Store one pair result, evicting least-recently-used entries."""
-        if self.maxsize == 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop all entries (counters keep running)."""
-        self._entries.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +89,9 @@ class PipelineDefaults:
 
     workers: int = 1
     shards: int | None = None  # None = one shard per worker
-    cache_size: int = 8192
 
 
 _DEFAULTS = PipelineDefaults()
-_DEFAULT_CACHE = CandidateCache(_DEFAULTS.cache_size)
 _UNSET = object()
 
 
@@ -206,32 +99,23 @@ def configure(
     *,
     workers: int | None = None,
     shards: int | None | object = _UNSET,
-    cache_size: int | None = None,
 ) -> PipelineDefaults:
     """Set process-wide pipeline defaults; omitted values are kept.
 
-    ``workers`` is the default process count (1 = serial), ``shards``
-    the default shard count (``None`` = one per worker) and
-    ``cache_size`` resizes the shared default cache (entries; 0 disables
-    it).  Validation is atomic: any invalid argument raises before
-    *anything* is mutated, so a failed call never leaves the process
-    half-configured.  Returns the resulting defaults.
+    ``workers`` is the default process count (1 = serial) and ``shards``
+    the default shard count (``None`` = one per worker).  Validation is
+    atomic: any invalid argument raises before *anything* is mutated,
+    so a failed call never leaves the process half-configured.  Returns
+    the resulting defaults.
     """
-    global _DEFAULT_CACHE
     if workers is not None and workers < 1:
         raise MatchingError(f"workers must be >= 1, got {workers!r}")
     if shards is not _UNSET and shards is not None and shards < 1:  # type: ignore[operator]
         raise MatchingError(f"shards must be >= 1, got {shards!r}")
-    new_cache = None
-    if cache_size is not None:
-        new_cache = CandidateCache(cache_size)  # validates maxsize
     if workers is not None:
         _DEFAULTS.workers = workers
     if shards is not _UNSET:
         _DEFAULTS.shards = shards  # type: ignore[assignment]
-    if new_cache is not None:
-        _DEFAULT_CACHE = new_cache
-        _DEFAULTS.cache_size = cache_size
     return _DEFAULTS
 
 
@@ -240,9 +124,20 @@ def pipeline_defaults() -> PipelineDefaults:
     return _DEFAULTS
 
 
-def default_cache() -> CandidateCache:
-    """The shared candidate cache used when ``cache`` is not given."""
-    return _DEFAULT_CACHE
+def reject_cache(cache: object) -> None:
+    """Refuse any ``cache`` argument but the off values ``None``/``False``.
+
+    The per-pair candidate cache is gone; :meth:`Matcher.batch_match
+    <repro.matching.base.Matcher.batch_match>`,
+    :func:`~repro.evaluation.validation.run_system` and
+    :func:`~repro.matching.registry.replica_group` still accept the
+    argument so callers that switched the cache off keep working.
+    """
+    if cache is not None and cache is not False:
+        raise MatchingError(
+            "the candidate cache was removed; pass no cache argument "
+            f"(got cache={cache!r})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +171,6 @@ def shard_repository(
 # The pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatchIncrement:
-    """Results of one (query, shard) unit, streamed as it completes.
-
-    ``pair_results`` holds ``(schema_id, match_pair result)`` for every
-    schema of the shard; ``from_cache`` is true when no search ran at
-    all because every pair was memoised.
-    """
-
-    query_index: int
-    shard_index: int
-    pair_results: tuple[tuple[str, PairResult], ...]
-    from_cache: bool
-
-
 @dataclass
 class PipelineStats:
     """Execution record of one pipeline run."""
@@ -299,8 +179,6 @@ class PipelineStats:
     shards: int
     queries: int
     pairs_total: int = 0
-    pairs_from_cache: int = 0
-    increments: int = 0
     wall_seconds: float = 0.0
 
 
@@ -356,15 +234,13 @@ class PipelineResult:
 
 
 class MatchingPipeline:
-    """Shard → fan out → stream → reassemble, for one matcher.
+    """Shard → fan out → reassemble, for one matcher.
 
     Parameters mirror :meth:`Matcher.batch_match`: ``workers`` processes
-    (``None`` = module default; 1 = serial in-process), ``shards``
-    partitions (``None`` = one per worker), ``cache`` a
-    :class:`CandidateCache` (``None`` = shared default, ``False`` =
-    disabled).  ``executor`` overrides the transport units run on
-    (``None`` = serial for ``workers=1``, the shared process pool
-    otherwise) — e.g. a
+    (``None`` = module default; 1 = serial in-process) and ``shards``
+    partitions (``None`` = one per worker).  ``executor`` overrides the
+    transport units run on (``None`` = serial for ``workers=1``, the
+    shared process pool otherwise) — e.g. a
     :class:`~repro.matching.remote.RemoteShardExecutor` fans the same
     units out to socket workers on other nodes.
     """
@@ -375,7 +251,6 @@ class MatchingPipeline:
         *,
         workers: int | None = None,
         shards: int | None = None,
-        cache: CandidateCache | bool | None = None,
         executor: ShardExecutor | None = None,
     ):
         defaults = pipeline_defaults()
@@ -386,14 +261,7 @@ class MatchingPipeline:
         self.shards = shards if shards is not None else defaults.shards
         if self.shards is not None and self.shards < 1:
             raise MatchingError(f"shards must be >= 1, got {self.shards!r}")
-        if cache is None:
-            self.cache: CandidateCache | None = default_cache()
-        elif cache is False:
-            self.cache = None
-        else:
-            self.cache = cache  # type: ignore[assignment]
         self.executor = executor
-        self.last_stats: PipelineStats | None = None
 
     # -- execution ----------------------------------------------------------
 
@@ -405,30 +273,68 @@ class MatchingPipeline:
     ) -> PipelineResult:
         """Match every query against the repository; order-deterministic.
 
-        Consumes the increment stream and reassembles per-pair results
-        in repository order, so the resulting answer sets are identical
+        Prepares the matcher on the full repository, hands one unit per
+        (query, shard) to the executor and reassembles the per-pair
+        results in repository order, so the answer sets are identical
         to serial :meth:`Matcher.match` output for any worker/shard
-        count.
+        count and any unit completion order.  The matcher is shipped
+        *after* ``prepare()``, so repository-global state (e.g.
+        clusters) rides along; stateful transports (the shared pool,
+        remote workers) install that state one-shot and reuse it across
+        runs while its state key matches.
         """
+        if delta_max < 0:
+            raise MatchingError(f"delta_max must be >= 0, got {delta_max!r}")
         queries = list(queries)
         started = perf_counter()
+        stats = PipelineStats(
+            workers=self.workers,
+            shards=0,
+            queries=len(queries),
+            pairs_total=len(queries) * len(repository),
+        )
+        matcher = self.matcher
         collected: list[dict[str, PairResult]] = [{} for _ in queries]
-        for increment in self.stream(queries, repository, delta_max):
-            collected[increment.query_index].update(increment.pair_results)
+        units: list[WorkUnit] = []
+        if queries:
+            matcher.prepare(repository)
+            shards = shard_repository(
+                repository,
+                self.shards if self.shards is not None else self.workers,
+            )
+            stats.shards = len(shards)
+            units = [
+                WorkUnit(
+                    query_index,
+                    shard_index,
+                    tuple(schema.schema_id for schema in shard),
+                )
+                for query_index in range(len(queries))
+                for shard_index, shard in enumerate(shards)
+            ]
+        if units:
+            state = ExecutionState.build(matcher, queries, repository)
+            executor = self.executor
+            if executor is None:
+                executor = (
+                    SerialExecutor()
+                    if self.workers == 1
+                    else ProcessPoolShardExecutor(self.workers)
+                )
+            for unit, pairs in executor.execute(state, units, delta_max):
+                collected[unit.query_index].update(pairs)
         answer_sets = [
-            self.matcher.assemble(query, repository, by_schema, delta_max)
+            matcher.assemble(query, repository, by_schema, delta_max)
             for query, by_schema in zip(queries, collected)
         ]
-        stats = self.last_stats
-        assert stats is not None
         stats.wall_seconds = perf_counter() - started
         return PipelineResult(
             answer_sets=answer_sets,
             stats=stats,
             pair_results=collected,
             repository_digest=repository.content_digest(),
-            query_digests=tuple(schema_digest(query) for query in queries),
-            matcher_key=matcher_fingerprint(self.matcher),
+            query_digests=tuple(query.content_digest() for query in queries),
+            matcher_key=matcher_fingerprint(matcher),
             delta_max=delta_max,
         )
 
@@ -464,10 +370,9 @@ class MatchingPipeline:
         delta moves the corpus statistics under every pair), fall back
         to a full recompute, flagged in the returned ``rematch`` stats.
 
-        Recomputed pairs run serially in the coordinating process and
-        bypass the candidate cache: the changed set is small by
-        construction (that is the point of a delta), so process fan-out
-        and memoisation overheads would dominate the work.  At high
+        Recomputed pairs run serially in the coordinating process: the
+        changed set is small by construction (that is the point of a
+        delta), so process fan-out overheads would dominate the work.  At high
         churn rates, prefer a fresh :meth:`run`.
         """
         queries = list(queries)
@@ -499,7 +404,7 @@ class MatchingPipeline:
                 "repository does not match the delta report's new content "
                 "digest"
             )
-        query_digests = tuple(schema_digest(query) for query in queries)
+        query_digests = tuple(query.content_digest() for query in queries)
         if query_digests != previous.query_digests:
             raise MatchingError(
                 "query set differs from the previous run's (content digests "
@@ -588,19 +493,16 @@ class MatchingPipeline:
                 answer_sets.append(
                     matcher.assemble(query, repository, by_schema, delta_max)
                 )
-        stats = PipelineStats(
-            workers=1,
-            shards=1,
-            queries=len(queries),
-            pairs_total=rematch_stats.pairs_total,
-            increments=0,
-        )
         rematch_stats.wall_seconds = perf_counter() - started
-        stats.wall_seconds = rematch_stats.wall_seconds
-        self.last_stats = stats
         return PipelineResult(
             answer_sets=answer_sets,
-            stats=stats,
+            stats=PipelineStats(
+                workers=1,
+                shards=1,
+                queries=len(queries),
+                pairs_total=rematch_stats.pairs_total,
+                wall_seconds=rematch_stats.wall_seconds,
+            ),
             pair_results=collected,
             repository_digest=repository.content_digest(),
             query_digests=query_digests,
@@ -608,125 +510,3 @@ class MatchingPipeline:
             delta_max=delta_max,
             rematch=rematch_stats,
         )
-
-    def stream(
-        self,
-        queries: Sequence[Schema],
-        repository: SchemaRepository,
-        delta_max: float,
-    ) -> Iterator[MatchIncrement]:
-        """Yield per-(query, shard) increments as they complete.
-
-        Fully-cached units are yielded first (no search runs); the rest
-        arrive in completion order — deterministic serially, arbitrary
-        with workers.  Callers needing a stable order should consume the
-        whole stream and sort (:meth:`run` does).
-        """
-        if delta_max < 0:
-            raise MatchingError(f"delta_max must be >= 0, got {delta_max!r}")
-        queries = list(queries)
-        stats = PipelineStats(
-            workers=self.workers,
-            shards=0,
-            queries=len(queries),
-        )
-        self.last_stats = stats
-        if not queries:
-            return
-        matcher = self.matcher
-        matcher.prepare(repository)
-        shards = shard_repository(
-            repository, self.shards if self.shards is not None else self.workers
-        )
-        stats.shards = len(shards)
-
-        cache = self.cache
-        if cache is not None:  # keys are only needed when memoising
-            repo_digest = repository.content_digest()
-            matcher_key = matcher_fingerprint(matcher)
-            query_digests = [schema_digest(query) for query in queries]
-
-        def pair_key(query_index: int, schema_id: str) -> tuple:
-            return (
-                matcher_key,
-                repo_digest,
-                query_digests[query_index],
-                schema_id,
-                delta_max,
-            )
-
-        # Split every (query, shard) unit into cached and missing pairs.
-        pending: list[tuple[int, int, list[tuple[str, PairResult]], list[str]]] = []
-        for query_index in range(len(queries)):
-            for shard_index, shard in enumerate(shards):
-                cached: list[tuple[str, PairResult]] = []
-                missing: list[str] = []
-                for schema in shard:
-                    hit = (
-                        cache.get(pair_key(query_index, schema.schema_id))
-                        if cache is not None
-                        else None
-                    )
-                    if hit is not None:
-                        cached.append((schema.schema_id, hit))
-                    else:
-                        missing.append(schema.schema_id)
-                stats.pairs_total += len(shard)
-                stats.pairs_from_cache += len(cached)
-                if missing:
-                    pending.append((query_index, shard_index, cached, missing))
-                else:
-                    stats.increments += 1
-                    yield MatchIncrement(
-                        query_index, shard_index, tuple(cached), from_cache=True
-                    )
-
-        if not pending:
-            return
-
-        def record(
-            query_index: int,
-            shard_index: int,
-            cached: list[tuple[str, PairResult]],
-            computed: list[tuple[str, PairResult]],
-        ) -> MatchIncrement:
-            if cache is not None:
-                for schema_id, result in computed:
-                    cache.put(pair_key(query_index, schema_id), result)
-            stats.increments += 1
-            return MatchIncrement(
-                query_index,
-                shard_index,
-                tuple(cached) + tuple(computed),
-                from_cache=False,
-            )
-
-        # Hand the missing units to a transport.  The matcher is shipped
-        # *after* prepare(), so repository-global state (e.g. clusters)
-        # rides along; the repository's full schema table is one copy
-        # shared by all shards.  Stateful transports (the shared pool,
-        # remote workers) install this bundle one-shot and reuse it
-        # across runs while the state key matches.
-        state = ExecutionState.build(matcher, queries, repository)
-        units = [
-            WorkUnit(query_index, shard_index, tuple(missing))
-            for query_index, shard_index, _, missing in pending
-        ]
-        cached_by_unit = {
-            (query_index, shard_index): cached
-            for query_index, shard_index, cached, _ in pending
-        }
-        executor = self.executor
-        if executor is None:
-            executor = (
-                SerialExecutor()
-                if self.workers == 1
-                else ProcessPoolShardExecutor(self.workers)
-            )
-        for unit, computed in executor.execute(state, units, delta_max):
-            yield record(
-                unit.query_index,
-                unit.shard_index,
-                cached_by_unit[(unit.query_index, unit.shard_index)],
-                computed,
-            )

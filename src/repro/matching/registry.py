@@ -139,7 +139,6 @@ def batch_match(
     params: Mapping[str, object] | None = None,
     workers: int | None = None,
     shards: int | None = None,
-    cache: object | None = None,
     executor: object | None = None,
 ) -> list[AnswerSet]:
     """Run many queries through the sharded pipeline, by matcher name.
@@ -152,7 +151,7 @@ def batch_match(
     matcher = make_matcher(name, objective, **(params or {}))
     return matcher.batch_match(
         queries, repository, delta_max, workers=workers, shards=shards,
-        cache=cache, executor=executor,
+        executor=executor,
     )
 
 
@@ -165,7 +164,6 @@ def evolution_session(
     params: Mapping[str, object] | None = None,
     workers: int | None = None,
     shards: int | None = None,
-    cache: object | None = None,
     executor: object | None = None,
 ):
     """An :class:`~repro.matching.evolution.EvolutionSession` by matcher name.
@@ -180,7 +178,7 @@ def evolution_session(
     matcher = make_matcher(name, objective, **(params or {}))
     return EvolutionSession(
         matcher, queries, delta_max, workers=workers, shards=shards,
-        cache=cache, executor=executor,
+        executor=executor,
     )
 
 
@@ -197,7 +195,7 @@ def matching_service(
     The serving counterpart of :func:`batch_match`: the service is fully
     described by plain data plus the objective.  ``options`` are
     forwarded to the service constructor (``store``, ``max_batch``,
-    ``max_delay``, ``workers``, ``shards``, ``cache``, ``executor``,
+    ``max_delay``, ``workers``, ``shards``, ``executor``,
     ``checkpoint_every``); call ``await service.start(repository)`` (or
     just ``start()`` over a snapshot store) before submitting requests.
     """
@@ -225,11 +223,14 @@ def replica_group(
     variants (``bm25``/``dense``/``ensemble``) derive their backends
     inside the factory, so clones stay config-identical there too.
     ``options`` are forwarded to the group constructor (``store``,
-    ``max_batch``, ``max_delay``, ``workers``, ``shards``, ``cache``,
-    ``executor``, ``delivery``).
+    ``max_batch``, ``max_delay``, ``workers``, ``shards``, ``executor``,
+    ``delivery``); a ``cache`` option accepts only ``None`` or ``False``
+    (:func:`~repro.matching.pipeline.reject_cache`).
     """
+    from repro.matching.pipeline import reject_cache
     from repro.matching.replication import ReplicaGroup
 
+    reject_cache(options.pop("cache", None))
     if replicas < 1:
         raise MatchingError(f"replicas must be >= 1, got {replicas!r}")
     matchers = [

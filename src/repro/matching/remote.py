@@ -24,7 +24,7 @@ answer.  Payloads are pickled dicts with an ``"op"`` key; pickle is an
 explicit trust statement: this protocol connects nodes of *one* cluster
 under one operator, it is not an internet-facing surface.  A
 connection opens with a ``hello`` naming :data:`PROTOCOL_VERSION`
-(currently 4); a worker refuses any other version.
+(currently 5); a worker refuses any other version.
 
 State install is **key-first**: the ``install`` op
 carries only the coordinator's ``state_key``.  A worker already holding
@@ -51,7 +51,12 @@ Failure semantics on the coordinator: a worker that dies mid-unit gets
 its unit re-enqueued and picked up by a healthy worker (answers are
 byte-identical by the executor contract, so a retry is invisible in the
 output); when *every* worker is gone with units still outstanding,
-``execute`` raises :class:`~repro.errors.TransportError`.
+``execute`` raises :class:`~repro.errors.TransportError`.  A unit whose
+matcher raises is a different failure: the worker stays healthy and
+answers ``unit_error``, and since every worker would raise the same,
+the sweep fails once with a :class:`~repro.errors.TransportError`
+naming the unit and the worker's message — no retry, no breaker
+failure.
 
 Concurrency model: the coordinator fans out on **asyncio** — one
 event loop on one background thread, one coroutine per worker, with
@@ -127,9 +132,10 @@ __all__ = [
 MAGIC = b"RPW1"
 #: 2 = key-first install (``install`` names the key; ``state`` ships it
 #: on demand); 3 = the ``state`` frame carries no ``switches`` field;
-#: 4 = the pickled substrate holds no token index.  Peers speaking any
+#: 4 = the pickled substrate holds no token index; 5 = a unit that
+#: raises is answered ``unit_error``, not ``error``.  Peers speaking any
 #: other version are refused at ``hello``, before any state unpickles
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 #: frame size cap — far above any real install payload, far below
 #: anything that could be a desynchronised stream read as a length
 MAX_FRAME = 1 << 30
@@ -659,12 +665,21 @@ class WorkerServer:
                     "op": "error",
                     "error": "no state installed for this state_key",
                 }
-            pairs = run_unit_with(
-                self._state,
-                message["query_index"],
-                message["schema_ids"],
-                message["delta_max"],
-            )
+            try:
+                pairs = run_unit_with(
+                    self._state,
+                    message["query_index"],
+                    message["schema_ids"],
+                    message["delta_max"],
+                )
+            except Exception as exc:
+                # the unit failed, not this worker: answered with its own
+                # op, so the coordinator does not take it for a dead peer
+                self.stats.errors += 1
+                return {
+                    "op": "unit_error",
+                    "error": f"{type(exc).__name__}: {exc}",
+                }
             self.stats.units += 1
         return {"op": "result", "pairs": pairs}
 
@@ -1110,11 +1125,12 @@ class RemoteShardExecutor(ShardExecutor):
         """One coroutine per worker, all on this (background) event loop.
 
         A dying worker re-enqueues its in-flight unit and drops out; the
-        loop ends when every unit completed, every worker is gone, or
-        the consumer abandoned the sweep.  Exactly one terminal event
-        reaches the consumer: per-unit ``("ok", ...)`` results and, if
-        units remain with no workers left (or the state frame could not
-        be built), one ``("fatal", ...)``.  Idle coroutines block on the
+        loop ends when every unit completed, every worker is gone, a
+        unit raised, or the consumer abandoned the sweep.  Exactly one
+        terminal event reaches the consumer: per-unit ``("ok", ...)``
+        results and, if units remain with no workers left (or the state
+        frame could not be built, or a unit raised), one
+        ``("fatal", ...)``.  Idle coroutines block on the
         unit queue — a dying peer's re-enqueued unit wakes one, and the
         last completed unit releases them all.  Every remote op runs
         under its :class:`DeadlineBudget` bound, and abandonment cancels
@@ -1170,7 +1186,8 @@ class RemoteShardExecutor(ShardExecutor):
                 "delta_max": delta_max,
             })
             return self._check_reply(
-                address, await async_recv_message(reader), "result"
+                address, await async_recv_message(reader),
+                "result", "unit_error",
             )
 
         async def run_worker(address: tuple[str, int]) -> None:
@@ -1222,7 +1239,11 @@ class RemoteShardExecutor(ShardExecutor):
                 # connect + handshake + install round-tripped: the
                 # worker is provably healthy — close a half-open breaker
                 self._record_success(address)
-                while progress["remaining"] and not abandoned.is_set():
+                while (
+                    progress["remaining"]
+                    and not progress["failed"]
+                    and not abandoned.is_set()
+                ):
                     # stay subscribed: a dying peer may re-enqueue
                     unit = await unit_queue.get()
                     if unit is None:
@@ -1231,6 +1252,21 @@ class RemoteShardExecutor(ShardExecutor):
                         run_unit(reader, writer, address, unit),
                         budget.run, address, "run",
                     )
+                    if reply["op"] == "unit_error":
+                        # The unit raised on a healthy worker, and any
+                        # peer would raise the same: fail the sweep
+                        # once, without a retry or a breaker failure.
+                        if not progress["failed"]:
+                            progress["failed"] = True
+                            events.put(("fatal", TransportError(
+                                f"unit (query {unit.query_index}, shard "
+                                f"{unit.shard_index}) raised on worker "
+                                f"{address[0]}:{address[1]}: "
+                                f"{reply['error']}"
+                            )))
+                            for _ in addresses:  # release idle peers
+                                unit_queue.put_nowait(None)
+                        return
                     progress["remaining"] -= 1
                     events.put(("ok", unit, reply["pairs"]))
                     unit = None

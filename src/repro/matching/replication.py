@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING, Awaitable, Callable, Sequence
 from repro.core.answers import AnswerSet
 from repro.errors import MatchingError, ReplicationError
 from repro.matching.base import Matcher
-from repro.matching.pipeline import CandidateCache, matcher_fingerprint
+from repro.matching.pipeline import matcher_fingerprint
 from repro.matching.service import MatchingService
 from repro.schema.delta import DeltaReport, RepositoryDelta
 from repro.schema.model import Schema
@@ -101,8 +101,6 @@ class ReplicaGroupStats:
 
     served: int = 0
     deltas_logged: int = 0
-    #: per-replica applied record counts (indexed by replica)
-    applied: list[int] = field(default_factory=list)
     duplicates_ignored: int = 0
     gaps_buffered: int = 0
     catch_ups: int = 0
@@ -164,7 +162,6 @@ class ReplicaGroup:
         max_delay: float = 0.0,
         workers: int | None = None,
         shards: int | None = None,
-        cache: CandidateCache | bool | None = None,
         executor: "ShardExecutor | None" = None,
         delivery: DeliveryHook | None = None,
     ):
@@ -196,7 +193,6 @@ class ReplicaGroup:
             "max_delay": max_delay,
             "workers": workers,
             "shards": shards,
-            "cache": cache,
             "executor": executor,
         }
         self._states = [
@@ -212,7 +208,7 @@ class ReplicaGroup:
         ]
         self.delta_max = delta_max
         self.log: list[DeltaRecord] = []
-        self.stats = ReplicaGroupStats(applied=[0] * len(matchers))
+        self.stats = ReplicaGroupStats()
         self._digests: list[str] = []
         self._repository: SchemaRepository | None = None
         self._base_repository: SchemaRepository | None = None
@@ -327,7 +323,6 @@ class ReplicaGroup:
         await service.start(self._base_repository)
         state = _ReplicaState(service)
         self._states.append(state)
-        self.stats.applied.append(0)
         self.stats.joins += 1
         index = len(self._states) - 1
         await self.catch_up(index)
@@ -356,7 +351,6 @@ class ReplicaGroup:
                 "cannot remove the last replica; stop() the group instead"
             )
         state = self._states.pop(index)
-        self.stats.applied.pop(index)
         self._next_replica %= len(self._states)
         self.stats.leaves += 1
         if state.service.started:
@@ -513,9 +507,6 @@ class ReplicaGroup:
                     f"authoritative {expected}"
                 )
             state.applied = record.sequence
-            index = self._index_of(state)
-            if index >= 0:  # -1: the replica left mid-apply
-                self.stats.applied[index] = record.sequence
 
     def _index_of(self, state: _ReplicaState) -> int:
         """``state``'s current replica index, or -1 once it has left."""

@@ -46,7 +46,6 @@ from repro.errors import MatchingError, SnapshotError
 from repro.matching.base import Matcher
 from repro.matching.evolution import EvolutionSession
 from repro.matching.executor import ShardExecutor
-from repro.matching.pipeline import CandidateCache
 from repro.matching.similarity.persist import load_snapshot, save_snapshot
 from repro.schema.delta import DeltaReport, RepositoryDelta
 from repro.schema.model import Schema
@@ -100,7 +99,7 @@ class MatchingService:
         Seconds the dispatcher waits for more requests before
         dispatching a non-full micro-batch (0 = dispatch whatever one
         event-loop tick accumulated).
-    workers, shards, cache, executor:
+    workers, shards, executor:
         Forwarded to the underlying pipeline, as in
         :meth:`~repro.matching.base.Matcher.batch_match`; ``executor``
         selects the shard transport (e.g. a
@@ -120,7 +119,6 @@ class MatchingService:
         max_delay: float = 0.0,
         workers: int | None = None,
         shards: int | None = None,
-        cache: CandidateCache | bool | None = None,
         executor: ShardExecutor | None = None,
         checkpoint_every: int | None = None,
     ):
@@ -146,8 +144,7 @@ class MatchingService:
         self.checkpoint_every = checkpoint_every
         self.stats = ServiceStats()
         self._pipeline_options = {
-            "workers": workers, "shards": shards, "cache": cache,
-            "executor": executor,
+            "workers": workers, "shards": shards, "executor": executor,
         }
         self._session: EvolutionSession | None = None
         self._repository: SchemaRepository | None = None

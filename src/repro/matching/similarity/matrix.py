@@ -13,7 +13,7 @@ materialises the pairwise similarity work **once** and shares it:
   the per-element minima / suffix sums the branch-and-bound admissible
   bound reads directly.
 * :class:`SimilaritySubstrate` — the per-objective matrix cache, keyed
-  by schema *content* digests (like the pipeline's candidate cache), so
+  by schema *content* digests (like the pipeline's worker state), so
   workload rebuilds and repository shards share entries instead of
   recomputing them.  It also owns the repository scoring kernel
   (:class:`~repro.matching.similarity.kernel.CostKernel`), the one
@@ -295,9 +295,9 @@ class SimilaritySubstrate:
     workload from the same seeds hits, changing one element name misses.
 
     ``max_matrices`` bounds the matrix cache (LRU, entries).  The
-    substrate is not thread-safe; like the candidate cache it is only
-    touched from one process at a time (workers each carry their own
-    pickled copy, pre-warmed with whatever the coordinator had built).
+    substrate is not thread-safe; it is only touched from one process
+    at a time (workers each carry their own pickled copy, pre-warmed
+    with whatever the coordinator had built).
     """
 
     def __init__(self, objective, max_matrices: int = 16384):

@@ -15,7 +15,7 @@ O(load)** instead of re-matching:
   per-(query, schema) pair results incremental re-matching feeds on,
   plus the identifying digests and the matcher fingerprint.
 
-Validity is fingerprint-gated, mirroring the candidate cache's keying
+Validity is fingerprint-gated, mirroring the pipeline's state-key
 discipline: the substrate payload records the **objective fingerprint**
 and the results payload the **matcher fingerprint** (which folds the
 objective's in), so a snapshot saved under any other configuration —

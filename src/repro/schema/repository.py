@@ -135,7 +135,7 @@ class SchemaRepository:
 
         Two repositories with equal digests are indistinguishable to any
         matcher — repository-global preparation (clustering) and the
-        pipeline's candidate cache key on this rather than on
+        pipeline's worker state key on this rather than on
         ``repository_id``, which synthetic workloads reuse across
         different contents.
         """

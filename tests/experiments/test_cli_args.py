@@ -17,11 +17,9 @@ from repro.matching import pipeline
 def restore_pipeline_defaults():
     """Snapshot and restore module-wide defaults around every test."""
     defaults = pipeline.pipeline_defaults()
-    snapshot = (defaults.workers, defaults.shards, defaults.cache_size)
+    snapshot = (defaults.workers, defaults.shards)
     yield
-    pipeline.configure(
-        workers=snapshot[0], shards=snapshot[1], cache_size=snapshot[2]
-    )
+    pipeline.configure(workers=snapshot[0], shards=snapshot[1])
 
 
 class TestParsing:

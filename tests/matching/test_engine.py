@@ -204,6 +204,24 @@ class TestBeam:
         ]
         assert sizes == sorted(sizes)
 
+    def test_beam_emits_at_most_beam_width(self):
+        repo = generate_repository(
+            GeneratorConfig(num_schemas=2, min_size=6, max_size=9, seed=18)
+        )
+        schema = repo.schemas()[0]
+        query = extract_personal_schema(
+            rng.make_tagged(19), repo.schemas()[1], None, target_size=3
+        )
+        search = SchemaSearch(query, schema, small_objective())
+        full = dict(search.exhaustive(1.0))
+        assert len(full) > 8
+        for width in (1, 2, 4, 8, 16):
+            emitted = list(search.beam(1.0, beam_width=width))
+            # the last level keeps the ``width`` best states, and at
+            # δ = 1 every one of them is emitted
+            assert len(emitted) == min(width, len(full))
+            assert set(dict(emitted)) <= set(full)
+
     def test_invalid_beam_width(self):
         query = Schema("q", SchemaElement("a"))
         schema = Schema("s", SchemaElement("b"))

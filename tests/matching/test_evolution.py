@@ -23,6 +23,7 @@ from repro.matching import (
     EvolutionSession,
     ExhaustiveMatcher,
     MatchingPipeline,
+    SerialExecutor,
     evolution_session,
     make_matcher,
 )
@@ -60,16 +61,25 @@ def _canonical(answer_sets) -> bytes:
 
 
 def _cold(matcher, queries, repository, delta_max):
-    return MatchingPipeline(matcher, cache=False).run(
-        queries, repository, delta_max
-    )
+    return MatchingPipeline(matcher).run(queries, repository, delta_max)
+
+
+class _CountingExecutor(SerialExecutor):
+    """The serial transport, counting the sweeps handed to it."""
+
+    def __init__(self):
+        self.sweeps = 0
+
+    def execute(self, state, units, delta_max):
+        self.sweeps += 1
+        return super().execute(state, units, delta_max)
 
 
 class TestByteIdentity:
     @pytest.mark.parametrize("name,params", _MATCHERS)
     def test_identical_over_delta_stream(self, workload, queries, name, params):
         matcher = make_matcher(name, workload.objective, **params)
-        session = EvolutionSession(matcher, queries, 0.3, cache=False)
+        session = EvolutionSession(matcher, queries, 0.3)
         session.match(workload.repository)
         repository = workload.repository
         for step in range(3):
@@ -88,7 +98,7 @@ class TestByteIdentity:
     )
     def test_identical_per_delta_kind(self, workload, queries, delta_kind):
         matcher = ExhaustiveMatcher(workload.objective)
-        session = EvolutionSession(matcher, queries, 0.3, cache=False)
+        session = EvolutionSession(matcher, queries, 0.3)
         session.match(workload.repository)
         repository = workload.repository
         if delta_kind == "noop":
@@ -112,7 +122,7 @@ class TestByteIdentity:
     def test_identical_without_substrate(self, workload, queries):
         with substrate_off():
             matcher = ExhaustiveMatcher(workload.objective)
-            session = EvolutionSession(matcher, queries, 0.3, cache=False)
+            session = EvolutionSession(matcher, queries, 0.3)
             session.match(workload.repository)
             delta = churn_delta(workload.repository, churn=0.3, seed=2)
             result, _ = session.apply(delta)
@@ -132,7 +142,7 @@ class TestByteIdentity:
         queries = [scenario.query for scenario in workload.suite.scenarios]
         matcher = make_matcher("topk", workload.objective,
                                candidates_per_element=3)
-        session = EvolutionSession(matcher, queries, delta_max, cache=False)
+        session = EvolutionSession(matcher, queries, delta_max)
         session.match(workload.repository)
         delta = churn_delta(workload.repository, churn=churn, seed=seed)
         result, _ = session.apply(delta)
@@ -143,7 +153,7 @@ class TestByteIdentity:
 class TestRematchAccounting:
     def test_unchanged_schemas_are_reused(self, workload, queries):
         matcher = ExhaustiveMatcher(workload.objective)
-        session = EvolutionSession(matcher, queries, 0.3, cache=False)
+        session = EvolutionSession(matcher, queries, 0.3)
         session.match(workload.repository)
         delta = churn_delta(workload.repository, churn=0.2, seed=1)
         result, report = session.apply(delta)
@@ -159,7 +169,7 @@ class TestRematchAccounting:
 
     def test_noop_delta_recomputes_nothing(self, workload, queries):
         matcher = ExhaustiveMatcher(workload.objective)
-        session = EvolutionSession(matcher, queries, 0.3, cache=False)
+        session = EvolutionSession(matcher, queries, 0.3)
         session.match(workload.repository)
         result, report = session.apply(RepositoryDelta())
         assert report.is_noop
@@ -173,7 +183,7 @@ class TestRematchAccounting:
             "clustering", workload.objective, clusters_per_element=2
         )
         assert not matcher.pair_local
-        session = EvolutionSession(matcher, queries, 0.3, cache=False)
+        session = EvolutionSession(matcher, queries, 0.3)
         session.match(workload.repository)
         result, _ = session.apply(churn_delta(workload.repository, 0.2, 1))
         assert result.rematch.full_recompute
@@ -204,7 +214,7 @@ class TestSessionApi:
 
     def test_session_tracks_state(self, workload, queries):
         session = EvolutionSession(
-            ExhaustiveMatcher(workload.objective), queries, 0.3, cache=False
+            ExhaustiveMatcher(workload.objective), queries, 0.3
         )
         session.match(workload.repository)
         assert session.repository is workload.repository
@@ -219,7 +229,7 @@ class TestSessionApi:
     def test_registry_evolution_session(self, workload, queries):
         session = evolution_session(
             "beam", workload.objective, queries, 0.3,
-            params={"beam_width": 4}, cache=False,
+            params={"beam_width": 4},
         )
         session.match(workload.repository)
         result, _ = session.apply(churn_delta(workload.repository, 0.2, 3))
@@ -230,7 +240,7 @@ class TestSessionApi:
 class TestRematchValidation:
     def _previous(self, workload, queries, delta_max=0.3):
         matcher = ExhaustiveMatcher(workload.objective)
-        pipeline = MatchingPipeline(matcher, cache=False)
+        pipeline = MatchingPipeline(matcher)
         previous = pipeline.run(queries, workload.repository, delta_max)
         new_repo, report = workload.repository.apply(
             churn_delta(workload.repository, churn=0.2, seed=4)
@@ -271,7 +281,6 @@ class TestRematchValidation:
         )
         other = MatchingPipeline(
             make_matcher("beam", workload.objective, beam_width=4),
-            cache=False,
         )
         with pytest.raises(MatchingError, match="differently configured"):
             other.rematch(
@@ -290,16 +299,35 @@ class TestRematchValidation:
 
     def test_batch_rematch_wrapper(self, workload, queries):
         matcher = ExhaustiveMatcher(workload.objective)
-        pipeline = MatchingPipeline(matcher, cache=False)
+        pipeline = MatchingPipeline(matcher)
         previous = pipeline.run(queries, workload.repository, 0.3)
         new_repo, report = workload.repository.apply(
             churn_delta(workload.repository, churn=0.2, seed=4)
         )
         incremental = matcher.batch_rematch(
-            queries, new_repo, 0.3,
-            previous=previous, report=report, cache=False,
+            queries, new_repo, 0.3, previous=previous, report=report
         )
-        cold = matcher.batch_match(queries, new_repo, 0.3, cache=False)
+        cold = matcher.batch_match(queries, new_repo, 0.3)
+        assert _canonical(incremental) == _canonical(cold)
+
+    def test_batch_rematch_forwards_executor(self, workload, queries):
+        """A full-recompute re-match runs on the executor it is given."""
+        matcher = make_matcher(
+            "clustering", workload.objective, clusters_per_element=2
+        )
+        previous = MatchingPipeline(matcher).run(
+            queries, workload.repository, 0.3
+        )
+        new_repo, report = workload.repository.apply(
+            churn_delta(workload.repository, churn=0.2, seed=4)
+        )
+        spy = _CountingExecutor()
+        incremental = matcher.batch_rematch(
+            queries, new_repo, 0.3,
+            previous=previous, report=report, executor=spy,
+        )
+        assert spy.sweeps == 1
+        cold = matcher.batch_match(queries, new_repo, 0.3)
         assert _canonical(incremental) == _canonical(cold)
 
 

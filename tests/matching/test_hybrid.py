@@ -8,6 +8,7 @@ from repro.matching import (
     ClusteringMatcher,
     ExhaustiveMatcher,
     HybridMatcher,
+    MatchingPipeline,
 )
 from repro.matching.objective import ObjectiveFunction
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
@@ -66,6 +67,39 @@ class TestHybridMatcher:
             objective, clusters_per_element=3, beam_width=10_000
         ).match(query, repo, 0.3)
         assert hybrid.items() == clustering.items()
+
+    @pytest.mark.parametrize("clusters_per_element", [1, 2, 3])
+    def test_unbounded_beam_keeps_clustering_pairs(
+        self, small_workload, clusters_per_element
+    ):
+        """A beam wider than any level is the restricted exact search.
+
+        Per (query, schema) pair the hybrid then returns exactly the
+        mappings and scores of clustering with the same nominations;
+        the beam emits them by bound, not in search order, so each
+        pair's results compare as a set.
+        """
+        queries = [scenario.query for scenario in small_workload.suite]
+        objective = small_workload.objective
+
+        def pair_sets(matcher):
+            result = MatchingPipeline(matcher).run(
+                queries, small_workload.repository, 0.4
+            )
+            return [
+                {schema_id: set(pairs) for schema_id, pairs in by.items()}
+                for by in result.pair_results
+            ]
+
+        clustering = ClusteringMatcher(
+            objective, clusters_per_element=clusters_per_element
+        )
+        hybrid = HybridMatcher(
+            objective,
+            clusters_per_element=clusters_per_element,
+            beam_width=10**9,
+        )
+        assert pair_sets(hybrid) == pair_sets(clustering)
 
     def test_invalid_beam_width(self, setup):
         _repo, objective, _query = setup

@@ -74,6 +74,12 @@ class TestExhaustive:
         with pytest.raises(MatchingError, match="max_answers"):
             matcher.match(query, repo, 0.35)
 
+    def test_max_answers_guard_in_batch_match(self, setup):
+        repo, objective, query, _ = setup
+        matcher = ExhaustiveMatcher(objective, max_answers=1)
+        with pytest.raises(MatchingError, match="max_answers"):
+            matcher.batch_match([query], repo, 0.35)
+
 
 class TestImprovements:
     @pytest.mark.parametrize("name,factory", IMPROVEMENTS)

@@ -45,7 +45,7 @@ def queries(workload):
 @pytest.fixture(scope="module")
 def result(workload, queries):
     matcher = ExhaustiveMatcher(workload.objective)
-    return MatchingPipeline(matcher, cache=False).run(
+    return MatchingPipeline(matcher).run(
         queries, workload.repository, 0.3
     )
 
@@ -125,7 +125,7 @@ class TestSubstrateRoundTrip:
         restore_substrate(substrate, payload, fresh.repository)
         matcher = ExhaustiveMatcher(fresh.objective)
         fresh_queries = [s.query for s in fresh.suite.scenarios]
-        run = MatchingPipeline(matcher, cache=False).run(
+        run = MatchingPipeline(matcher).run(
             fresh_queries, fresh.repository, 0.3
         )
         assert substrate.stats.matrices_built == 0  # warm start: O(load)
@@ -271,7 +271,7 @@ class TestWholeSnapshots:
         assert _canonical(snapshot.result.answer_sets) == _canonical(
             result.answer_sets
         )
-        live = MatchingPipeline(matcher, cache=False).run(
+        live = MatchingPipeline(matcher).run(
             snapshot.queries, snapshot.repository, 0.3
         )
         assert _canonical(live.answer_sets) == _canonical(result.answer_sets)
@@ -357,7 +357,7 @@ class TestWholeSnapshots:
         # checkpoint the evolved state over the same directory
         matcher = ExhaustiveMatcher(workload.objective)
         session = EvolutionSession.from_state(
-            matcher, workload.repository, result, queries, cache=False
+            matcher, workload.repository, result, queries
         )
         evolved_result, report = session.apply(
             churn_delta(workload.repository, churn=0.2, seed=12)
@@ -421,11 +421,10 @@ class TestSessionResume:
             snapshot.repository,
             snapshot.result,
             snapshot.queries,
-            cache=False,
         )
         delta = churn_delta(snapshot.repository, churn=0.25, seed=9)
         incremental, _report = session.apply(delta)
-        cold = MatchingPipeline(matcher, cache=False).run(
+        cold = MatchingPipeline(matcher).run(
             snapshot.queries, session.repository, 0.3
         )
         assert _canonical(incremental.answer_sets) == _canonical(

@@ -1,26 +1,30 @@
 """Tests of the sharded matching pipeline.
 
 The decisive invariants: sharded/parallel output is identical to serial
-``Matcher.match`` output for every matcher, the candidate cache turns
-repeated workloads into pure lookups without changing results, and
-sharding partitions the repository exactly.
+``Matcher.match`` output for every matcher, every (query, schema) pair
+is searched exactly once, and sharding partitions the repository
+exactly.
 """
 
 import pytest
 
 from repro.errors import MatchingError
+from repro.evaluation.validation import run_system
 from repro.matching import (
     BeamMatcher,
-    CandidateCache,
     ClusteringMatcher,
     ExhaustiveMatcher,
     MatchingPipeline,
+    ProcessPoolShardExecutor,
+    SerialExecutor,
     TopKCandidateMatcher,
+    replica_group,
     shard_repository,
 )
 from repro.matching import batch_match as registry_batch_match
+from repro.matching.executor import ExecutionState, WorkUnit
 from repro.matching.objective import ObjectiveFunction
-from repro.matching.pipeline import matcher_fingerprint, schema_digest
+from repro.matching.pipeline import matcher_fingerprint
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
 from repro.schema.generator import GeneratorConfig, generate_repository
 from repro.schema.model import Datatype, Schema, SchemaElement
@@ -55,6 +59,17 @@ def setup():
 
 def flatten(answer_set):
     return [(a.item, a.score) for a in answer_set.answers()]
+
+
+class _RecordingExecutor(SerialExecutor):
+    """The serial transport, recording every unit handed to it."""
+
+    def __init__(self):
+        self.units = []
+
+    def execute(self, state, units, delta_max):
+        self.units.extend(units)
+        return super().execute(state, units, delta_max)
 
 
 class _ExplodingMatcher(ExhaustiveMatcher):
@@ -101,37 +116,6 @@ class TestShardRepository:
             shard_repository(repo, 0)
 
 
-class TestCandidateCache:
-    def test_roundtrip_and_stats(self):
-        cache = CandidateCache(maxsize=4)
-        assert cache.get("k") is None
-        cache.put("k", [((0, 1), 0.1)])
-        assert cache.get("k") == [((0, 1), 0.1)]
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
-
-    def test_lru_eviction(self):
-        cache = CandidateCache(maxsize=2)
-        cache.put("a", [])
-        cache.put("b", [])
-        assert cache.get("a") == []  # refresh "a"; "b" is now LRU
-        cache.put("c", [])
-        assert cache.get("b") is None
-        assert cache.get("a") == []
-        assert cache.stats.evictions == 1
-
-    def test_zero_size_disables_storage(self):
-        cache = CandidateCache(maxsize=0)
-        cache.put("a", [])
-        assert len(cache) == 0
-        assert cache.get("a") is None
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(MatchingError):
-            CandidateCache(maxsize=-1)
-
-
 class TestSerialPipeline:
     @pytest.mark.parametrize("name,factory", MATCHERS)
     def test_identical_to_per_query_match(self, setup, name, factory):
@@ -140,63 +124,27 @@ class TestSerialPipeline:
             factory(objective).match(query, repo, DELTA) for query in queries
         ]
         batched = factory(objective).batch_match(
-            queries, repo, DELTA, workers=1, shards=3, cache=False
+            queries, repo, DELTA, workers=1, shards=3
         )
         assert [flatten(a) for a in serial] == [flatten(a) for a in batched]
 
     def test_stream_covers_every_unit(self, setup):
+        """The executor's unit stream covers each (query, shard) once."""
         repo, objective, queries = setup
+        spy = _RecordingExecutor()
         pipeline = MatchingPipeline(
-            ExhaustiveMatcher(objective), workers=1, shards=2, cache=False
+            ExhaustiveMatcher(objective), shards=2, executor=spy
         )
-        increments = list(pipeline.stream(queries, repo, DELTA))
-        units = {(i.query_index, i.shard_index) for i in increments}
-        assert units == {(q, s) for q in range(len(queries)) for s in range(2)}
-        schemas_seen = {
-            schema_id
-            for increment in increments
-            if increment.query_index == 0
-            for schema_id, _ in increment.pair_results
-        }
-        assert schemas_seen == {s.schema_id for s in repo}
-        assert pipeline.last_stats.pairs_total == len(queries) * len(repo)
-
-    def test_cache_turns_second_run_into_lookups(self, setup):
-        repo, objective, queries = setup
-        cache = CandidateCache()
-        matcher = ExhaustiveMatcher(objective)
-        first = matcher.batch_match(queries, repo, DELTA, workers=1, cache=cache)
-        hits_before = cache.stats.hits
-        pipeline = MatchingPipeline(matcher, workers=1, cache=cache)
         result = pipeline.run(queries, repo, DELTA)
-        assert [flatten(a) for a in first] == [
-            flatten(a) for a in result.answer_sets
+        units = {(unit.query_index, unit.shard_index) for unit in spy.units}
+        assert units == {(q, s) for q in range(len(queries)) for s in range(2)}
+        assert len(spy.units) == len(units)
+        schema_ids = [s.schema_id for s in repo]
+        assert [sorted(by_schema) for by_schema in result.pair_results] == [
+            sorted(schema_ids) for _ in queries
         ]
-        assert result.stats.pairs_from_cache == result.stats.pairs_total
-        assert cache.stats.hits == hits_before + result.stats.pairs_total
-        streamed = list(pipeline.stream(queries, repo, DELTA))
-        assert all(increment.from_cache for increment in streamed)
-
-    def test_cache_distinguishes_matcher_parameters(self, setup):
-        repo, objective, queries = setup
-        cache = CandidateCache()
-        narrow = BeamMatcher(objective, beam_width=2).batch_match(
-            queries, repo, DELTA, workers=1, cache=cache
-        )
-        wide = BeamMatcher(objective, beam_width=12).batch_match(
-            queries, repo, DELTA, workers=1, cache=cache
-        )
-        # a narrower beam keeps fewer answers; a shared cache entry would
-        # make the two systems agree
-        assert sum(len(a) for a in narrow) < sum(len(a) for a in wide)
-
-    def test_cache_distinguishes_thresholds(self, setup):
-        repo, objective, queries = setup
-        cache = CandidateCache()
-        matcher = ExhaustiveMatcher(objective)
-        low = matcher.batch_match(queries, repo, 0.15, workers=1, cache=cache)
-        high = matcher.batch_match(queries, repo, DELTA, workers=1, cache=cache)
-        assert sum(len(a) for a in low) < sum(len(a) for a in high)
+        assert result.stats.shards == 2
+        assert result.stats.pairs_total == len(queries) * len(repo)
 
     def test_empty_queries(self, setup):
         repo, objective, _ = setup
@@ -222,10 +170,9 @@ class TestSerialPipeline:
             DELTA,
             params={"beam_width": 5},
             workers=1,
-            cache=False,
         )
         direct = BeamMatcher(objective, beam_width=5).batch_match(
-            queries, repo, DELTA, workers=1, cache=False
+            queries, repo, DELTA, workers=1
         )
         assert [flatten(a) for a in by_name] == [flatten(a) for a in direct]
 
@@ -238,21 +185,12 @@ class TestShardedPipeline:
     def test_workers_identical_to_serial(self, setup, name, factory):
         repo, objective, queries = setup
         serial = factory(objective).batch_match(
-            queries, repo, DELTA, workers=1, shards=1, cache=False
+            queries, repo, DELTA, workers=1, shards=1
         )
         sharded = factory(objective).batch_match(
-            queries, repo, DELTA, workers=2, shards=3, cache=False
+            queries, repo, DELTA, workers=2, shards=3
         )
         assert [flatten(a) for a in serial] == [flatten(a) for a in sharded]
-
-    def test_workers_fill_the_cache(self, setup):
-        repo, objective, queries = setup
-        cache = CandidateCache()
-        matcher = ExhaustiveMatcher(objective)
-        matcher.batch_match(queries, repo, DELTA, workers=2, cache=cache)
-        pipeline = MatchingPipeline(matcher, workers=2, cache=cache)
-        streamed = list(pipeline.stream(queries, repo, DELTA))
-        assert all(increment.from_cache for increment in streamed)
 
 
 class TestRepositoryContentChanges:
@@ -261,9 +199,9 @@ class TestRepositoryContentChanges:
 
         The synthetic generator reuses one repository_id across seeds; a
         matcher prepared on one seed's content and reused on another
-        must recluster, or it would both return wrong answers and write
-        them into the shared candidate cache under the new content's
-        keys.
+        must recluster, or it would return the old content's answers —
+        and a fresh matcher on the same objective (whose similarity
+        substrate both share) must still answer for the new content.
         """
         _, objective, _ = setup
         repo_a = generate_repository(
@@ -285,19 +223,14 @@ class TestRepositoryContentChanges:
             query, repo_b, DELTA
         )
 
-        cache = CandidateCache()
         stale = ClusteringMatcher(objective, clusters_per_element=2)
         stale.prepare(repo_a)  # now holds repo_a's clusters
-        via_stale = stale.batch_match(
-            [query], repo_b, DELTA, workers=1, cache=cache
-        )[0]
+        via_stale = stale.batch_match([query], repo_b, DELTA, workers=1)[0]
         assert flatten(via_stale) == flatten(expected)
 
         fresh = ClusteringMatcher(objective, clusters_per_element=2)
-        via_cache = fresh.batch_match(
-            [query], repo_b, DELTA, workers=1, cache=cache
-        )[0]
-        assert flatten(via_cache) == flatten(expected)
+        via_fresh = fresh.batch_match([query], repo_b, DELTA, workers=1)[0]
+        assert flatten(via_fresh) == flatten(expected)
 
 
 def _tiny_schema(child_name: str = "author", concept: str | None = None):
@@ -308,13 +241,15 @@ def _tiny_schema(child_name: str = "author", concept: str | None = None):
 
 class TestFingerprints:
     def test_schema_digest_ignores_concepts(self):
-        assert schema_digest(_tiny_schema(concept=None)) == schema_digest(
-            _tiny_schema(concept="bib:author")
+        assert (
+            _tiny_schema(concept=None).content_digest()
+            == _tiny_schema(concept="bib:author").content_digest()
         )
 
     def test_schema_digest_sees_names(self):
-        assert schema_digest(_tiny_schema("author")) != schema_digest(
-            _tiny_schema("title")
+        assert (
+            _tiny_schema("author").content_digest()
+            != _tiny_schema("title").content_digest()
         )
 
     def test_matcher_fingerprint_separates_configurations(self, setup):
@@ -348,7 +283,7 @@ class TestWorkerPoolReuse:
 
         repo, objective, queries = setup
         matcher = ExhaustiveMatcher(objective)
-        runner = MatchingPipeline(matcher, workers=2, cache=False)
+        runner = MatchingPipeline(matcher, workers=2)
         first = runner.run(queries, repo, DELTA)
         pool = executor_module._POOL
         assert pool is not None
@@ -363,7 +298,7 @@ class TestWorkerPoolReuse:
 
         repo, objective, queries = setup
         matcher = ExhaustiveMatcher(objective)
-        runner = MatchingPipeline(matcher, workers=2, cache=False)
+        runner = MatchingPipeline(matcher, workers=2)
         runner.run(queries, repo, 0.15)
         pool = executor_module._POOL
         runner.run(queries, repo, DELTA)  # only the threshold changed
@@ -377,7 +312,7 @@ class TestWorkerPoolReuse:
             GeneratorConfig(num_schemas=4, min_size=6, max_size=10, seed=99)
         )
         matcher = ExhaustiveMatcher(objective)
-        runner = MatchingPipeline(matcher, workers=2, cache=False)
+        runner = MatchingPipeline(matcher, workers=2)
         runner.run(queries, repo, DELTA)
         pool = executor_module._POOL
         runner.run(queries, other, DELTA)
@@ -387,13 +322,13 @@ class TestWorkerPoolReuse:
         repo, objective, queries = setup
         matcher = BeamMatcher(objective, beam_width=4)
         serial = matcher.batch_match(
-            queries, repo, DELTA, workers=1, cache=False
+            queries, repo, DELTA, workers=1
         )
         parallel_first = matcher.batch_match(
-            queries, repo, DELTA, workers=2, cache=False
+            queries, repo, DELTA, workers=2
         )
         parallel_again = matcher.batch_match(
-            queries, repo, DELTA, workers=2, cache=False
+            queries, repo, DELTA, workers=2
         )
         for a, b, c in zip(serial, parallel_first, parallel_again):
             assert flatten(a) == flatten(b) == flatten(c)
@@ -413,23 +348,54 @@ class TestWorkerPoolReuse:
 
         repo, objective, queries = setup
         runner = MatchingPipeline(
-            _ExplodingMatcher(objective), workers=2, cache=False
+            _ExplodingMatcher(objective), workers=2
         )
         with pytest.raises(ValueError, match="injected worker failure"):
             runner.run(queries, repo, DELTA)
         assert executor_module._POOL is None
 
     def test_abandoned_stream_keeps_pool_warm(self, setup):
-        # Abandoning the increment stream (GeneratorExit) is not a
+        # Abandoning the pool's result stream (GeneratorExit) is not a
         # failure: pending units are cancelled but the warm pool stays
         # for the next run.
         from repro.matching import executor as executor_module
 
         repo, objective, queries = setup
-        runner = MatchingPipeline(
-            ExhaustiveMatcher(objective), workers=2, cache=False
-        )
-        stream = runner.stream(queries, repo, DELTA)
+        matcher = ExhaustiveMatcher(objective)
+        matcher.prepare(repo)
+        state = ExecutionState.build(matcher, queries, repo)
+        schema_ids = tuple(schema.schema_id for schema in repo)
+        units = [WorkUnit(index, 0, schema_ids) for index in range(len(queries))]
+        stream = ProcessPoolShardExecutor(2).execute(state, units, DELTA)
         next(stream)
         stream.close()
         assert executor_module._POOL is not None
+
+
+class TestRetiredCacheArgument:
+    """Three entry points still take ``cache``, but only switched off."""
+
+    @pytest.mark.parametrize("value", [None, False, True])
+    def test_only_off_values_accepted(self, setup, small_workload, value):
+        repo, objective, queries = setup
+        workload = small_workload
+        calls = (
+            lambda: ExhaustiveMatcher(objective).batch_match(
+                queries, repo, DELTA, cache=value
+            ),
+            lambda: run_system(
+                ExhaustiveMatcher(workload.objective),
+                workload.suite,
+                workload.schedule,
+                cache=value,
+            ),
+            lambda: replica_group(
+                "exhaustive", workload.objective, 1, DELTA, cache=value
+            ),
+        )
+        for call in calls:
+            if value is True:
+                with pytest.raises(MatchingError, match="cache was removed"):
+                    call()
+            else:
+                call()

@@ -38,8 +38,13 @@ from helpers.faults import (
     flip_byte,
     rewrite_frame,
 )
-from repro.errors import SnapshotError, TransportError
-from repro.matching import RemoteShardExecutor, WorkerServer, make_matcher
+from repro.errors import MatchingError, SnapshotError, TransportError
+from repro.matching import (
+    ExhaustiveMatcher,
+    RemoteShardExecutor,
+    WorkerServer,
+    make_matcher,
+)
 from repro.matching import remote as remote_module
 from repro.matching.executor import ExecutionState, WorkUnit
 from repro.matching.remote import (
@@ -73,7 +78,7 @@ def _canonical(answer_sets) -> bytes:
 def _serial_answers(small_workload, queries, name="exhaustive", params=None):
     matcher = make_matcher(name, small_workload.objective, **(params or {}))
     return matcher.batch_match(
-        queries, small_workload.repository, 0.3, cache=False
+        queries, small_workload.repository, 0.3
     )
 
 
@@ -85,7 +90,6 @@ def _remote_answers(
         queries,
         small_workload.repository,
         0.3,
-        cache=False,
         shards=3,
         executor=executor,
     )
@@ -555,7 +559,56 @@ class _SlowFirstUnitWorker(WorkerServer):
         return super()._run(message)
 
 
+class _RaisingMatcher(ExhaustiveMatcher):
+    """Raises from every search: the unit fails, not the worker.
+
+    Module-level so in-process workers can unpickle it; its own name
+    gives it its own fingerprint, so no worker reuses its state for the
+    exhaustive matcher.
+    """
+
+    name = "raising"
+
+    def _match_schema(self, query, schema, delta_max):
+        raise MatchingError("injected unit failure")
+
+
 class TestFaultInjection:
+    def test_raising_unit_fails_once_and_keeps_breakers_closed(
+        self, small_workload, queries
+    ):
+        """A matcher that raises fails the sweep, not the workers.
+
+        Every worker would raise the same, so the unit is not retried
+        on a peer, no breaker opens, and the next valid sweep runs on
+        the same workers.
+        """
+        workers = [WorkerServer().start() for _ in range(2)]
+        try:
+            executor = RemoteShardExecutor([w.address for w in workers])
+            raising = _RaisingMatcher(small_workload.objective)
+            with pytest.raises(
+                TransportError, match="injected unit failure"
+            ) as failure:
+                raising.batch_match(
+                    queries, small_workload.repository, 0.3,
+                    shards=3, executor=executor,
+                )
+            assert "raised on worker" in str(failure.value)
+            assert executor.stats.breaker_opens == 0
+            assert [
+                executor.worker_health(w.address).state for w in workers
+            ] == ["closed", "closed"]
+            remote = _remote_answers(small_workload, queries, executor)
+        finally:
+            for worker in workers:
+                worker.stop()
+        assert executor.stats.breaker_opens == 0
+        assert sum(w.stats.errors for w in workers) >= 1
+        assert _canonical(remote) == _canonical(
+            _serial_answers(small_workload, queries)
+        )
+
     def test_worker_crash_mid_shard_is_retried(self, small_workload, queries):
         """The headline scenario: crash mid-shard, identical answers."""
         crasher = _CrashingWorker().start()
@@ -622,19 +675,21 @@ class TestFaultInjection:
 
 class TestVersionAndState:
     def test_version_mismatch_refused(self):
-        """Any other version is refused at hello — v1 to v3 peers included.
+        """Any other version is refused at hello — v1 to v4 peers included.
 
         A v2 coordinator would otherwise pass ``hello`` and then fail its
         install on the ``switches`` field v3 dropped from the ``state``
         frame, with an opaque error reply; a v3 coordinator's pickled
         substrate carries a token index class v4 no longer has, so it
-        would fail at unpickling instead of at ``hello``.
+        would fail at unpickling instead of at ``hello``; a v4
+        coordinator would read a raising unit's ``unit_error`` reply as
+        an unexpected op.
         """
-        assert PROTOCOL_VERSION == 4
+        assert PROTOCOL_VERSION == 5
         worker = WorkerServer().start()
         replies = []
         try:
-            for version in (1, 2, 3, 999):
+            for version in (1, 2, 3, 4, 999):
                 sock = socket.create_connection(worker.address, timeout=5)
                 send_message(sock, {"op": "hello", "version": version})
                 replies.append(recv_message(sock))
@@ -765,7 +820,6 @@ class TestParallelUnits:
                     queries,
                     small_workload.repository,
                     0.3,
-                    cache=False,
                     shards=3,
                     executor=executor,
                 ))

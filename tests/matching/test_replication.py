@@ -50,14 +50,13 @@ def _group(small_workload, replicas=2, *, delivery=None, **options):
         replicas,
         0.3,
         delivery=delivery,
-        cache=False,
         **options,
     )
 
 
 def _offline(small_workload, queries, repository):
     matcher = make_matcher("exhaustive", small_workload.objective)
-    return matcher.batch_match(queries, repository, 0.3, cache=False)
+    return matcher.batch_match(queries, repository, 0.3)
 
 
 class TestReplicaGroupIdentity:

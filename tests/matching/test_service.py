@@ -71,7 +71,7 @@ class TestByteIdentityProperty:
         matcher = make_matcher(name, workload.objective, **params)
 
         async def scenario():
-            service = MatchingService(matcher, 0.3, cache=False)
+            service = MatchingService(matcher, 0.3)
             await service.start(workload.repository)
             waves = [await _serve_all(service, queries)]
             repositories = [service.repository]
@@ -85,7 +85,7 @@ class TestByteIdentityProperty:
 
         waves, repositories = _run(scenario())
         for wave, repository in zip(waves, repositories):
-            offline = matcher.batch_match(queries, repository, 0.3, cache=False)
+            offline = matcher.batch_match(queries, repository, 0.3)
             assert _canonical(wave) == _canonical(offline), name
 
     @settings(max_examples=8, deadline=None)
@@ -102,7 +102,7 @@ class TestByteIdentityProperty:
         )
 
         async def scenario():
-            service = MatchingService(matcher, delta_max, cache=False)
+            service = MatchingService(matcher, delta_max)
             await service.start(workload.repository)
             await _serve_all(service, queries)  # retain the baseline
             await service.apply_delta(
@@ -115,7 +115,7 @@ class TestByteIdentityProperty:
 
         answers, repository = _run(scenario())
         offline = matcher.batch_match(
-            queries, repository, delta_max, cache=False
+            queries, repository, delta_max
         )
         assert _canonical(answers) == _canonical(offline)
 
@@ -126,7 +126,7 @@ class TestMicroBatching:
 
         async def scenario():
             service = MatchingService(
-                matcher, 0.3, cache=False, max_batch=2
+                matcher, 0.3, max_batch=2
             )
             await service.start(workload.repository)
             # every query requested twice, concurrently
@@ -138,8 +138,7 @@ class TestMicroBatching:
             return list(answers), stats
 
         answers, stats = _run(scenario())
-        offline = matcher.batch_match(queries, workload.repository, 0.3,
-                                      cache=False)
+        offline = matcher.batch_match(queries, workload.repository, 0.3)
         expected = [answers_ for answers_ in offline for _ in range(2)]
         assert _canonical(answers) == _canonical(expected)
         assert stats.requests == 2 * len(queries)
@@ -155,7 +154,7 @@ class TestMicroBatching:
         matcher = ExhaustiveMatcher(workload.objective)
 
         async def scenario():
-            service = MatchingService(matcher, 0.3, cache=False)
+            service = MatchingService(matcher, 0.3)
             await service.start(workload.repository)
             first = await _serve_all(service, queries)
             second = await _serve_all(service, queries)
@@ -178,7 +177,7 @@ class TestMicroBatching:
 
         async def scenario():
             service = MatchingService(
-                matcher, 0.3, cache=False, max_delay=0.005, max_batch=64
+                matcher, 0.3, max_delay=0.005, max_batch=64
             )
             await service.start(workload.repository)
             answers = await _serve_all(service, queries)
@@ -187,8 +186,7 @@ class TestMicroBatching:
             return answers, stats
 
         answers, stats = _run(scenario())
-        offline = matcher.batch_match(queries, workload.repository, 0.3,
-                                      cache=False)
+        offline = matcher.batch_match(queries, workload.repository, 0.3)
         assert _canonical(answers) == _canonical(offline)
         assert stats.batches == 1  # the window gathered them all
 
@@ -199,7 +197,7 @@ class TestSnapshotLifecycle:
 
         async def scenario():
             service = MatchingService(
-                matcher, 0.3, cache=False, store=tmp_path / "snap"
+                matcher, 0.3, store=tmp_path / "snap"
             )
             await service.start(workload.repository)
             answers = await _serve_all(service, queries)
@@ -219,7 +217,7 @@ class TestSnapshotLifecycle:
 
         async def scenario():
             service = MatchingService(
-                matcher, 0.3, cache=False, store=tmp_path / "snap"
+                matcher, 0.3, store=tmp_path / "snap"
             )
             await service.start()  # no repository: from snapshot alone
             answers = await _serve_all(service, fresh_queries)
@@ -243,8 +241,7 @@ class TestSnapshotLifecycle:
 
         async def scenario():
             service = MatchingService(
-                matcher, 0.3, cache=False,
-                store=tmp_path / "auto", checkpoint_every=2,
+                matcher, 0.3, store=tmp_path / "auto", checkpoint_every=2,
             )
             await service.start(workload.repository)
             await _serve_all(service, queries)
@@ -343,7 +340,7 @@ class TestServiceApi:
         matcher = ExhaustiveMatcher(workload.objective)
 
         async def scenario():
-            service = MatchingService(matcher, 0.3, cache=False)
+            service = MatchingService(matcher, 0.3)
             with pytest.raises(MatchingError, match="no repository"):
                 _ = service.repository
             with pytest.raises(MatchingError, match="not accepting"):
@@ -368,7 +365,7 @@ class TestServiceApi:
         matcher = ExhaustiveMatcher(workload.objective)
 
         async def scenario():
-            service = MatchingService(matcher, 0.3, cache=False)
+            service = MatchingService(matcher, 0.3)
             await service.start(workload.repository)
             bad = asyncio.ensure_future(service.match(object()))  # no digest
             good = asyncio.ensure_future(service.match(queries[0]))
@@ -381,7 +378,7 @@ class TestServiceApi:
 
         first, later = _run(scenario())
         offline = matcher.batch_match(
-            queries[:2], workload.repository, 0.3, cache=False
+            queries[:2], workload.repository, 0.3
         )
         assert _canonical([first, later]) == _canonical(offline)
 
@@ -389,7 +386,7 @@ class TestServiceApi:
         matcher = ExhaustiveMatcher(workload.objective)
 
         async def scenario():
-            service = MatchingService(matcher, 0.3, cache=False)
+            service = MatchingService(matcher, 0.3)
             await service.start(workload.repository)
             futures = [
                 asyncio.ensure_future(service.match(q)) for q in queries
@@ -399,7 +396,7 @@ class TestServiceApi:
 
         answers = _run(scenario())
         offline = ExhaustiveMatcher(workload.objective).batch_match(
-            queries, workload.repository, 0.3, cache=False
+            queries, workload.repository, 0.3
         )
         assert _canonical(answers) == _canonical(offline)
 
@@ -419,7 +416,7 @@ class TestServiceApi:
             # a wide coalescing window parks the requests in the pending
             # queue: they are enqueued but unserved when stop() lands
             service = MatchingService(
-                matcher, 0.3, cache=False, max_delay=5.0
+                matcher, 0.3, max_delay=5.0
             )
             await service.start(workload.repository)
             futures = [
@@ -449,7 +446,7 @@ class TestServiceApi:
         )
 
         async def scenario():
-            service = MatchingService(matcher, 0.3, cache=False)
+            service = MatchingService(matcher, 0.3)
             await service.start(workload.repository)
             await _serve_all(service, queries)
             await service.stop()
@@ -460,7 +457,7 @@ class TestServiceApi:
             return answers, stats
 
         answers, stats = _run(scenario())
-        offline = matcher.batch_match(queries, evolved, 0.3, cache=False)
+        offline = matcher.batch_match(queries, evolved, 0.3)
         assert _canonical(answers) == _canonical(offline)
         assert stats.served_from_state == 0  # per-run counters, fresh state
         assert stats.batched_queries == len(queries)
@@ -469,7 +466,7 @@ class TestServiceApi:
         async def scenario():
             service = matching_service(
                 "beam", workload.objective, 0.3,
-                params={"beam_width": 4}, cache=False,
+                params={"beam_width": 4},
             )
             await service.start(workload.repository)
             answers = await _serve_all(service, queries)
@@ -479,18 +476,18 @@ class TestServiceApi:
             return answers, matcher, repository
 
         answers, matcher, repository = _run(scenario())
-        offline = matcher.batch_match(queries, repository, 0.3, cache=False)
+        offline = matcher.batch_match(queries, repository, 0.3)
         assert _canonical(answers) == _canonical(offline)
 
 
 class TestSessionExtend:
     def test_extend_matches_then_evolves_together(self, workload, queries):
         matcher = ExhaustiveMatcher(workload.objective)
-        session = EvolutionSession(matcher, queries[:2], 0.3, cache=False)
+        session = EvolutionSession(matcher, queries[:2], 0.3)
         session.match(workload.repository)
         added = session.extend(queries[2:])
         offline = matcher.batch_match(
-            queries, workload.repository, 0.3, cache=False
+            queries, workload.repository, 0.3
         )
         assert _canonical(session.answer_sets) == _canonical(offline)
         assert _canonical(added) == _canonical(offline[2:])
@@ -499,13 +496,13 @@ class TestSessionExtend:
             churn_delta(workload.repository, churn=0.25, seed=6)
         )
         cold = matcher.batch_match(
-            queries, session.repository, 0.3, cache=False
+            queries, session.repository, 0.3
         )
         assert _canonical(result.answer_sets) == _canonical(cold)
 
     def test_extend_rejects_duplicates(self, workload, queries):
         matcher = ExhaustiveMatcher(workload.objective)
-        session = EvolutionSession(matcher, queries[:2], 0.3, cache=False)
+        session = EvolutionSession(matcher, queries[:2], 0.3)
         session.match(workload.repository)
         with pytest.raises(MatchingError, match="already tracked"):
             session.extend([queries[0]])

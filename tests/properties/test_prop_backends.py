@@ -124,7 +124,7 @@ def test_corpus_sensitive_rematch_identical_across_deltas(
         for index in range(2)
     ]
     session = EvolutionSession(
-        make_matcher(name, objective, **params), queries, 0.3, cache=False
+        make_matcher(name, objective, **params), queries, 0.3
     )
     session.match(repo)
     for step in range(steps):
@@ -134,7 +134,7 @@ def test_corpus_sensitive_rematch_identical_across_deltas(
             assert result.rematch is not None
             assert result.rematch.full_recompute
         cold = MatchingPipeline(
-            make_matcher(name, objective, **params), cache=False
+            make_matcher(name, objective, **params)
         ).run(queries, session.repository, 0.3)
         assert canonical_answers(result.answer_sets) == canonical_answers(
             cold.answer_sets
@@ -168,7 +168,7 @@ def test_pre_backend_snapshot_restores_and_serves(tmp_path):
         )
     ]
     matcher = ExhaustiveMatcher(objective)
-    result = MatchingPipeline(matcher, cache=False).run(queries, repo, 0.3)
+    result = MatchingPipeline(matcher).run(queries, repo, 0.3)
 
     payload = json.loads(persist.substrate_payload(objective.substrate()))
     assert payload["kernel"] is not None
@@ -231,7 +231,7 @@ def test_backend_snapshot_round_trip(tmp_path):
         )
     ]
     matcher = make_matcher("bm25", ObjectiveFunction(NameSimilarity()))
-    result = MatchingPipeline(matcher, cache=False).run(queries, repo, 0.3)
+    result = MatchingPipeline(matcher).run(queries, repo, 0.3)
     persist.save_snapshot(
         tmp_path / "snap",
         repo,

@@ -111,7 +111,7 @@ def test_kernel_identical_across_delta_stream(repo_seed, matcher, steps):
         for index in range(2)
     ]
     session = EvolutionSession(
-        make_matcher(name, objective, **params), queries, 0.3, cache=False
+        make_matcher(name, objective, **params), queries, 0.3
     )
     session.match(repo)
     for step in range(steps):
@@ -119,7 +119,7 @@ def test_kernel_identical_across_delta_stream(repo_seed, matcher, steps):
         result, _report = session.apply(delta)
         with kernel_off():
             cold = MatchingPipeline(
-                make_matcher(name, objective, **params), cache=False
+                make_matcher(name, objective, **params)
             ).run(queries, session.repository, 0.3)
         assert canonical_answers(result.answer_sets) == canonical_answers(
             cold.answer_sets
@@ -290,7 +290,7 @@ def test_pre_kernel_snapshot_restores_and_serves(tmp_path):
         )
     ]
     matcher = ExhaustiveMatcher(objective)
-    result = MatchingPipeline(matcher, cache=False).run(queries, repo, 0.3)
+    result = MatchingPipeline(matcher).run(queries, repo, 0.3)
 
     payload = json.loads(persist.substrate_payload(objective.substrate()))
     assert "kernel" in payload

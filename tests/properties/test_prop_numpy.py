@@ -123,7 +123,7 @@ def test_numpy_identical_across_delta_stream(repo_seed, matcher, steps):
         for index in range(2)
     ]
     session = EvolutionSession(
-        make_matcher(name, objective, **params), queries, 0.3, cache=False
+        make_matcher(name, objective, **params), queries, 0.3
     )
     session.match(repo)
     for step in range(steps):
@@ -134,7 +134,6 @@ def test_numpy_identical_across_delta_stream(repo_seed, matcher, steps):
                 make_matcher(
                     name, ObjectiveFunction(NameSimilarity()), **params
                 ),
-                cache=False,
             ).run(queries, session.repository, 0.3)
         assert canonical_answers(result.answer_sets) == canonical_answers(
             cold.answer_sets

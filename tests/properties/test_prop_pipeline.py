@@ -54,7 +54,7 @@ def test_batch_match_equals_union_of_shard_matches(case):
 
     whole = matcher.match(query, repo, delta)
     batched = matcher.batch_match(
-        [query], repo, delta, workers=1, shards=num_shards, cache=False
+        [query], repo, delta, workers=1, shards=num_shards
     )[0]
 
     union = None

@@ -61,7 +61,6 @@ def test_replicas_equal_single_node_replay(name, params, case):
         make_matcher(name, workload.objective(), **params),
         queries,
         delta_max,
-        cache=False,
     )
     session.match(workload.repository)
     reference = [[canonical(a) for a in session.answer_sets]]
@@ -76,7 +75,7 @@ def test_replicas_equal_single_node_replay(name, params, case):
     async def scenario():
         group = replica_group(
             name, workload.objective(), 2, delta_max,
-            params=params, cache=False,
+            params=params,
         )
         await group.start(workload.repository)
         waves = []
@@ -125,7 +124,6 @@ def test_joining_replica_equals_founders(name, params, case):
         make_matcher(name, workload.objective(), **params),
         queries,
         delta_max,
-        cache=False,
     )
     session.match(workload.repository)
     deltas = []
@@ -138,7 +136,7 @@ def test_joining_replica_equals_founders(name, params, case):
     async def scenario():
         group = replica_group(
             name, workload.objective(), 2, delta_max,
-            params=params, cache=False,
+            params=params,
         )
         await group.start(workload.repository)
         # the joiner arrives after the first delta: its truth is the

@@ -243,7 +243,6 @@ class _Schedule:
             ),
             self.queries,
             DELTA_MAX,
-            cache=False,
         )
         self.reference.match(self.workload.repository)
         self.live = [WorkerServer().start() for _ in range(2)]
@@ -265,7 +264,6 @@ class _Schedule:
             2,
             DELTA_MAX,
             params=self.params,
-            cache=False,
             shards=2,
             executor=self.executor,
             delivery=self.faults,

@@ -174,6 +174,42 @@ MUTANTS = (
         why="the incremental best case keeps only the last increment's "
         "count instead of summing them (the algorithm's step 4)",
     ),
+    Mutant(
+        name="beam-width-plus-one",
+        path="repro/matching/engine.py",
+        snippet=(
+            "states = heapq.nsmallest(beam_width, expansions, "
+            "key=lambda s: s[0])"
+        ),
+        replacement=(
+            "states = heapq.nsmallest(beam_width + 1, expansions, "
+            "key=lambda s: s[0])"
+        ),
+        tests=(
+            "tests/matching/test_engine.py",
+            "tests/matching/test_matchers.py",
+        ),
+        why="the beam keeps one partial mapping too many per level",
+    ),
+    Mutant(
+        name="hybrid-too-few-targets",
+        path="repro/matching/hybrid.py",
+        snippet="if len(in_schema) < len(query):",
+        replacement="if len(in_schema) <= len(query):",
+        tests=("tests/matching/test_hybrid.py",),
+        why="the hybrid skips a schema whose nominated elements just fit",
+    ),
+    Mutant(
+        name="assemble-no-capacity-check",
+        path="repro/matching/base.py",
+        snippet="self.check_capacity(len(answers), delta_max)",
+        replacement="pass",
+        tests=(
+            "tests/matching/test_matchers.py",
+            "tests/matching/test_pipeline.py",
+        ),
+        why="batch_match never enforces max_answers",
+    ),
 )
 
 

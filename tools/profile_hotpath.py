@@ -89,7 +89,6 @@ def _churn(workload, count):
         ExhaustiveMatcher(workload.objective),
         [scenario.query for scenario in workload.suite.scenarios],
         DELTA_MAX,
-        cache=False,
     )
     session.match(workload.repository)
     deltas = []
