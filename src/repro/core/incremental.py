@@ -81,14 +81,14 @@ class SystemProfile:
     ) -> "SystemProfile":
         """Judge an answer set at every threshold of the schedule.
 
-        One pass: the correct answers' scores, taken in answer order, are
-        sorted, so ``|T^δ|`` at each δ is a bisection, as ``|A^δ|`` is
-        (the counts :func:`~repro.core.measures.measure` gives on each
-        ``A^δ``).
+        One pass: the correct answers' scores are sorted, so ``|T^δ|`` at
+        each δ is a bisection, as ``|A^δ|`` is (the counts
+        :func:`~repro.core.measures.measure` gives on each ``A^δ``).  A
+        matcher's column answer set finds those scores by one group
+        lookup per element of H, building no answer.
         """
         truth = frozenset(ground_truth)
-        hits = answers.items() & truth
-        hit_scores = [a.score for a in answers if a.item in hits] if hits else []
+        hit_scores = answers._hit_scores(truth)
         relevant = len(truth)
         counts = tuple(
             Counts(

@@ -28,7 +28,7 @@ import abc
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
-from repro.core.answers import Answer, AnswerSet
+from repro.core.answers import AnswerSet
 from repro.errors import MatchingError
 from repro.matching.mapping import Mapping
 from repro.matching.objective import ObjectiveFunction
@@ -120,22 +120,24 @@ class Matcher(abc.ABC):
     ) -> AnswerSet:
         """Answer set from per-schema :meth:`match_pair` results.
 
-        Builds mappings in repository order, so any producer of complete
-        ``{schema_id: pair result}`` maps — :meth:`match` and the sharded
-        pipeline — yields the identical answer set.
+        Files the non-empty pair results in repository order as the
+        column groups of the answer set — one ``{target_ids: score}``
+        group per (query id, schema id) — so any producer of complete
+        ``{schema_id: pair result}`` maps (:meth:`match` and the sharded
+        pipeline) yields the identical answer set.  No
+        :class:`~repro.matching.mapping.Mapping` is built until a caller
+        reads the answers (see :mod:`repro.core.answers`).
         """
-        answers: list[Answer] = []
-        append = answers.append
-        from_search = Mapping._from_search
         query_id = query.schema_id
+        runs = []
+        total = 0
         for schema in repository:
             results = pair_results[schema.schema_id]
-            if not results:
-                continue
-            for target_ids, score in results:
-                append(Answer(from_search(query_id, schema, target_ids), score))
-            self.check_capacity(len(answers), delta_max)
-        return AnswerSet(answers)
+            if results:
+                runs.append((*Mapping._group(query_id, schema), results))
+                total += len(results)
+        self.check_capacity(total, delta_max)
+        return AnswerSet._columns(runs, Mapping._locate)
 
     def match(
         self, query: Schema, repository: SchemaRepository, delta_max: float

@@ -63,15 +63,21 @@ PairResult = list[tuple[tuple[int, ...], float]]
 def matcher_fingerprint(matcher: Matcher) -> str:
     """Configuration identity of a matcher, for state keys and snapshots.
 
-    :meth:`Matcher.describe` covers the system name, its parameters and
-    the objective fingerprint — which itself folds in the thesaurus
-    content digest (:meth:`NameSimilarity.fingerprint`), so same-size,
-    different-content thesauri cannot collide here.
+    The matcher's class, as ``module:qualname``, plus
+    :meth:`Matcher.describe`: the system name, its parameters and the
+    objective fingerprint — which itself folds in the thesaurus content
+    digest (:meth:`NameSimilarity.fingerprint`), so same-size,
+    different-content thesauri cannot collide here.  The class is part
+    of it because ``describe()`` names what a matcher calls itself, not
+    the code that runs: a subclass that keeps its parent's ``name``
+    must not share the parent's warm workers, snapshots or re-match
+    baseline.
     """
+    cls = type(matcher)
     description = sorted(
         (key, repr(value)) for key, value in matcher.describe().items()
     )
-    return repr(description)
+    return repr((f"{cls.__module__}:{cls.__qualname__}", description))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ suite (see :mod:`repro.core.answers`).
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.errors import MatchingError
 from repro.schema.model import Schema
 from repro.schema.repository import ElementHandle
@@ -92,16 +94,47 @@ class Mapping:
         """Construct without re-validating — for engine-produced output.
 
         The branch-and-bound guarantees single-schema injective
-        assignments (``used`` excludes every assigned target), so
-        :meth:`~repro.matching.base.Matcher.assemble` — which turns tens
-        of thousands of search results into mappings on the hot path —
-        skips the constructor's checks and builds no element handle.
-        Every other producer goes through ``Mapping(...)`` and keeps
-        them.
+        assignments (``used`` excludes every assigned target), so the
+        answer sets :meth:`~repro.matching.base.Matcher.assemble` builds
+        — which turn tens of thousands of search results into mappings
+        when a caller reads them — skip the constructor's checks and
+        build no element handle.  Every other producer goes through
+        ``Mapping(...)`` and keeps them.
         """
         mapping = object.__new__(cls)
         _init(mapping, query_schema_id, schema, target_ids, None)
         return mapping
+
+    @classmethod
+    def _group(
+        cls, query_schema_id: str, schema: Schema
+    ) -> tuple[tuple[str, str], partial]:
+        """One (query, repository schema) group of a column answer set.
+
+        Its key, ``(query id, schema id)``, and its item maker:
+        ``make(target_ids)`` is the mapping, built without re-validating
+        (:meth:`_from_search`).  :meth:`~repro.matching.base.Matcher
+        .assemble` files each non-empty pair result under one group;
+        :meth:`_locate` reads the same key layout back.
+        """
+        return (query_schema_id, schema.schema_id), partial(
+            cls._from_search, query_schema_id, schema
+        )
+
+    @staticmethod
+    def _locate(item: object) -> tuple[tuple[str, str], tuple[int, ...]] | None:
+        """Where a column answer set files ``item``, or ``None``.
+
+        The inverse of :meth:`_group`'s filing, for the judged counts
+        (``SystemProfile.from_answer_set``): the mapping's group key and
+        its target ids.  Anything but a mapping is in no group.
+        """
+        if not isinstance(item, Mapping):
+            return None
+        return (
+            (item.query_schema_id, item.target_schema.schema_id),
+            item.target_ids,
+        )
 
     @property
     def targets(self) -> tuple[ElementHandle, ...]:

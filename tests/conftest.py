@@ -10,7 +10,9 @@ Two suite-wide knobs live here as well:
   (``HYPOTHESIS_PROFILE=ci``): derandomised, so example selection is a
   function of the test alone and a red run reproduces locally from the
   printed blob; no deadline, because shared runners make per-example
-  wall-clock a flake source, not a signal.
+  wall-clock a flake source, not a signal.  ``tools/mutate.py`` runs
+  under ``mutate``: the ``ci`` profile without hypothesis's explain
+  phase, which only annotates a failure a mutant run reads as a kill.
 * **``network`` opt-out** — tests marked ``network`` open local
   sockets (loopback only).  ``REPRO_NO_NETWORK=1`` skips them for
   sandboxes where even loopback listeners are off-limits.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import os
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from repro.evaluation import build_workload, run_system, small_config
 from repro.matching import (
@@ -33,6 +35,11 @@ from repro.matching import (
 
 settings.register_profile(
     "ci", deadline=None, derandomize=True, print_blob=True
+)
+settings.register_profile(
+    "mutate",
+    settings.get_profile("ci"),
+    phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 settings.register_profile("dev", deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

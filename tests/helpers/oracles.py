@@ -26,9 +26,14 @@ mechanisms) and restores them on exit, also when the block raises.
 Nothing here is visible to pool or socket workers — differential runs
 are serial.
 
-Two answer-set specs are plain functions, diffed against their
-replacements by ``tests/properties/test_prop_answers.py``:
+Three answer-set specs are plain functions, diffed against their
+replacements by ``tests/properties/test_prop_answers.py`` and
+``tests/properties/test_prop_columns.py``:
 
+* :func:`eager_assemble` — :meth:`Matcher.assemble` building one
+  :class:`~repro.matching.mapping.Mapping` and one
+  :class:`~repro.core.answers.Answer` per search result (the column
+  answer set, which builds them on first read, now);
 * :func:`fold_union` — the left fold of :meth:`AnswerSet.union` that
   pooled a suite's per-query sets (``AnswerSet.disjoint_union`` now);
 * :func:`profile_by_threshold` — :func:`~repro.core.measures.measure`
@@ -42,11 +47,13 @@ from collections.abc import Hashable, Iterable, Iterator
 from contextlib import contextmanager
 from unittest import mock
 
-from repro.core.answers import AnswerSet
+from repro.core.answers import Answer, AnswerSet
 from repro.core.measures import Counts, measure
 from repro.core.thresholds import ThresholdSchedule
+from repro.matching.base import Matcher
 from repro.matching.clustering import ElementCluster, ElementClusterer
 from repro.matching.engine import _EPSILON, SchemaSearch
+from repro.matching.mapping import Mapping
 from repro.matching.similarity import kernel as kernel_module
 from repro.matching.similarity.matrix import ScoreMatrix, SimilaritySubstrate
 from repro.schema.model import Schema
@@ -55,6 +62,7 @@ from repro.schema.repository import SchemaRepository
 __all__ = [
     "cluster_scan",
     "direct_matrix",
+    "eager_assemble",
     "flat_search_off",
     "fold_union",
     "kernel_off",
@@ -148,6 +156,33 @@ def cluster_scan(
             clusters.append(best_cluster)
         best_cluster.members.add(handle.key)
     return clusters
+
+
+def eager_assemble(
+    matcher: Matcher,
+    query: Schema,
+    repository: SchemaRepository,
+    pair_results: dict[str, list[tuple[tuple[int, ...], float]]],
+    delta_max: float,
+) -> AnswerSet:
+    """:meth:`Matcher.assemble`'s spec: one mapping and answer per result.
+
+    Builds mappings in repository order, checking ``max_answers`` after
+    each schema, and sorts them in the eager :class:`AnswerSet`
+    constructor.
+    """
+    answers: list[Answer] = []
+    append = answers.append
+    from_search = Mapping._from_search
+    query_id = query.schema_id
+    for schema in repository:
+        results = pair_results[schema.schema_id]
+        if not results:
+            continue
+        for target_ids, score in results:
+            append(Answer(from_search(query_id, schema, target_ids), score))
+        matcher.check_capacity(len(answers), delta_max)
+    return AnswerSet(answers)
 
 
 def fold_union(sets: Iterable[AnswerSet]) -> AnswerSet:

@@ -24,8 +24,10 @@ snippet does not occur exactly once in its file — the list has gone
 stale and must be updated with the code — a test run that ends in
 anything but pass or fail (a collection error kills nothing), and a
 tree whose covering tests already fail without any mutant (then every
-mutant would look killed).  Test runs use the derandomised ``ci``
-hypothesis profile, so verdicts repeat run to run.
+mutant would look killed).  Test runs use the ``mutate`` hypothesis
+profile (``tests/conftest.py``): the derandomised ``ci`` profile, so
+verdicts repeat run to run, without the explain phase, which only
+annotates a failure and once took most of a mutant run.
 """
 
 from __future__ import annotations
@@ -202,13 +204,165 @@ MUTANTS = (
     Mutant(
         name="assemble-no-capacity-check",
         path="repro/matching/base.py",
-        snippet="self.check_capacity(len(answers), delta_max)",
+        snippet="self.check_capacity(total, delta_max)",
         replacement="pass",
         tests=(
             "tests/matching/test_matchers.py",
             "tests/matching/test_pipeline.py",
         ),
         why="batch_match never enforces max_answers",
+    ),
+    # -- the column answer set (core/answers.py) -----------------------------
+    Mutant(
+        name="column-tie-order",
+        path="repro/core/answers.py",
+        snippet="built.sort(key=_BY_SCORE)",
+        replacement="built.reverse(); built.sort(key=_BY_SCORE)",
+        tests=(
+            "tests/properties/test_prop_columns.py",
+            "tests/matching/test_matchers.py",
+        ),
+        why="a column set's materialised answers flip score ties out of "
+        "construction order",
+    ),
+    Mutant(
+        name="score-check-keys-only",
+        path="repro/core/answers.py",
+        snippet="mine.items() <= theirs.items()",
+        replacement="mine.keys() <= theirs.keys()",
+        tests=(
+            "tests/properties/test_prop_columns.py",
+            "tests/evaluation/test_validation.py",
+        ),
+        why="the column score check compares items but not their scores, "
+        "so a re-scored improvement passes",
+    ),
+    Mutant(
+        name="group-duplicate-check",
+        path="repro/core/answers.py",
+        snippet="if len(members) != len(results):",
+        replacement="if False:",
+        tests=(
+            "tests/properties/test_prop_columns.py",
+            "tests/core/test_answers.py",
+        ),
+        why="a pair result that repeats target ids collapses into one "
+        "answer instead of raising",
+    ),
+    Mutant(
+        name="pooled-repeated-group",
+        path="repro/core/answers.py",
+        snippet="repeated = groups.keys() & member._groups.keys()",
+        replacement="repeated = ()",
+        tests=(
+            "tests/properties/test_prop_columns.py",
+            "tests/properties/test_prop_answers.py",
+        ),
+        why="disjoint_union pools two answer sets holding the same "
+        "(query, schema) group, keeping one and counting both",
+    ),
+    # -- the paper's edge conventions (tests/core/test_conventions.py) -------
+    Mutant(
+        name="random-point-empty-s2",
+        path="repro/core/incremental.py",
+        snippet="precision = self.original.precision_or(Fraction(1))",
+        replacement="precision = Fraction(1)",
+        tests=(
+            "tests/core/test_conventions.py",
+            "tests/core/test_incremental.py",
+        ),
+        why="with no S2 answers the random system's precision is a vacuous "
+        "1, not S1's mix (Eq. 9)",
+    ),
+    Mutant(
+        name="recall-empty-truth",
+        path="repro/core/incremental.py",
+        snippet="if relevant == 0:\n            return Fraction(1)",
+        replacement="if relevant == 0:\n            return Fraction(0)",
+        tests=(
+            "tests/core/test_conventions.py",
+            "tests/core/test_incremental.py",
+        ),
+        why="bound recall against an empty ground truth reads 0, not the "
+        "trivial 1 (section 2.2)",
+    ),
+    Mutant(
+        name="size-ratio-empty-s1",
+        path="repro/core/incremental.py",
+        snippet=(
+            "if self.original.answers == 0:\n            return Fraction(0)"
+        ),
+        replacement=(
+            "if self.original.answers == 0:\n            return Fraction(1)"
+        ),
+        tests=(
+            "tests/core/test_conventions.py",
+            "tests/core/test_incremental.py",
+        ),
+        why="the size ratio of an empty S1 reads 1, not 0 (section 3.3)",
+    ),
+    Mutant(
+        name="case-size-ratio-empty-s1",
+        path="repro/core/bounds.py",
+        snippet=(
+            "if self.original.answers == 0:\n            return Fraction(0)"
+        ),
+        replacement=(
+            "if self.original.answers == 0:\n            return Fraction(1)"
+        ),
+        tests=(
+            "tests/core/test_conventions.py",
+            "tests/core/test_bounds.py",
+        ),
+        why="the per-threshold case bounds give an empty S1 a size ratio "
+        "of 1, not 0 (section 3.3)",
+    ),
+    Mutant(
+        name="relative-best-precision-empty",
+        path="repro/core/relative.py",
+        snippet="best_precision=entry.best.precision_or(Fraction(1)),",
+        replacement="best_precision=entry.best.precision_or(Fraction(0)),",
+        tests=(
+            "tests/core/test_conventions.py",
+            "tests/core/test_relative.py",
+        ),
+        why="relative bounds give an empty S2 a best precision of 0, not "
+        "the vacuous 1 (Eqs. 1/4)",
+    ),
+    Mutant(
+        name="default-cutoffs-one-answer",
+        path="repro/core/topn.py",
+        snippet="if total > 0:",
+        replacement="if total > 1:",
+        tests=(
+            "tests/core/test_conventions.py",
+            "tests/core/test_topn.py",
+        ),
+        why="the top-N ladder of a one-answer set is empty",
+    ),
+    Mutant(
+        name="increments-relevant-index",
+        path="repro/core/increments.py",
+        snippet="previous = Counts(0, 0, counts[0].relevant)",
+        replacement="previous = Counts(0, 0, counts[1].relevant)",
+        tests=(
+            "tests/core/test_conventions.py",
+            "tests/core/test_increments.py",
+        ),
+        why="|H| is read from the second threshold, which a one-threshold "
+        "profile lacks (section 3.2, step 2)",
+    ),
+    Mutant(
+        name="combine-empty-precision",
+        path="repro/core/increments.py",
+        snippet="if a_high == 0:\n        return r_high, Fraction(1)",
+        replacement="if a_high == 0:\n        return r_high, Fraction(0)",
+        tests=(
+            "tests/core/test_conventions.py",
+            "tests/core/test_increments.py",
+        ),
+        why="recombining into an empty answer set gives precision 0, not "
+        "the vacuous 1 (Eqs. 7/8)",
     ),
 )
 
@@ -241,7 +395,9 @@ def passes(modules: tuple[str, ...], mutant: Mutant | None = None) -> bool:
         )
         if mutant is not None:
             (src / mutant.path).write_text(mutated(mutant, src))
-        env = dict(os.environ, PYTHONPATH=str(src), HYPOTHESIS_PROFILE="ci")
+        env = dict(
+            os.environ, PYTHONPATH=str(src), HYPOTHESIS_PROFILE="mutate"
+        )
         # run from the temporary directory, so pytest's and hypothesis's
         # caches land there and not in the working tree
         completed = subprocess.run(
