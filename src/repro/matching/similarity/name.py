@@ -14,7 +14,9 @@ be a cheat: it would read the ground truth's mind.)
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from repro.errors import MatchingError
 from repro.schema.vocabulary import Vocabulary
@@ -22,9 +24,10 @@ from repro.util import rng as rng_util
 from repro.util.caching import fifo_put
 from repro.util.checks import check_probability
 from repro.util.text import (
-    jaccard,
+    char_positions,
     jaro_winkler,
-    ngram_similarity,
+    multiset_overlap,
+    ngram_profile,
     normalise_label,
 )
 
@@ -130,6 +133,33 @@ class Thesaurus:
         return cls(pairs)
 
 
+class LabelFeatures(NamedTuple):
+    """What :meth:`NameSimilarity._compute` reads of one normalised label.
+
+    Each field is a pure function of the label, derived once and read
+    for every pair the label is scored in.
+    """
+
+    #: padded character-3-gram multiset (:func:`~repro.util.text.ngram_profile`)
+    profile: Counter
+    #: its size, ``sum(profile.values())``
+    grams: int
+    #: the word tokens, ``frozenset(label.split())``
+    tokens: frozenset[str]
+    #: character -> ascending positions (:func:`~repro.util.text.char_positions`)
+    positions: dict[str, list[int]]
+
+    @classmethod
+    def of(cls, label: str) -> "LabelFeatures":
+        profile = ngram_profile(label)
+        return cls(
+            profile,
+            sum(profile.values()),
+            frozenset(label.split()),
+            char_positions(label),
+        )
+
+
 class NameSimilarity:
     """Combined name similarity in [0, 1] (1 = same name).
 
@@ -153,6 +183,19 @@ class NameSimilarity:
     (insertion-order eviction); re-computing an evicted pair returns the
     identical float, so eviction can never change a score — it only
     keeps long-lived services from growing the memo without bound.
+
+    A memo miss scores the pair from one :class:`LabelFeatures` record
+    per normalised label — its trigram profile and gram count, its token
+    set, and the character-position index Jaro's match scan walks —
+    kept in a feature table, so a label scored against hundreds of
+    others is analysed once, not once per pair.  The records hold what
+    the per-pair code derived (the same multisets and token sets; the
+    position walk finds the same Jaro matches in the same order as a
+    scan of every window position), and the blend adds the same terms
+    in the same order, so every score is the same float.  The table is
+    bounded by the same ``memo_limit`` FIFO as the memo, and pickles
+    leave it out: it is derived data a worker rebuilds as it reads it,
+    and shipping it would only grow pool and socket install payloads.
     """
 
     def __init__(
@@ -184,6 +227,17 @@ class NameSimilarity:
         # raw label -> normalised form; keeps memo hits regex-free (the
         # similarity memo itself is keyed on normalised labels)
         self._norm_cache: dict[str, str] = {}
+        # normalised label -> its features (derived; never pickled)
+        self._features: dict[str, LabelFeatures] = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_features"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._features = {}
 
     def fingerprint(self) -> str:
         """Configuration identity (objective-function equality checks).
@@ -232,26 +286,47 @@ class NameSimilarity:
         fifo_put(self._memo, key, value, self.memo_limit)
         return value
 
+    def _label_features(self, label: str) -> LabelFeatures:
+        """``label``'s feature record, derived on first use (FIFO-bounded)."""
+        features = self._features.get(label)
+        if features is None:
+            features = LabelFeatures.of(label)
+            fifo_put(self._features, label, features, self.memo_limit)
+        return features
+
     def _compute(self, na: str, nb: str) -> float:
         """Score two already-normalised labels, as they are.
 
         Every component is a pure symmetric function of the normalised
         forms, which is what makes the normalised memo key in
-        :meth:`similarity` exact.  Nothing here normalises again: a
-        normalised label's word tokens are its ``split()``, and the
-        thesaurus is asked through its normalised-pair lookup — both
-        equal to the raw-label forms (``token_set_similarity``,
-        :meth:`Thesaurus.synonymous`) because
-        :func:`~repro.util.text.normalise_label` is idempotent.
+        :meth:`similarity` exact.  Nothing here normalises again: each
+        label's features (:class:`LabelFeatures`: 3-gram profile, token
+        set, Jaro position index) come from the feature table, and the
+        thesaurus is asked through its normalised-pair lookup — equal to
+        the raw-label forms (``ngram_similarity``,
+        ``token_set_similarity``, :meth:`Thesaurus.synonymous`) because
+        :func:`~repro.util.text.normalise_label` is idempotent.  The
+        Dice and Jaccard terms are ``dice_coefficient``'s and
+        ``jaccard``'s expressions on the cached sizes (a non-empty
+        normalised label has grams and tokens, so neither degenerates),
+        and the blend adds the three terms in the same order as before.
         """
         if not na or not nb:
             return 0.0
         if na == nb:
             return 1.0
+        fa = self._label_features(na)
+        fb = self._label_features(nb)
+        shared = len(fa.tokens & fb.tokens)
+        winkler = jaro_winkler(na, nb, b_positions=fb.positions)
+        dice = (
+            2.0 * multiset_overlap(fa.profile, fb.profile) / (fa.grams + fb.grams)
+        )
+        token_jaccard = shared / (len(fa.tokens) + len(fb.tokens) - shared)
         blend = (
-            self.jaro_weight * jaro_winkler(na, nb)
-            + self.ngram_weight * ngram_similarity(na, nb)
-            + self.token_weight * jaccard(na.split(), nb.split())
+            self.jaro_weight * winkler
+            + self.ngram_weight * dice
+            + self.token_weight * token_jaccard
         )
         lexical = max(0.0, blend - self.ramp_low) / (1.0 - self.ramp_low)
         if self.thesaurus is not None and self.thesaurus.synonymous_normalised(

@@ -22,12 +22,14 @@ __all__ = [
     "tokenize_label",
     "levenshtein",
     "levenshtein_similarity",
+    "char_positions",
     "jaro",
     "jaro_winkler",
     "character_ngrams",
     "ngram_profile",
     "ngram_similarity",
     "dice_coefficient",
+    "multiset_overlap",
     "jaccard",
     "token_set_similarity",
     "longest_common_prefix",
@@ -91,54 +93,93 @@ def levenshtein_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / longest
 
 
-def jaro(a: str, b: str) -> float:
-    """Jaro similarity in [0, 1]."""
+def char_positions(text: str) -> dict[str, list[int]]:
+    """Each character of ``text`` mapped to its positions, ascending.
+
+    The index :func:`jaro` scans instead of every window position; a
+    caller that scores one string many times can keep it and pass it
+    as ``b_positions``.
+    """
+    positions: dict[str, list[int]] = {}
+    for j, char in enumerate(text):
+        spots = positions.get(char)
+        if spots is None:
+            positions[char] = [j]
+        else:
+            spots.append(j)
+    return positions
+
+
+def jaro(
+    a: str, b: str, b_positions: dict[str, list[int]] | None = None
+) -> float:
+    """Jaro similarity in [0, 1].
+
+    Each character of ``a`` matches the first unmatched equal character
+    of ``b`` within the match window.  Only the positions of that
+    character in ``b`` are visited (``b_positions``, which is
+    :func:`char_positions` of ``b``; built here when not given), in
+    ascending order, so the matches — and the transpositions between
+    the matched characters of ``a`` in ``a``'s order and those of ``b``
+    in ``b``'s order — are the ones a scan of every window position
+    finds, and the score is the same float.
+    """
     if a == b:
         return 1.0
     len_a, len_b = len(a), len(b)
     if len_a == 0 or len_b == 0:
         return 0.0
+    if b_positions is None:
+        b_positions = char_positions(b)
     window = max(len_a, len_b) // 2 - 1
     window = max(window, 0)
 
-    match_a = [False] * len_a
-    match_b = [False] * len_b
-    matches = 0
+    matched_b = bytearray(len_b)
+    a_chars: list[str] = []  # matched characters of a, in a's order
+    b_spots: list[int] = []  # their partners' positions in b
     for i, char_a in enumerate(a):
-        lo = max(0, i - window)
-        hi = min(len_b, i + window + 1)
-        for j in range(lo, hi):
-            if not match_b[j] and b[j] == char_a:
-                match_a[i] = True
-                match_b[j] = True
-                matches += 1
+        spots = b_positions.get(char_a)
+        if spots is None:
+            continue
+        lo = i - window
+        hi = i + window
+        for j in spots:
+            if j > hi:
                 break
+            if j >= lo and not matched_b[j]:
+                matched_b[j] = 1
+                a_chars.append(char_a)
+                b_spots.append(j)
+                break
+    matches = len(b_spots)
     if matches == 0:
         return 0.0
 
+    b_spots.sort()
     transpositions = 0
-    j = 0
-    for i in range(len_a):
-        if match_a[i]:
-            while not match_b[j]:
-                j += 1
-            if a[i] != b[j]:
-                transpositions += 1
-            j += 1
+    for char_a, j in zip(a_chars, b_spots):
+        if char_a != b[j]:
+            transpositions += 1
     transpositions //= 2
     return (
         matches / len_a + matches / len_b + (matches - transpositions) / matches
     ) / 3.0
 
 
-def jaro_winkler(a: str, b: str, prefix_scale: float = 0.1) -> float:
+def jaro_winkler(
+    a: str,
+    b: str,
+    prefix_scale: float = 0.1,
+    b_positions: dict[str, list[int]] | None = None,
+) -> float:
     """Jaro-Winkler similarity: Jaro boosted by a common prefix (<= 4 chars).
 
     ``prefix_scale`` must lie in [0, 0.25] to keep the result within [0, 1].
+    ``b_positions`` is passed on to :func:`jaro`.
     """
     if not 0.0 <= prefix_scale <= 0.25:
         raise ValueError(f"prefix_scale must be in [0, 0.25], got {prefix_scale!r}")
-    base = jaro(a, b)
+    base = jaro(a, b, b_positions)
     prefix = longest_common_prefix(a, b)
     prefix = min(prefix, 4)
     return base + prefix * prefix_scale * (1.0 - base)
@@ -177,8 +218,21 @@ def dice_coefficient(profile_a: Counter, profile_b: Counter) -> float:
         return 1.0
     if size_a == 0 or size_b == 0:
         return 0.0
-    overlap = sum((profile_a & profile_b).values())
-    return 2.0 * overlap / (size_a + size_b)
+    return 2.0 * multiset_overlap(profile_a, profile_b) / (size_a + size_b)
+
+
+def multiset_overlap(profile_a: Counter, profile_b: Counter) -> int:
+    """|A∩B| of two multisets: the sum of each shared element's smaller count.
+
+    Visits only the elements the two profiles share (the key-view
+    intersection iterates the smaller dict).  Counts are multiplicities
+    (``>= 0``, as in every n-gram profile), so the sum equals
+    ``sum((profile_a & profile_b).values())``.
+    """
+    overlap = 0
+    for element in profile_a.keys() & profile_b.keys():
+        overlap += min(profile_a[element], profile_b[element])
+    return overlap
 
 
 def jaccard(set_a: Iterable, set_b: Iterable) -> float:

@@ -39,10 +39,27 @@ replacements by ``tests/properties/test_prop_answers.py`` and
 * :func:`profile_by_threshold` — :func:`~repro.core.measures.measure`
   on one ``A^δ`` per threshold (``SystemProfile.from_answer_set``'s
   one-pass count now).
+
+The name-similarity specs are plain functions too, diffed float for
+float (``float.hex``) by ``tests/properties/test_prop_text.py`` and
+replayed against the production code by
+``benchmarks/bench_name_similarity.py``:
+
+* :func:`scan_jaro` — :func:`~repro.util.text.jaro` testing every
+  window position character by character (the position-indexed scan
+  now), and :func:`scan_jaro_winkler` on top of it;
+* :func:`counter_dice` — :func:`~repro.util.text.dice_coefficient`
+  intersecting the profiles with ``Counter &`` (an integer loop over
+  the shared grams now), and :func:`counter_ngram_similarity`;
+* :func:`pairwise_compute` — :meth:`NameSimilarity._compute
+  <repro.matching.similarity.name.NameSimilarity._compute>` deriving
+  both labels' profiles and token sets for every pair (read from the
+  per-label feature table now).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator
 from contextlib import contextmanager
 from unittest import mock
@@ -56,19 +73,26 @@ from repro.matching.engine import _EPSILON, SchemaSearch
 from repro.matching.mapping import Mapping
 from repro.matching.similarity import kernel as kernel_module
 from repro.matching.similarity.matrix import ScoreMatrix, SimilaritySubstrate
+from repro.matching.similarity.name import NameSimilarity
 from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
+from repro.util.text import jaccard, longest_common_prefix, ngram_profile
 
 __all__ = [
     "cluster_scan",
+    "counter_dice",
+    "counter_ngram_similarity",
     "direct_matrix",
     "eager_assemble",
     "flat_search_off",
     "fold_union",
     "kernel_off",
     "numpy_off",
+    "pairwise_compute",
     "profile_by_threshold",
     "recursive_exhaustive",
+    "scan_jaro",
+    "scan_jaro_winkler",
     "substrate_off",
 ]
 
@@ -205,6 +229,94 @@ def profile_by_threshold(
     """``measure(A^δ, H)`` at every δ: one answer set judged per threshold."""
     truth = frozenset(truth)
     return tuple(measure(answers.at_threshold(delta), truth) for delta in schedule)
+
+
+def scan_jaro(a: str, b: str) -> float:
+    """Jaro similarity by a scan of every window position: ``jaro``'s spec."""
+    if a == b:
+        return 1.0
+    len_a, len_b = len(a), len(b)
+    if len_a == 0 or len_b == 0:
+        return 0.0
+    window = max(len_a, len_b) // 2 - 1
+    window = max(window, 0)
+
+    match_a = [False] * len_a
+    match_b = [False] * len_b
+    matches = 0
+    for i, char_a in enumerate(a):
+        lo = max(0, i - window)
+        hi = min(len_b, i + window + 1)
+        for j in range(lo, hi):
+            if not match_b[j] and b[j] == char_a:
+                match_a[i] = True
+                match_b[j] = True
+                matches += 1
+                break
+    if matches == 0:
+        return 0.0
+
+    transpositions = 0
+    j = 0
+    for i in range(len_a):
+        if match_a[i]:
+            while not match_b[j]:
+                j += 1
+            if a[i] != b[j]:
+                transpositions += 1
+            j += 1
+    transpositions //= 2
+    return (
+        matches / len_a + matches / len_b + (matches - transpositions) / matches
+    ) / 3.0
+
+
+def scan_jaro_winkler(a: str, b: str, prefix_scale: float = 0.1) -> float:
+    """``jaro_winkler``'s spec: :func:`scan_jaro` boosted by the prefix."""
+    base = scan_jaro(a, b)
+    prefix = min(longest_common_prefix(a, b), 4)
+    return base + prefix * prefix_scale * (1.0 - base)
+
+
+def counter_dice(profile_a: Counter, profile_b: Counter) -> float:
+    """Dice of two multisets through ``Counter &``: ``dice_coefficient``'s spec."""
+    size_a = sum(profile_a.values())
+    size_b = sum(profile_b.values())
+    if size_a == 0 and size_b == 0:
+        return 1.0
+    if size_a == 0 or size_b == 0:
+        return 0.0
+    overlap = sum((profile_a & profile_b).values())
+    return 2.0 * overlap / (size_a + size_b)
+
+
+def counter_ngram_similarity(a: str, b: str, n: int = 3) -> float:
+    """``ngram_similarity``'s spec: :func:`counter_dice` of fresh profiles."""
+    return counter_dice(ngram_profile(a, n=n), ngram_profile(b, n=n))
+
+
+def pairwise_compute(similarity: NameSimilarity, na: str, nb: str) -> float:
+    """:meth:`NameSimilarity._compute`'s spec: every feature derived per pair.
+
+    Builds both labels' trigram profiles and token sets for each call
+    and scores Jaro by :func:`scan_jaro`; the blend, ramp and thesaurus
+    floor are the ones ``_compute`` applies to its cached features.
+    """
+    if not na or not nb:
+        return 0.0
+    if na == nb:
+        return 1.0
+    blend = (
+        similarity.jaro_weight * scan_jaro_winkler(na, nb)
+        + similarity.ngram_weight * counter_ngram_similarity(na, nb)
+        + similarity.token_weight * jaccard(na.split(), nb.split())
+    )
+    lexical = max(0.0, blend - similarity.ramp_low) / (1.0 - similarity.ramp_low)
+    if similarity.thesaurus is not None and (
+        similarity.thesaurus.synonymous_normalised(na, nb)
+    ):
+        return max(lexical, similarity.thesaurus_score)
+    return lexical
 
 
 def _no_kernel(

@@ -1,5 +1,7 @@
 """Unit tests for name similarity and the imperfect thesaurus."""
 
+import pickle
+
 import pytest
 
 from repro.errors import MatchingError
@@ -171,3 +173,36 @@ class TestNameSimilarity:
         calls.clear()
         assert sim.similarity("FirstName", "fore_name") == expected
         assert calls == ["FirstName", "fore_name"]  # once per raw label
+
+
+class TestFeatureTable:
+    PAIRS = [("author", "writer"), ("order id", "order number"), ("qty", "a")]
+
+    def test_one_record_per_normalised_label(self):
+        sim = NameSimilarity()
+        sim.similarity("OrderId", "order_number")
+        sim.similarity("order-id", "Author")
+        assert sorted(sim._features) == ["author", "order id", "order number"]
+
+    def test_bounded_by_memo_limit(self):
+        sim = NameSimilarity(memo_limit=3)
+        for i in range(10):
+            sim.similarity(f"label{i}", f"other{i}")
+        assert len(sim._features) <= 3
+
+    def test_pickle_round_trip_carries_no_table(self):
+        thesaurus = Thesaurus([("author", "writer")])
+        sim = NameSimilarity(thesaurus)
+        scored = {pair: sim.similarity(*pair) for pair in self.PAIRS}
+        assert sim._features
+        payload = pickle.dumps(sim)
+        assert b"LabelFeatures" not in payload
+        restored = pickle.loads(payload)
+        assert restored._features == {}
+        assert sim._features  # pickling leaves the original's table alone
+        assert restored.fingerprint() == sim.fingerprint()
+        for pair, value in scored.items():  # memo hits
+            assert restored.similarity(*pair).hex() == value.hex()
+        for na, nb in self.PAIRS:  # fresh scoring, from a rebuilt table
+            assert restored._compute(na, nb).hex() == sim._compute(na, nb).hex()
+        assert set(restored._features) == {x for pair in self.PAIRS for x in pair}

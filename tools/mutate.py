@@ -212,6 +212,53 @@ MUTANTS = (
         ),
         why="batch_match never enforces max_answers",
     ),
+    # -- the name-similarity primitives (util/text.py) -----------------------
+    Mutant(
+        name="jaro-window-end",
+        path="repro/util/text.py",
+        snippet="hi = i + window\n",
+        replacement="hi = i + window + 1\n",
+        tests=(
+            "tests/properties/test_prop_text.py",
+            "tests/matching/test_similarity_name.py",
+        ),
+        why="the Jaro match window reaches one position too far in b",
+    ),
+    Mutant(
+        name="jaro-first-unmatched-break",
+        path="repro/util/text.py",
+        snippet="b_spots.append(j)\n                break",
+        replacement="b_spots.append(j)",
+        tests=(
+            "tests/properties/test_prop_text.py",
+            "tests/matching/test_similarity_name.py",
+        ),
+        why="a character of a matches every unmatched equal character in "
+        "its window, not just the first",
+    ),
+    Mutant(
+        name="dice-overlap-max",
+        path="repro/util/text.py",
+        snippet="overlap += min(profile_a[element], profile_b[element])",
+        replacement="overlap += max(profile_a[element], profile_b[element])",
+        tests=(
+            "tests/properties/test_prop_text.py",
+            "tests/matching/test_similarity_name.py",
+        ),
+        why="the Dice overlap counts a shared gram's larger count",
+    ),
+    Mutant(
+        name="jaro-transpositions-unhalved",
+        path="repro/util/text.py",
+        snippet="transpositions //= 2",
+        replacement="transpositions //= 1",
+        tests=(
+            "tests/properties/test_prop_text.py",
+            "tests/matching/test_similarity_name.py",
+        ),
+        why="Jaro counts each out-of-order matched pair as two "
+        "transpositions",
+    ),
     # -- the column answer set (core/answers.py) -----------------------------
     Mutant(
         name="column-tie-order",
