@@ -1,18 +1,18 @@
-"""Benchmarks of the repository scoring kernel and the flattened search.
+"""Benchmarks of the repository scoring kernel and the exhaustive search.
 
 The innermost loops under every published benchmark are (a) building
 per-(query, schema) score matrices and (b) the per-schema branch-and-
-bound.  This PR rewrote both: matrices gather from the
+bound.  Matrices gather from the
 :class:`~repro.matching.similarity.kernel.CostKernel`'s interned
 label-universe cost rows (one cost per distinct label pair per
-*repository*, not per pair), the exhaustive search runs as a flattened
-explicit-stack loop over bitmasks and precomputed ancestor bitsets, and
+*repository*, not per pair), the exhaustive search fills one list from
+per-depth loops over bitmasks and precomputed ancestor bitsets, and
 the clustering matchers share one interned cluster build per repository.
 
 The headline contract — ``test_kernel_sweep_speedup_and_identical`` —
 replays the standard matcher × threshold repository sweep on a
 repository-scale workload twice: once on the PR-4 scoring path (no
-kernel, recursive reference search, python loops — the test oracles
+kernel, generator reference searches, python loops — the test oracles
 ``helpers.oracles.kernel_off``, ``flat_search_off`` and ``numpy_off``
 swap those specs in) and once on the production path, asserting
 **byte-identical answers always** and **≥ 2×**
@@ -20,11 +20,12 @@ wall clock (measured ~2.8× on a quiet core; the timing half is skipped
 when ``BENCH_TIMING_ASSERTS=0`` — CI's setting — per the convention in
 ``benchmarks/README.md``).
 
-The micro benches time the new primitives directly: kernel
+The micro benches time the primitives directly: kernel
 construction, row materialisation, matrix gather vs. direct build, the
-flat vs. recursive search, and interned vs. scan clustering — their
-relative means in ``BENCH_kernel.json`` track the same contracts across
-commits.
+list-filling vs. generator search, and interned vs. scan clustering —
+their relative means in ``BENCH_kernel.json`` track the same contracts
+across commits.  ``bench_engine.py`` replays a whole evaluation's
+searches through the engine and the search oracles.
 
 ``test_bench_kernel_derive`` times what a served repository delta costs
 the kernel: deriving the next version from a warm one across a
@@ -141,29 +142,29 @@ def test_bench_matrix_direct(benchmark, warmed_bundle):
 def _search_heavy_pair(workload):
     """The workload's biggest per-schema search: largest schema, high δ.
 
-    The flat loop's advantage over the recursive generator grows with
-    expansions and emissions (every recursive emission bubbles through
-    one ``yield from`` frame per query element), so the micro pair is
-    measured where the search actually works.
+    The list-filling loops' advantage over the recursive generator grows
+    with expansions and emissions (every recursive emission bubbles
+    through one ``yield from`` frame per query element), so the micro
+    pair is measured where the search actually works.
     """
     query = workload.suite.scenarios[0].query
     schema = max(workload.repository.schemas(), key=len)
     return query, schema
 
 
-def test_bench_exhaustive_flat(benchmark, warmed_bundle):
-    """The flattened explicit-stack branch-and-bound, search-heavy δ."""
+def test_bench_exhaustive_listed(benchmark, warmed_bundle):
+    """The list-filling branch-and-bound, search-heavy δ."""
     workload = warmed_bundle.workload
     query, schema = _search_heavy_pair(workload)
 
     def run():
         search = SchemaSearch(query, schema, workload.objective)
-        return list(search.exhaustive(0.45))
+        return search.exhaustive(0.45)
 
     benchmark(run)
 
 
-def test_bench_exhaustive_recursive(benchmark, warmed_bundle):
+def test_bench_exhaustive_generator(benchmark, warmed_bundle):
     """The recursive reference generator on the identical search."""
     workload = warmed_bundle.workload
     query, schema = _search_heavy_pair(workload)

@@ -39,13 +39,14 @@ Underneath sits the **repository scoring kernel**
 (:mod:`repro.matching.similarity.kernel`): every distinct
 (normalised label, datatype) cost is computed once per repository into
 interned flat rows, matrices gather from them, clustering runs over the
-same interned surface, and the branch-and-bound itself is a flattened
-explicit-stack loop over bitmasks.  When numpy is installed
+same interned surface, and every search fills one list from per-depth
+loops over bitmasks, after an early exit on the matrix's minima.  When
+numpy is installed
 (:func:`numpy_available`), the kernel gathers each query label's costs
 and candidate orders for the whole repository in one batch, with the
 python gather as the path when it is not.
 Each layer has one production path; the code it replaced (direct
-per-pair scoring, the per-matrix build, the recursive search, the
+per-pair scoring, the per-matrix build, the generator searches, the
 per-element cluster scan, the python gather) serves as a test oracle in
 ``tests/helpers/oracles.py``, and the tests assert byte-identical
 answers against every combination of them.

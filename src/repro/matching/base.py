@@ -25,7 +25,7 @@ is why sharded results are identical to serial ones.
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.answers import AnswerSet
@@ -65,8 +65,8 @@ class Matcher(abc.ABC):
     @abc.abstractmethod
     def _match_schema(
         self, query: Schema, schema: Schema, delta_max: float
-    ) -> Iterable[tuple[tuple[int, ...], float]]:
-        """Yield ``(target_ids, score)`` for one repository schema."""
+    ) -> list[tuple[tuple[int, ...], float]]:
+        """A new list of ``(target_ids, score)`` for one repository schema."""
 
     def prepare(self, repository: SchemaRepository) -> None:
         """Repository-level precomputation hook (e.g. clustering).
@@ -100,7 +100,7 @@ class Matcher(abc.ABC):
         """
         if delta_max < 0:
             raise MatchingError(f"delta_max must be >= 0, got {delta_max!r}")
-        return list(self._match_schema(query, schema, delta_max))
+        return self._match_schema(query, schema, delta_max)
 
     def check_capacity(self, count: int, delta_max: float) -> None:
         """Raise when an answer count exceeds ``max_answers``."""

@@ -14,8 +14,6 @@ ratio curves of the paper's S2-one.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.errors import MatchingError
 from repro.matching.base import Matcher
 from repro.matching.engine import SchemaSearch
@@ -43,9 +41,9 @@ class BeamMatcher(Matcher):
 
     def _match_schema(
         self, query: Schema, schema: Schema, delta_max: float
-    ) -> Iterable[tuple[tuple[int, ...], float]]:
+    ) -> list[tuple[tuple[int, ...], float]]:
         search = SchemaSearch(query, schema, self.objective)
-        yield from search.beam(delta_max, self.beam_width)
+        return search.beam(delta_max, self.beam_width)
 
     def describe(self) -> dict[str, object]:
         description = super().describe()

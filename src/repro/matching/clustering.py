@@ -20,7 +20,6 @@ nominated clusters) are mostly retained.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import MatchingError
@@ -241,7 +240,7 @@ class ClusteringMatcher(Matcher):
 
     def _match_schema(
         self, query: Schema, schema: Schema, delta_max: float
-    ) -> Iterable[tuple[tuple[int, ...], float]]:
+    ) -> list[tuple[tuple[int, ...], float]]:
         allowed_keys = self._current_allowed
         if allowed_keys is None:
             raise MatchingError("internal error: cluster nomination missing")
@@ -251,10 +250,10 @@ class ClusteringMatcher(Matcher):
             if (schema.schema_id, element_id) in allowed_keys
         ]
         if len(in_schema) < len(query):
-            return  # cannot host an injective mapping within the clusters
+            return []  # cannot host an injective mapping within the clusters
         allowed = [in_schema] * len(query)
         search = SchemaSearch(query, schema, self.objective, allowed=allowed)
-        yield from search.exhaustive(delta_max)
+        return search.exhaustive(delta_max)
 
     def describe(self) -> dict[str, object]:
         description = super().describe()

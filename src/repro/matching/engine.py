@@ -27,8 +27,11 @@ Every search reads its costs from the objective's similarity substrate
 (:meth:`~repro.matching.objective.ObjectiveFunction.substrate`): the
 precomputed :class:`~repro.matching.similarity.matrix.ScoreMatrix`
 supplies the cost matrix, the cost-sorted candidate orders and the
-per-element minima, and the search *trims* each element's candidate
-list to the targets whose static admissible bound
+per-element minima.  Before building any per-search state, a search
+tests the matrix's ``min_rest[0]`` with :func:`threshold_unreachable`,
+which is exact for every strategy and settles most searches of a
+low-threshold sweep outright.  A surviving search *trims* each
+element's candidate list to the targets whose static admissible bound
 
     (1−sw)/k · (cost[i][j] + Σ_{i'≠i} min-cost[i'])
 
@@ -38,30 +41,38 @@ cost is at least the prefix of minima, and structure violations only
 add), so every trimmed candidate is one branch-and-bound provably never
 expands: the emitted mapping set is identical, candidate for candidate,
 to the untrimmed search.  The tests keep the direct per-search scoring
-and the untrimmed search as the executable specification
-(``substrate_off`` in ``tests/helpers/oracles.py``).
+and the search without the early exit or the trim as the executable
+specification (``substrate_off`` in ``tests/helpers/oracles.py``).
 
-Flattened search
-----------------
-:meth:`SchemaSearch.exhaustive` runs as an explicit-stack loop over
-preallocated per-depth arrays: the ``used`` set is an integer bitmask,
-ancestry checks are one shift against the schema's precomputed
-per-target ancestor bitsets
-(:meth:`~repro.schema.model.Schema.ancestor_masks`), and candidate rows
-are flat tuples.  The bound arithmetic is expression-for-expression that
-of the recursive generator it replaced, which the tests keep as the
-executable specification (``recursive_exhaustive`` in
-``tests/helpers/oracles.py``), so the emitted sequence is byte-identical.
+List-filling search
+-------------------
+Each strategy fills and returns one list; no generator frame sits
+between a found mapping and the caller.  :meth:`SchemaSearch.exhaustive`
+runs one ``for`` loop per depth over the cost-sorted candidate rows,
+with ``used`` as an integer bitmask and ancestry read as one shift
+against the schema's precomputed per-target ancestor bitsets
+(:meth:`~repro.schema.model.Schema.ancestor_masks`).  The last depth is
+a leaf-only loop that scores each surviving target in line from the
+two constants of :meth:`~repro.matching.objective.ObjectiveFunction
+.combine_terms`.  :meth:`SchemaSearch.beam` keeps each level's best
+states with one stable sort on the bound and a slice.  A restricted
+search filters the matrix's ``(cost, id)``-sorted candidate orders
+through its allowed sets.  Bound and score arithmetic is expression for
+expression that of the code these loops replaced, which the tests keep
+as the executable specification (``recursive_exhaustive``,
+``nsmallest_beam`` and ``sorted_prepare`` in
+``tests/helpers/oracles.py``), so every emitted sequence is
+byte-identical.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.errors import MatchingError
-from repro.matching.objective import ObjectiveFunction
+from repro.matching.objective import SCORE_DECIMALS, ObjectiveFunction
 from repro.matching.similarity.matrix import suffix_cost_sums
 from repro.schema.model import Schema
 
@@ -75,6 +86,10 @@ _EPSILON = 1e-9
 # Extra slack on the static pruning bound so float non-associativity can
 # only ever keep a candidate the dynamic bound would also have kept.
 _TRIM_SLACK = 1e-12
+
+#: one search's results: ``(target_ids, score)`` in emission order
+SearchResults = list[tuple[tuple[int, ...], float]]
+
 
 def count_assignments(query_size: int, schema_size: int) -> int:
     """Number of injective assignments: the falling factorial m!/(m−k)!.
@@ -111,7 +126,8 @@ def threshold_unreachable(
     cost-sorted, and structure violations only add — so when this
     returns ``True``, *every* engine strategy (exhaustive, beam, and any
     candidate-restricted variant, whose per-row minima can only be
-    larger) provably emits nothing at ``delta_max``.  Incremental
+    larger) provably emits nothing at ``delta_max``.  Every search runs
+    it first, before any per-search state is built, and incremental
     re-matching uses it to skip whole searches against delta-added
     schemas without risking byte-identity.
     """
@@ -128,9 +144,9 @@ class _SearchContext:
     query: Schema
     schema: Schema
     costs: Sequence[Sequence[float]]  # element cost matrix, query x target
-    candidates: list[Sequence[int]]  # per query element, target ids sorted by cost
-    min_rest: list[float]  # min_rest[i] = sum of per-element min costs for i..k-1
-    parents: list[int | None]
+    candidates: Sequence[Sequence[int]]  # per query element, target ids sorted by cost
+    min_rest: Sequence[float]  # min_rest[i] = sum of per-element min costs for i..k-1
+    parents: Sequence[int | None]
     num_edges: int
     element_share: float  # (1 - sw) / k
     structure_share: float  # sw / p  (0 when p == 0)
@@ -144,7 +160,7 @@ class SchemaSearch:
         query: Schema,
         schema: Schema,
         objective: ObjectiveFunction,
-        allowed: Sequence[Sequence[int]] | None = None,
+        allowed: Sequence[Sequence[int] | None] | None = None,
     ):
         """``allowed[i]``, when given, restricts query element i's targets.
 
@@ -154,51 +170,64 @@ class SchemaSearch:
         Costs come from the objective's similarity substrate, which
         builds the pair's
         :class:`~repro.matching.similarity.matrix.ScoreMatrix` on first
-        use and serves it from cache afterwards.
+        use and serves it from cache afterwards.  Nothing is read until
+        a search runs.
         """
         self.query = query
         self.schema = schema
         self.objective = objective
-        self._context = self._prepare(allowed)
+        self.allowed = allowed
 
-    def _prepare(
-        self, allowed: Sequence[Sequence[int]] | None
-    ) -> _SearchContext | None:
+    def _context(self, delta_max: float) -> _SearchContext | None:
+        """The search's state, or ``None`` when it provably emits nothing.
+
+        Cheapest proof first: a schema smaller than the query hosts no
+        injective mapping, and :func:`threshold_unreachable` on the
+        cached matrix's ``min_rest[0]`` settles the search before any
+        per-search state exists.  A restricted search then filters each
+        of the matrix's ``(cost, id)``-sorted candidate orders through
+        its allowed set, which keeps that order, and sums its own
+        minima.
+        """
         query, schema = self.query, self.schema
-        k, m = len(query), len(schema)
-        if m < k:
+        k = len(query)
+        if len(schema) < k:
             return None  # injectivity impossible; no mappings exist
         matrix = self.objective.substrate().matrix(query, schema)
-        costs = matrix.costs
+        sw = self.objective.weights.structure
+        if threshold_unreachable(matrix.min_rest[0], k, sw, delta_max):
+            return None
+        allowed = self.allowed
+        candidates: Sequence[Sequence[int]]
         if allowed is None:
             # Unrestricted search: the context aliases the matrix's
             # candidate orders and suffix sums outright — ``min_rest``
             # *is* suffix_cost_sums(row_min), the shared accumulation, so
             # no per-search float work runs here.
-            candidates: list[Sequence[int]] = list(matrix.candidate_order)
-            min_rest: Sequence[float] = matrix.min_rest
+            candidates = matrix.candidate_order
+            min_rest = matrix.min_rest
         else:
             candidates = []
             row_best: list[float] = []
             for i in range(k):
+                order = matrix.candidate_order[i]
                 if allowed[i] is None:
-                    candidates.append(matrix.candidate_order[i])
+                    candidates.append(order)
                     row_best.append(matrix.row_min[i])
                     continue
-                valid = {j for j in allowed[i] if 0 <= j < m}
-                if not valid:
+                members = set(allowed[i])
+                kept = [j for j in order if j in members]
+                if not kept:
                     return None  # some element has no candidate at all
-                pairs = sorted((costs[i][j], j) for j in valid)
-                candidates.append([j for _, j in pairs])
-                row_best.append(pairs[0][0])  # cost-sorted: first is min
+                candidates.append(kept)
+                row_best.append(matrix.costs[i][kept[0]])  # cost-sorted
             min_rest = suffix_cost_sums(row_best)
         parents = query.parent_ids()
-        num_edges = sum(1 for p in parents if p is not None)
-        sw = self.objective.weights.structure
+        num_edges = len(parents) - parents.count(None)
         return _SearchContext(
             query=query,
             schema=schema,
-            costs=costs,
+            costs=matrix.costs,
             candidates=candidates,
             min_rest=min_rest,
             parents=parents,
@@ -241,65 +270,90 @@ class SchemaSearch:
 
     # -- exact enumeration --------------------------------------------------
 
-    def exhaustive(self, delta_max: float) -> Iterator[tuple[tuple[int, ...], float]]:
+    def exhaustive(self, delta_max: float) -> SearchResults:
         """All injective assignments with Δ ≤ δmax, via branch-and-bound.
 
-        Runs the flattened explicit-stack loop — an iterative DFS over
-        preallocated arrays with ``used`` as an integer bitmask and
-        ancestry read from the schema's precomputed
-        :meth:`~repro.schema.model.Schema.ancestor_masks` — with bound
-        arithmetic identical, expression for expression, to the recursive
-        generator this loop replaced (kept as the executable
-        specification in the tests).  The emitted mapping sequence is
-        candidate-for-candidate identical to the reference — same
+        One ``for`` loop per depth over the trimmed, cost-sorted
+        candidate rows; the last depth scores each surviving target in
+        line (module docstring).  The returned sequence is
+        candidate-for-candidate identical to the recursive generator
+        kept as the executable specification in the tests — same
         assignments, same floats, same order — property-tested in
         ``tests/properties/test_prop_kernel.py``.
         """
-        ctx = self._context
+        found: SearchResults = []
+        ctx = self._context(delta_max)
         if ctx is None:
-            return
+            return found
         cutoff = delta_max + _EPSILON
         candidates = self._trimmed_candidates(ctx, cutoff)
         if candidates is None:
-            return
-        k = len(ctx.query)
-        # Flat per-depth frames, filled on descent and read on resume:
-        # candidate rows as flat sequences with resume cursors, prefix
-        # cost sums / violation counts (index d = state *before*
-        # assigning depth d), the resolved parent target and the
-        # already-multiplied structure term, the running assignment, and
-        # `used` as a target-id bitmask.  Ancestry is one shift-and-test
-        # against the schema's precomputed per-target ancestor bitsets.
+            return found
+        k = len(candidates)
+        last = k - 1
         costs = ctx.costs
         min_rest = ctx.min_rest
         parents = ctx.parents
         element_share = ctx.element_share
         structure_share = ctx.structure_share
-        num_edges = ctx.num_edges
         ancestor_masks = ctx.schema.ancestor_masks()
-        combine = self.objective.combine
-        assignment = [0] * k
-        positions = [0] * k
-        cost_sums = [0.0] * (k + 1)
-        violations = [0] * (k + 1)
-        parent_targets = [-1] * k  # parents[0] is the root's None
-        structure_terms = [0.0] * k  # structure_share * violations[depth]
-        used = 0
-        depth = 0
-        while depth >= 0:
+        weight, structure_terms = self.objective.combine_terms(ctx.num_edges)
+        emit = found.append
+        leaf_row = candidates[last]
+        leaf_costs = costs[last]
+        leaf_tail = min_rest[k]
+        leaf_parent = parents[last]
+
+        def leaves(
+            prefix: tuple[int, ...],
+            prefix_cost: float,
+            prefix_violations: int,
+            used: int,
+        ) -> None:
+            # depth k−1: complete each prefix, score in line and emit
+            structure_so_far = structure_share * prefix_violations
+            parent_target = prefix[leaf_parent] if leaf_parent is not None else -1
+            for target in leaf_row:
+                if (used >> target) & 1:
+                    continue
+                cost = leaf_costs[target]
+                base_bound = (
+                    element_share * (prefix_cost + cost + leaf_tail)
+                    + structure_so_far
+                )
+                if base_bound > cutoff:
+                    break  # candidates are cost-sorted; the rest only worse
+                violations = prefix_violations
+                if parent_target >= 0 and not (
+                    (ancestor_masks[target] >> parent_target) & 1
+                ):
+                    if base_bound + structure_share > cutoff:
+                        continue  # violation pushed this one out; others may fit
+                    violations += 1
+                score = round(
+                    weight * ((prefix_cost + cost) / k)
+                    + structure_terms[violations],
+                    SCORE_DECIMALS,
+                )
+                if score <= cutoff:
+                    emit((prefix + (target,), score))
+
+        def expand(
+            depth: int,
+            prefix: tuple[int, ...],
+            prefix_cost: float,
+            prefix_violations: int,
+            used: int,
+        ) -> None:
+            # depths 0..k−2: extend the prefix by every target that fits
             row = candidates[depth]
             cost_row = costs[depth]
-            index = positions[depth]
-            length = len(row)
-            prefix_cost = cost_sums[depth]
-            prefix_violations = violations[depth]
-            structure_so_far = structure_terms[depth]
             tail_min = min_rest[depth + 1]
-            parent_target = parent_targets[depth]
-            chosen = -1
-            while index < length:
-                target = row[index]
-                index += 1
+            structure_so_far = structure_share * prefix_violations
+            parent = parents[depth]
+            parent_target = prefix[parent] if parent is not None else -1
+            at_leaves = depth + 1 == last
+            for target in row:
                 if (used >> target) & 1:
                     continue
                 cost = cost_row[target]
@@ -308,118 +362,114 @@ class SchemaSearch:
                     + structure_so_far
                 )
                 if base_bound > cutoff:
-                    index = length  # candidates are cost-sorted; rest only worse
-                    break
-                new_violations = prefix_violations
+                    break  # candidates are cost-sorted; the rest only worse
+                violations = prefix_violations
                 if parent_target >= 0 and not (
                     (ancestor_masks[target] >> parent_target) & 1
                 ):
-                    new_violations += 1
                     if base_bound + structure_share > cutoff:
                         continue  # violation pushed this one out; others may fit
-                chosen = target
-                chosen_cost = cost
-                chosen_violations = new_violations
-                break
-            positions[depth] = index
-            if chosen < 0:  # depth exhausted: backtrack, resume the parent
-                depth -= 1
-                if depth >= 0:
-                    used ^= 1 << assignment[depth]
-                continue
-            assignment[depth] = chosen
-            next_depth = depth + 1
-            if next_depth == k:  # complete assignment: score and emit
-                score = combine(
-                    prefix_cost + chosen_cost,
-                    k,
-                    (chosen_violations / num_edges) if num_edges else 0.0,
-                )
-                if score <= cutoff:
-                    yield tuple(assignment), score
-                continue  # same depth; cursor already points at the next candidate
-            used |= 1 << chosen
-            cost_sums[next_depth] = prefix_cost + chosen_cost
-            violations[next_depth] = chosen_violations
-            structure_terms[next_depth] = structure_share * chosen_violations
-            parent = parents[next_depth]
-            parent_targets[next_depth] = (
-                assignment[parent] if parent is not None else -1
-            )
-            positions[next_depth] = 0
-            depth = next_depth
+                    violations += 1
+                if at_leaves:
+                    leaves(
+                        prefix + (target,), prefix_cost + cost, violations,
+                        used | (1 << target),
+                    )
+                else:
+                    expand(
+                        depth + 1, prefix + (target,), prefix_cost + cost,
+                        violations, used | (1 << target),
+                    )
+
+        if last == 0:
+            leaves((), 0.0, 0, 0)
+        else:
+            expand(0, (), 0.0, 0, 0)
+        # ``expand`` holds itself through its closure; emptying the cell
+        # frees it now instead of leaving a cycle to the collector
+        del expand
+        return found
 
     # -- beam search ---------------------------------------------------------
 
-    def beam(
-        self, delta_max: float, beam_width: int
-    ) -> Iterator[tuple[tuple[int, ...], float]]:
+    def beam(self, delta_max: float, beam_width: int) -> SearchResults:
         """iMAP-style beam search: keep the ``beam_width`` most promising
         partial assignments per query element.
 
+        Each level's expansions are ordered by one stable sort on their
+        bound and cut to the width, so ties keep expansion order.
         Returned mappings score with the shared objective, so the result
         is always a subset of :meth:`exhaustive` at the same threshold.
         """
         if beam_width < 1:
             raise MatchingError(f"beam width must be >= 1, got {beam_width}")
-        ctx = self._context
+        found: SearchResults = []
+        ctx = self._context(delta_max)
         if ctx is None:
-            return
+            return found
         cutoff = delta_max + _EPSILON
         candidates = self._trimmed_candidates(ctx, cutoff)
         if candidates is None:
-            return
-        k = len(ctx.query)
+            return found
+        k = len(candidates)
+        costs = ctx.costs
+        min_rest = ctx.min_rest
+        element_share = ctx.element_share
+        structure_share = ctx.structure_share
         ancestor_masks = ctx.schema.ancestor_masks()
+        by_bound = itemgetter(0)
         # state: (bound, assignment tuple, used bitmask, cost_sum, violations)
         # — the bitmask is internal bookkeeping; selection sorts on the
-        # bound alone, so the emitted beam is unchanged
+        # bound alone, so the kept beam is the same
         states: list[tuple[float, tuple[int, ...], int, float, int]] = [
-            (ctx.element_share * ctx.min_rest[0], (), 0, 0.0, 0)
+            (element_share * min_rest[0], (), 0, 0.0, 0)
         ]
         for depth in range(k):
-            expansions: list[
-                tuple[float, tuple[int, ...], int, float, int]
-            ] = []
+            expansions: list[tuple[float, tuple[int, ...], int, float, int]] = []
+            append = expansions.append
+            row = candidates[depth]
+            cost_row = costs[depth]
+            tail_min = min_rest[depth + 1]
             parent = ctx.parents[depth]
-            for bound, assignment, used, cost_sum, violations in states:
-                parent_target = assignment[parent] if parent is not None else None
-                structure_so_far = ctx.structure_share * violations
-                for target in candidates[depth]:
+            for _bound, assignment, used, cost_sum, violations in states:
+                parent_target = assignment[parent] if parent is not None else -1
+                structure_so_far = structure_share * violations
+                for target in row:
                     if (used >> target) & 1:
                         continue
-                    cost = ctx.costs[depth][target]
+                    cost = cost_row[target]
                     base_bound = (
-                        ctx.element_share
-                        * (cost_sum + cost + ctx.min_rest[depth + 1])
+                        element_share * (cost_sum + cost + tail_min)
                         + structure_so_far
                     )
                     if base_bound > cutoff:
                         break
                     new_violations = violations
                     new_bound = base_bound
-                    if parent_target is not None and not (
+                    if parent_target >= 0 and not (
                         (ancestor_masks[target] >> parent_target) & 1
                     ):
                         new_violations += 1
-                        new_bound += ctx.structure_share
+                        new_bound += structure_share
                         if new_bound > cutoff:
                             continue
-                    expansions.append(
-                        (
-                            new_bound,
-                            assignment + (target,),
-                            used | (1 << target),
-                            cost_sum + cost,
-                            new_violations,
-                        )
-                    )
+                    append((
+                        new_bound,
+                        assignment + (target,),
+                        used | (1 << target),
+                        cost_sum + cost,
+                        new_violations,
+                    ))
             if not expansions:
-                return
-            states = heapq.nsmallest(beam_width, expansions, key=lambda s: s[0])
+                return found
+            expansions.sort(key=by_bound)
+            states = expansions[:beam_width]
+        weight, structure_terms = self.objective.combine_terms(ctx.num_edges)
         for _bound, assignment, _used, cost_sum, violations in states:
-            score = self.objective.combine(
-                cost_sum, k, (violations / ctx.num_edges) if ctx.num_edges else 0.0
+            score = round(
+                weight * (cost_sum / k) + structure_terms[violations],
+                SCORE_DECIMALS,
             )
-            if score <= delta_max + _EPSILON:
-                yield assignment, score
+            if score <= cutoff:
+                found.append((assignment, score))
+        return found

@@ -12,8 +12,6 @@ wall-clock, never answers.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.matching.base import Matcher
 from repro.matching.engine import SchemaSearch
 from repro.schema.model import Schema
@@ -28,7 +26,5 @@ class ExhaustiveMatcher(Matcher):
 
     def _match_schema(
         self, query: Schema, schema: Schema, delta_max: float
-    ) -> Iterable[tuple[tuple[int, ...], float]]:
-        yield from SchemaSearch(query, schema, self.objective).exhaustive(
-            delta_max
-        )
+    ) -> list[tuple[tuple[int, ...], float]]:
+        return SchemaSearch(query, schema, self.objective).exhaustive(delta_max)

@@ -14,8 +14,6 @@ its components at every threshold, which the test suite asserts.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.errors import MatchingError
 from repro.matching.clustering import ClusteringMatcher
 from repro.matching.engine import SchemaSearch
@@ -54,7 +52,7 @@ class HybridMatcher(ClusteringMatcher):
 
     def _match_schema(
         self, query: Schema, schema: Schema, delta_max: float
-    ) -> Iterable[tuple[tuple[int, ...], float]]:
+    ) -> list[tuple[tuple[int, ...], float]]:
         allowed_keys = self._current_allowed
         if allowed_keys is None:
             raise MatchingError("internal error: cluster nomination missing")
@@ -64,10 +62,10 @@ class HybridMatcher(ClusteringMatcher):
             if (schema.schema_id, element_id) in allowed_keys
         ]
         if len(in_schema) < len(query):
-            return
+            return []
         allowed = [in_schema] * len(query)
         search = SchemaSearch(query, schema, self.objective, allowed=allowed)
-        yield from search.beam(delta_max, self.beam_width)
+        return search.beam(delta_max, self.beam_width)
 
     def describe(self) -> dict[str, object]:
         description = super().describe()

@@ -34,7 +34,7 @@ __all__ = ["ObjectiveWeights", "ObjectiveFunction"]
 
 # Scores are rounded so that algebraically identical costs computed along
 # different code paths (exhaustive vs beam vs clustering) compare equal.
-_SCORE_DECIMALS = 9
+SCORE_DECIMALS = 9
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,24 @@ class ObjectiveFunction:
         """Total Δ from the two aggregated components (shared by all matchers)."""
         sw = self.weights.structure
         average = element_cost_sum / query_size
-        return round((1.0 - sw) * average + sw * structure_cost, _SCORE_DECIMALS)
+        return round((1.0 - sw) * average + sw * structure_cost, SCORE_DECIMALS)
+
+    def combine_terms(self, num_edges: int) -> tuple[float, tuple[float, ...]]:
+        """:meth:`combine`'s two constants for a query with ``num_edges`` edges.
+
+        Returns ``(1 − sw, terms)`` with ``terms[v] = sw · (v / p)`` for
+        ``v = 0..p`` violated edges (``(sw · 0.0,)`` when ``p = 0``), so
+        that ``round(weight * (cost_sum / k) + terms[v], SCORE_DECIMALS)``
+        is ``combine(cost_sum, k, v / p)`` bit for bit: the same
+        operations on the same floats.  The search engine scores each
+        complete assignment in line from these.
+        """
+        sw = self.weights.structure
+        if num_edges == 0:
+            return 1.0 - sw, (sw * 0.0,)
+        return 1.0 - sw, tuple(
+            sw * (violations / num_edges) for violations in range(num_edges + 1)
+        )
 
     def mapping_cost(self, query: Schema, mapping: Mapping) -> float:
         """Δ of a complete mapping (the canonical scoring entry point)."""

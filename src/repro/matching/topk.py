@@ -12,8 +12,6 @@ system is non-exhaustive but still a subset of S1 at every threshold.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.errors import MatchingError
 from repro.matching.base import Matcher
 from repro.matching.engine import SchemaSearch
@@ -44,9 +42,9 @@ class TopKCandidateMatcher(Matcher):
 
     def _match_schema(
         self, query: Schema, schema: Schema, delta_max: float
-    ) -> Iterable[tuple[tuple[int, ...], float]]:
+    ) -> list[tuple[tuple[int, ...], float]]:
         if len(schema) < len(query):
-            return
+            return []
         # the matrix's candidate orders sort by the engine's (cost, id)
         # key, so each cut keeps the k cheapest targets, ties by id
         matrix = self.objective.substrate().matrix(query, schema)
@@ -55,7 +53,7 @@ class TopKCandidateMatcher(Matcher):
             for i in range(len(query))
         ]
         search = SchemaSearch(query, schema, self.objective, allowed=allowed)
-        yield from search.exhaustive(delta_max)
+        return search.exhaustive(delta_max)
 
     def describe(self) -> dict[str, object]:
         description = super().describe()

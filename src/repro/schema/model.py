@@ -234,10 +234,10 @@ class Schema:
         exactly when :meth:`is_ancestor` (``a``, ``d``) is true.
 
         Computed once per schema and memoised (schemas are immutable
-        after construction).  The matching engine's flattened
-        branch-and-bound reads ancestry as ``(out[target] >> parent) &
-        1`` instead of walking parent chains per expansion — the hottest
-        structural check in the search.  Pre-order ids guarantee a
+        after construction).  The matching engine's search loops read
+        ancestry as ``(out[target] >> parent) & 1`` instead of walking
+        parent chains per expansion — the hottest structural check in
+        the search.  Pre-order ids guarantee a
         parent's mask is final before any child's is derived.
         """
         if self._ancestor_masks is None:

@@ -7,24 +7,27 @@ the byte-identity suite diffs against:
 =========== ========================================= =========================================
 toggle      production path                           spec the context swaps in
 =========== ========================================= =========================================
-substrate   cached score matrices + exact static      direct per-search scoring
-            candidate trim                            (:func:`direct_matrix`: one
-                                                      ``cost_matrix`` call, the ``(cost, id)``
-                                                      tuple sort) and no trim
+substrate   cached score matrices, the early exit     direct per-search scoring
+            on ``min_rest[0]`` and the exact static   (:func:`direct_matrix`: one
+            candidate trim                            ``cost_matrix`` call, the ``(cost, id)``
+                                                      tuple sort), no early exit, no trim
 kernel      interned label-universe cost rows +       per-matrix distinct-label build
             matrix gathers; the shared interned       (``ScoreMatrix.build`` without a kernel)
             cluster build                             and :func:`cluster_scan`
-flat-search flattened explicit-stack branch-and-bound :func:`recursive_exhaustive`
+flat-search list-filling searches: per-depth ``for``  the generator searches
+            loops scoring leaves in line, a sorted    :func:`recursive_exhaustive` and
+            and sliced beam, allowed sets filtered    :func:`nsmallest_beam`, both on
+            through the matrix's candidate orders     :func:`sorted_prepare`
 numpy       the kernel's batched whole-repository     the one-schema python gather
             gather                                    (``kernel._np`` is ``None``, as when
                                                       numpy is absent)
 =========== ========================================= =========================================
 
-Each context manager patches attributes in-process only (one per
-toggle, two for the substrate and the kernel, which each replace two
-mechanisms) and restores them on exit, also when the block raises.
-Nothing here is visible to pool or socket workers — differential runs
-are serial.
+Each context manager patches attributes in-process only (three for
+the substrate, which replaces three mechanisms, two for the kernel and
+the searches, one for numpy) and restores them on exit, also when the
+block raises.  Nothing here is visible to pool or socket workers —
+differential runs are serial.
 
 Three answer-set specs are plain functions, diffed against their
 replacements by ``tests/properties/test_prop_answers.py`` and
@@ -59,6 +62,7 @@ replayed against the production code by
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator
 from contextlib import contextmanager
@@ -67,12 +71,18 @@ from unittest import mock
 from repro.core.answers import Answer, AnswerSet
 from repro.core.measures import Counts, measure
 from repro.core.thresholds import ThresholdSchedule
+from repro.errors import MatchingError
+from repro.matching import engine as engine_module
 from repro.matching.base import Matcher
 from repro.matching.clustering import ElementCluster, ElementClusterer
-from repro.matching.engine import _EPSILON, SchemaSearch
+from repro.matching.engine import _EPSILON, SchemaSearch, _SearchContext
 from repro.matching.mapping import Mapping
 from repro.matching.similarity import kernel as kernel_module
-from repro.matching.similarity.matrix import ScoreMatrix, SimilaritySubstrate
+from repro.matching.similarity.matrix import (
+    ScoreMatrix,
+    SimilaritySubstrate,
+    suffix_cost_sums,
+)
 from repro.matching.similarity.name import NameSimilarity
 from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
@@ -87,14 +97,65 @@ __all__ = [
     "flat_search_off",
     "fold_union",
     "kernel_off",
+    "nsmallest_beam",
     "numpy_off",
     "pairwise_compute",
     "profile_by_threshold",
     "recursive_exhaustive",
     "scan_jaro",
     "scan_jaro_winkler",
+    "sorted_prepare",
     "substrate_off",
 ]
+
+
+def sorted_prepare(search: SchemaSearch) -> _SearchContext | None:
+    """:meth:`SchemaSearch._context`'s spec: eager, with no early exit.
+
+    Builds the whole search context up front, and gives a restricted
+    element the ids of its allowed list that fall inside the schema,
+    deduplicated and sorted by ``(cost, id)`` tuples, where production
+    filters the matrix's candidate order through the allowed set.
+    """
+    query, schema = search.query, search.schema
+    k, m = len(query), len(schema)
+    if m < k:
+        return None  # injectivity impossible; no mappings exist
+    matrix = search.objective.substrate().matrix(query, schema)
+    costs = matrix.costs
+    allowed = search.allowed
+    if allowed is None:
+        candidates = list(matrix.candidate_order)
+        min_rest = matrix.min_rest
+    else:
+        candidates = []
+        row_best: list[float] = []
+        for i in range(k):
+            if allowed[i] is None:
+                candidates.append(matrix.candidate_order[i])
+                row_best.append(matrix.row_min[i])
+                continue
+            valid = {j for j in allowed[i] if 0 <= j < m}
+            if not valid:
+                return None  # some element has no candidate at all
+            pairs = sorted((costs[i][j], j) for j in valid)
+            candidates.append([j for _, j in pairs])
+            row_best.append(pairs[0][0])  # cost-sorted: first is min
+        min_rest = suffix_cost_sums(row_best)
+    parents = query.parent_ids()
+    num_edges = sum(1 for p in parents if p is not None)
+    sw = search.objective.weights.structure
+    return _SearchContext(
+        query=query,
+        schema=schema,
+        costs=costs,
+        candidates=candidates,
+        min_rest=min_rest,
+        parents=parents,
+        num_edges=num_edges,
+        element_share=(1.0 - sw) / k,
+        structure_share=(sw / num_edges) if num_edges else 0.0,
+    )
 
 
 def recursive_exhaustive(
@@ -103,12 +164,15 @@ def recursive_exhaustive(
     """The recursive branch-and-bound: :meth:`SchemaSearch.exhaustive`'s spec.
 
     This is the PR-4 engine, kept verbatim as the executable
-    specification the flattened loop is property-tested against and
-    as the baseline half of ``benchmarks/bench_kernel.py``.  Both
+    specification the list-filling loops are property-tested against
+    and as the baseline half of ``benchmarks/bench_kernel.py`` and
+    ``benchmarks/bench_engine.py``.  It reads its context from
+    :func:`sorted_prepare` and scores each complete assignment through
+    :meth:`~repro.matching.objective.ObjectiveFunction.combine`.  Both
     searches evaluate the same bound expressions on the same floats
     in the same order; only the control flow differs.
     """
-    ctx = search._context
+    ctx = sorted_prepare(search)
     if ctx is None:
         return
     cutoff = delta_max + _EPSILON
@@ -159,6 +223,82 @@ def recursive_exhaustive(
             assignment[depth] = None
 
     yield from recurse(0, 0.0, 0)
+
+
+def nsmallest_beam(
+    search: SchemaSearch, delta_max: float, beam_width: int
+) -> Iterator[tuple[tuple[int, ...], float]]:
+    """The generator beam: :meth:`SchemaSearch.beam`'s spec.
+
+    The beam as it was before the list-filling search, verbatim: each
+    level's states are picked by :func:`heapq.nsmallest` on the bound,
+    the context comes from :func:`sorted_prepare`, final scores from
+    :meth:`~repro.matching.objective.ObjectiveFunction.combine`, and a
+    width below 1 raises only once the generator is first iterated.
+    """
+    if beam_width < 1:
+        raise MatchingError(f"beam width must be >= 1, got {beam_width}")
+    ctx = sorted_prepare(search)
+    if ctx is None:
+        return
+    cutoff = delta_max + _EPSILON
+    candidates = search._trimmed_candidates(ctx, cutoff)
+    if candidates is None:
+        return
+    k = len(ctx.query)
+    ancestor_masks = ctx.schema.ancestor_masks()
+    # state: (bound, assignment tuple, used bitmask, cost_sum, violations)
+    # — the bitmask is internal bookkeeping; selection sorts on the
+    # bound alone, so the emitted beam is unchanged
+    states: list[tuple[float, tuple[int, ...], int, float, int]] = [
+        (ctx.element_share * ctx.min_rest[0], (), 0, 0.0, 0)
+    ]
+    for depth in range(k):
+        expansions: list[
+            tuple[float, tuple[int, ...], int, float, int]
+        ] = []
+        parent = ctx.parents[depth]
+        for bound, assignment, used, cost_sum, violations in states:
+            parent_target = assignment[parent] if parent is not None else None
+            structure_so_far = ctx.structure_share * violations
+            for target in candidates[depth]:
+                if (used >> target) & 1:
+                    continue
+                cost = ctx.costs[depth][target]
+                base_bound = (
+                    ctx.element_share
+                    * (cost_sum + cost + ctx.min_rest[depth + 1])
+                    + structure_so_far
+                )
+                if base_bound > cutoff:
+                    break
+                new_violations = violations
+                new_bound = base_bound
+                if parent_target is not None and not (
+                    (ancestor_masks[target] >> parent_target) & 1
+                ):
+                    new_violations += 1
+                    new_bound += ctx.structure_share
+                    if new_bound > cutoff:
+                        continue
+                expansions.append(
+                    (
+                        new_bound,
+                        assignment + (target,),
+                        used | (1 << target),
+                        cost_sum + cost,
+                        new_violations,
+                    )
+                )
+        if not expansions:
+            return
+        states = heapq.nsmallest(beam_width, expansions, key=lambda s: s[0])
+    for _bound, assignment, _used, cost_sum, violations in states:
+        score = search.objective.combine(
+            cost_sum, k, (violations / ctx.num_edges) if ctx.num_edges else 0.0
+        )
+        if score <= delta_max + _EPSILON:
+            yield assignment, score
 
 
 def cluster_scan(
@@ -350,16 +490,25 @@ def _untrimmed(search: SchemaSearch, ctx, cutoff: float):
     return ctx.candidates
 
 
+def _never_unreachable(*args) -> bool:
+    return False
+
+
 @contextmanager
 def substrate_off() -> Iterator[None]:
-    """Match without the substrate: direct costs, untrimmed searches.
+    """Match without the substrate: direct costs, unpruned searches.
 
-    Every search scores its pair through :func:`direct_matrix` and
-    expands its full cost-sorted candidate lists; the cache, the kernel
-    gathers and the static trim never run.
+    Every search scores its pair through :func:`direct_matrix`, skips
+    the early exit on the matrix's ``min_rest[0]`` and expands its full
+    cost-sorted candidate lists; the cache, the kernel gathers, the
+    early exit and the static trim never run.  The incremental
+    re-match skip keeps its own reference to ``threshold_unreachable``.
     """
     with (
         mock.patch.object(SimilaritySubstrate, "matrix", direct_matrix),
+        mock.patch.object(
+            engine_module, "threshold_unreachable", _never_unreachable
+        ),
         mock.patch.object(SchemaSearch, "_trimmed_candidates", _untrimmed),
     ):
         yield
@@ -381,10 +530,26 @@ def kernel_off() -> Iterator[None]:
         yield
 
 
+def _listed_exhaustive(search: SchemaSearch, delta_max: float):
+    return list(recursive_exhaustive(search, delta_max))
+
+
+def _listed_beam(search: SchemaSearch, delta_max: float, beam_width: int):
+    return list(nsmallest_beam(search, delta_max, beam_width))
+
+
 @contextmanager
 def flat_search_off() -> Iterator[None]:
-    """Exhaustive searches run :func:`recursive_exhaustive`."""
-    with mock.patch.object(SchemaSearch, "exhaustive", recursive_exhaustive):
+    """Searches run the generator specs, drained into lists.
+
+    :meth:`SchemaSearch.exhaustive` runs :func:`recursive_exhaustive`
+    and :meth:`SchemaSearch.beam` runs :func:`nsmallest_beam`; each
+    result is a list, as :meth:`Matcher.match_pair` returns it.
+    """
+    with (
+        mock.patch.object(SchemaSearch, "exhaustive", _listed_exhaustive),
+        mock.patch.object(SchemaSearch, "beam", _listed_beam),
+    ):
         yield
 
 

@@ -13,6 +13,7 @@ import pytest
 from helpers import oracles
 from helpers.differential import MATCHERS, make_workload
 from repro.matching import make_matcher, numpy_available
+from repro.matching import engine as engine_module
 from repro.matching.clustering import ElementClusterer
 from repro.matching.engine import SchemaSearch
 from repro.matching.similarity import kernel as kernel_module
@@ -23,13 +24,17 @@ from repro.matching.similarity.matrix import SimilaritySubstrate
 PATCHED = {
     oracles.substrate_off: [
         (SimilaritySubstrate, "matrix"),
+        (engine_module, "threshold_unreachable"),
         (SchemaSearch, "_trimmed_candidates"),
     ],
     oracles.kernel_off: [
         (SimilaritySubstrate, "kernel"),
         (ElementClusterer, "cluster"),
     ],
-    oracles.flat_search_off: [(SchemaSearch, "exhaustive")],
+    oracles.flat_search_off: [
+        (SchemaSearch, "exhaustive"),
+        (SchemaSearch, "beam"),
+    ],
     oracles.numpy_off: [(kernel_module, "_np")],
 }
 
@@ -65,16 +70,19 @@ def _spy(monkeypatch, owner, attribute) -> list:
 class TestSpecRunsInside:
     def test_substrate_off(self, workload, monkeypatch):
         directs = _spy(monkeypatch, oracles, "direct_matrix")
+        exits = _spy(monkeypatch, engine_module, "threshold_unreachable")
         trims = _spy(monkeypatch, SchemaSearch, "_trimmed_candidates")
         with oracles.substrate_off():
             objective = _match_all(workload)
         assert directs  # every matcher family scored directly
+        assert exits == []  # with no early exit
         assert trims == []  # and searched untrimmed
         stats = objective.substrate().stats
         assert stats.matrices_built == 0 and stats.matrix_hits == 0
         inside = len(directs)
-        _match_all(workload)  # control: production caches and trims
+        _match_all(workload)  # control: production caches, exits and trims
         assert len(directs) == inside
+        assert exits
         assert trims
 
     def test_kernel_off(self, workload, monkeypatch):
@@ -90,12 +98,14 @@ class TestSpecRunsInside:
 
     def test_flat_search_off(self, workload, monkeypatch):
         calls = _spy(monkeypatch, oracles, "recursive_exhaustive")
+        beams = _spy(monkeypatch, oracles, "nsmallest_beam")
         with oracles.flat_search_off():
             _match_all(workload)
         assert calls
-        inside = len(calls)
-        _match_all(workload)  # control: production never calls the spec
-        assert len(calls) == inside
+        assert beams  # the beam and hybrid matchers
+        inside = len(calls), len(beams)
+        _match_all(workload)  # control: production never calls the specs
+        assert (len(calls), len(beams)) == inside
 
     def test_numpy_off(self):
         with oracles.numpy_off():

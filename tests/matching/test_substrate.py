@@ -155,7 +155,7 @@ class TestEnginePruning:
         repo, objective, query = setup
         schema = max(repo, key=len)
         search = SchemaSearch(query, schema, objective)
-        ctx = search._context
+        ctx = search._context(1.0)  # a loose δ: no early exit
         trimmed = search._trimmed_candidates(ctx, cutoff=0.05 + 1e-9)
         full = sum(len(ids) for ids in ctx.candidates)
         if trimmed is None:

@@ -11,10 +11,15 @@ Three families:
   an incremental :class:`~repro.matching.evolution.EvolutionSession`
   on the kernel (rows migrating across versions) stays byte-identical
   to kernel-oracle cold re-matches of every version.
-* **Flat vs. reference search** — the flattened explicit-stack
-  branch-and-bound must emit the *sequence* the recursive reference
-  generator emits: same assignments, same score floats, same order —
-  with and without the substrate, trimmed and untrimmed.
+* **Listed vs. reference search** — the list-filling branch-and-bound
+  and beam must return the *sequence* the generator specs emit
+  (:func:`~helpers.oracles.recursive_exhaustive`,
+  :func:`~helpers.oracles.nsmallest_beam`, both on the sorted
+  restricted prepare): same assignments, same score floats
+  (``float.hex``), same order — for query sizes 1 to 6, unrestricted
+  and restricted (allowed lists with repeated, negative and
+  out-of-range ids), with and without the substrate's early exit and
+  trim.
 * **Derived vs. cold kernels** — a kernel derived across each delta of
   a stream (replaces, adds, removes, duplicated-content schemas) must
   equal a cold build of the new version in universe order, lid maps,
@@ -39,10 +44,12 @@ from helpers.differential import (
 from helpers.oracles import (
     flat_search_off,
     kernel_off,
+    nsmallest_beam,
     numpy_off,
     recursive_exhaustive,
     substrate_off,
 )
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +61,7 @@ from repro.matching import (
     make_matcher,
     numpy_available,
 )
+from repro.errors import MatchingError
 from repro.matching.evolution import EvolutionSession
 from repro.matching.objective import ObjectiveFunction
 from repro.matching.similarity.kernel import CostKernel
@@ -229,17 +237,31 @@ def test_derived_kernel_equals_cold(repo_seed, num_schemas, stream):
                 kernel = derived
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    repo_seed=st.integers(min_value=0, max_value=40),
-    query_seed=st.integers(min_value=0, max_value=40),
-    delta=st.sampled_from((0.05, 0.2, 0.35, 0.5, 0.7)),
-    with_substrate=st.booleans(),
-)
-def test_flat_search_emits_reference_sequence(
-    repo_seed, query_seed, delta, with_substrate
-):
-    """Flat and recursive searches: same mappings, same floats, same order."""
+def allowed_lists(query_size: int, schema_size: int):
+    """Per-element allowed lists as restricted searches take them.
+
+    Each entry is ``None`` (unrestricted) or ids in drawn order, possibly
+    empty, possibly repeating an id, possibly negative or past the
+    schema's last element: the search counts each list as a set and
+    ignores ids outside the schema.
+    """
+    return st.lists(
+        st.none()
+        | st.lists(
+            st.integers(min_value=-2, max_value=schema_size + 1),
+            max_size=schema_size + 2,
+        ),
+        min_size=query_size,
+        max_size=query_size,
+    )
+
+
+def _hex(results):
+    """A search's results with each score as its exact ``float.hex``."""
+    return [(ids, score.hex()) for ids, score in results]
+
+
+def _search_case(repo_seed, query_seed, query_size):
     repo = generate_repository(
         GeneratorConfig(num_schemas=2, min_size=5, max_size=10, seed=repo_seed)
     )
@@ -248,20 +270,88 @@ def test_flat_search_emits_reference_sequence(
         rng.make_tagged(query_seed),
         repo.schemas()[query_seed % 2],
         None,
-        target_size=3,
+        target_size=query_size,
         schema_id="prop-flat-query",
     )
+    return repo, objective, query
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    repo_seed=st.integers(min_value=0, max_value=40),
+    query_seed=st.integers(min_value=0, max_value=40),
+    query_size=st.integers(min_value=1, max_value=6),
+    delta=st.sampled_from((0.05, 0.2, 0.35, 0.5, 0.7)),
+    restricted=st.booleans(),
+    with_substrate=st.booleans(),
+    data=st.data(),
+)
+def test_flat_search_emits_reference_sequence(
+    repo_seed, query_seed, query_size, delta, restricted, with_substrate, data
+):
+    """Listed and recursive searches: same mappings, same floats, same order."""
+    repo, objective, query = _search_case(repo_seed, query_seed, query_size)
     for schema in repo:
+        allowed = (
+            data.draw(allowed_lists(len(query), len(schema)))
+            if restricted
+            else None
+        )
         with ExitStack() as stack:
             if not with_substrate:
                 stack.enter_context(substrate_off())
-            search = SchemaSearch(query, schema, objective)
-            flat = list(search.exhaustive(delta))
-            reference = list(recursive_exhaustive(search, delta))
-            assert flat == reference  # sequence equality: order and floats
+            search = SchemaSearch(query, schema, objective, allowed=allowed)
+            listed = search.exhaustive(delta)
+            assert type(listed) is list
+            reference = _hex(recursive_exhaustive(search, delta))
+            assert _hex(listed) == reference  # order and float bits
             with flat_search_off():
-                dispatched = list(search.exhaustive(delta))
-            assert dispatched == reference
+                dispatched = search.exhaustive(delta)
+            assert _hex(dispatched) == reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    repo_seed=st.integers(min_value=0, max_value=40),
+    query_seed=st.integers(min_value=0, max_value=40),
+    query_size=st.integers(min_value=1, max_value=6),
+    delta=st.sampled_from((0.05, 0.2, 0.35, 0.5, 0.7)),
+    beam_width=st.sampled_from((1, 2, 8, 40)),
+    restricted=st.booleans(),
+    with_substrate=st.booleans(),
+    data=st.data(),
+)
+def test_beam_emits_reference_sequence(
+    repo_seed,
+    query_seed,
+    query_size,
+    delta,
+    beam_width,
+    restricted,
+    with_substrate,
+    data,
+):
+    """The sorted-and-sliced beam returns the heapq beam's sequence."""
+    repo, objective, query = _search_case(repo_seed, query_seed, query_size)
+    for schema in repo:
+        allowed = (
+            data.draw(allowed_lists(len(query), len(schema)))
+            if restricted
+            else None
+        )
+        with ExitStack() as stack:
+            if not with_substrate:
+                stack.enter_context(substrate_off())
+            search = SchemaSearch(query, schema, objective, allowed=allowed)
+            with pytest.raises(MatchingError):
+                search.beam(delta, 0)  # raises on the call itself
+            listed = search.beam(delta, beam_width)
+            assert type(listed) is list
+            reference = _hex(nsmallest_beam(search, delta, beam_width))
+            assert _hex(listed) == reference  # order and float bits
+            with flat_search_off():
+                dispatched = search.beam(delta, beam_width)
+            assert _hex(dispatched) == reference
 
 
 def test_pre_kernel_snapshot_restores_and_serves(tmp_path):

@@ -16,7 +16,12 @@ Usage (from the repository root)::
 
     python tools/mutate.py                 # every mutant
     python tools/mutate.py topk-cut        # the named mutants only
+    python tools/mutate.py --path repro/matching/engine.py
+                                           # one source file's mutants
     python tools/mutate.py --list          # names, files, covering tests
+
+A change to a source file runs at least that file's mutants
+(``--path``, relative to ``src/``; a leading ``src/`` is accepted).
 
 The tool prints each verdict, the kill rate and the survivors, and
 exits 1 if any mutant survives.  It refuses (exit 2) a mutant whose
@@ -78,14 +83,77 @@ MUTANTS = (
     Mutant(
         name="restricted-row-filter",
         path="repro/matching/engine.py",
-        snippet="valid = {j for j in allowed[i] if 0 <= j < m}",
-        replacement="valid = {j for j in allowed[i] if 0 < j < m}",
+        snippet="kept = [j for j in order if j in members]",
+        replacement="kept = [j for j in order if j and j in members]",
         tests=(
             "tests/properties/test_prop_engine.py",
             "tests/properties/test_prop_completeness.py",
             "tests/matching/test_engine.py",
         ),
         why="a restricted search drops target 0 from every allowed list",
+    ),
+    Mutant(
+        name="restricted-filter-membership",
+        path="repro/matching/engine.py",
+        snippet="kept = [j for j in order if j in members]",
+        replacement="kept = [j for j in order if j not in members]",
+        tests=(
+            "tests/properties/test_prop_engine.py",
+            "tests/properties/test_prop_completeness.py",
+            "tests/matching/test_engine.py",
+        ),
+        why="a restricted search keeps the targets outside each allowed "
+        "set instead of those inside",
+    ),
+    Mutant(
+        name="leaf-structure-term-index",
+        path="repro/matching/engine.py",
+        snippet=(
+            "weight * ((prefix_cost + cost) / k)\n"
+            "                    + structure_terms[violations],"
+        ),
+        replacement=(
+            "weight * ((prefix_cost + cost) / k)\n"
+            "                    + structure_terms[prefix_violations],"
+        ),
+        tests=(
+            "tests/properties/test_prop_engine.py",
+            "tests/matching/test_engine.py",
+        ),
+        why="a complete assignment is scored without its last element's "
+        "edge violation",
+    ),
+    Mutant(
+        name="leaf-violation-skip",
+        path="repro/matching/engine.py",
+        snippet=(
+            "continue  # violation pushed this one out; others may fit\n"
+            "                    violations += 1\n"
+            "                score = round("
+        ),
+        replacement=(
+            "break\n"
+            "                    violations += 1\n"
+            "                score = round("
+        ),
+        tests=(
+            "tests/properties/test_prop_engine.py",
+            "tests/matching/test_engine.py",
+        ),
+        why="a leaf pushed over the threshold by its edge violation ends "
+        "the row, so later targets that keep the edge are lost",
+    ),
+    Mutant(
+        name="early-exit-comparison",
+        path="repro/matching/engine.py",
+        snippet="return share * total_min_cost > delta_max + _EPSILON",
+        replacement="return share * total_min_cost >= delta_max",
+        tests=(
+            "tests/properties/test_prop_engine.py",
+            "tests/matching/test_engine.py",
+        ),
+        why="a search whose cheapest mapping scores exactly δ is settled "
+        "as empty",
     ),
     Mutant(
         name="clustering-too-few-targets",
@@ -97,6 +165,15 @@ MUTANTS = (
             "tests/matching/test_matchers.py",
         ),
         why="clustering skips a schema whose nominated elements just fit",
+    ),
+    Mutant(
+        name="search-closure-cycle",
+        path="repro/matching/engine.py",
+        snippet="        del expand\n",
+        replacement="",
+        tests=("tests/matching/test_engine.py",),
+        why="the recursive search closure keeps itself alive, so every "
+        "exhaustive search leaves a reference cycle to the collector",
     ),
     Mutant(
         name="static-trim-limit",
@@ -179,14 +256,8 @@ MUTANTS = (
     Mutant(
         name="beam-width-plus-one",
         path="repro/matching/engine.py",
-        snippet=(
-            "states = heapq.nsmallest(beam_width, expansions, "
-            "key=lambda s: s[0])"
-        ),
-        replacement=(
-            "states = heapq.nsmallest(beam_width + 1, expansions, "
-            "key=lambda s: s[0])"
-        ),
+        snippet="states = expansions[:beam_width]",
+        replacement="states = expansions[: beam_width + 1]",
         tests=(
             "tests/matching/test_engine.py",
             "tests/matching/test_matchers.py",
@@ -474,6 +545,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument(
+        "--path",
+        help="run only the mutants of this source file (relative to src/)",
+    )
+    parser.add_argument(
         "--list", action="store_true", help="list the mutants and exit"
     )
     args = parser.parse_args(argv)
@@ -482,6 +557,11 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
     chosen = [known[name] for name in args.names] or list(MUTANTS)
+    if args.path is not None:
+        path = args.path.removeprefix("src/")
+        chosen = [mutant for mutant in chosen if mutant.path == path]
+        if not chosen:
+            parser.error(f"no mutants in src/{path}")
     if args.list:
         for mutant in chosen:
             print(f"{mutant.name}: src/{mutant.path} — {mutant.why}")
