@@ -5,15 +5,17 @@ three S2s — beam 40, clustering 3, top-k 6 — over 100 schemas and ten
 5-element queries at the schedule's final δ) matches 4,000 (query,
 schema) pairs.  The fixture runs it once, untimed, and records every
 search the matchers hand to :class:`~repro.matching.engine.SchemaSearch`:
-query, schema, allowed lists, strategy, δ and beam width.  That is
-3,043 searches: clustering builds none for a pair whose schema holds
-fewer nominated elements than the query has.  Both replays find every
-score matrix in the substrate's cache, so they time the searches alone:
+query, schema, allowed lists, top-k cap, strategy, δ and beam width.
+That is 3,052 searches: clustering builds none for a pair whose schema
+holds fewer nominated elements than the query has (top-k hands the
+engine those 9 pairs too small for the query, which it settles before
+reading a matrix).  Both replays find every score matrix in the
+substrate's cache, so they time the searches alone:
 
 * **engine** — :meth:`SchemaSearch.exhaustive` and
   :meth:`SchemaSearch.beam`: the early exit on the matrix's minima,
-  allowed sets filtered through the candidate orders, list-filling
-  loops;
+  candidate orders cut by the cap and filtered through allowed sets,
+  the query shape's generated loop nest and the sorted beam;
 * **oracles** — the generator specs of ``tests/helpers/oracles.py``:
   :func:`~helpers.oracles.recursive_exhaustive` and
   :func:`~helpers.oracles.nsmallest_beam`, both on
@@ -63,23 +65,25 @@ ROUNDS = 5
 
 
 def record_searches(run) -> list[tuple]:
-    """Every search ``run()`` makes: (query, schema, allowed, δ, width).
+    """Every search ``run()`` makes: (query, schema, allowed, cap, δ, width).
 
     ``width`` is ``None`` for an exhaustive search.
     """
     searches: list[tuple] = []
     exhaustive, beam = SchemaSearch.exhaustive, SchemaSearch.beam
 
-    def record_exhaustive(search, delta_max):
-        searches.append(
-            (search.query, search.schema, search.allowed, delta_max, None)
+    def recorded(search, delta_max, width):
+        return (
+            search.query, search.schema, search.allowed, search.cap,
+            delta_max, width,
         )
+
+    def record_exhaustive(search, delta_max):
+        searches.append(recorded(search, delta_max, None))
         return exhaustive(search, delta_max)
 
     def record_beam(search, delta_max, beam_width):
-        searches.append(
-            (search.query, search.schema, search.allowed, delta_max, beam_width)
-        )
+        searches.append(recorded(search, delta_max, beam_width))
         return beam(search, delta_max, beam_width)
 
     with (
@@ -118,12 +122,12 @@ def evaluation():
 def engine(objective, searches):
     """Every recorded search through the engine."""
     return [
-        SchemaSearch(query, schema, objective, allowed=allowed).exhaustive(delta)
+        SchemaSearch(query, schema, objective, allowed, cap).exhaustive(delta)
         if width is None
-        else SchemaSearch(query, schema, objective, allowed=allowed).beam(
+        else SchemaSearch(query, schema, objective, allowed, cap).beam(
             delta, width
         )
-        for query, schema, allowed, delta, width in searches
+        for query, schema, allowed, cap, delta, width in searches
     ]
 
 
@@ -132,18 +136,18 @@ def oracles(objective, searches):
     return [
         list(
             recursive_exhaustive(
-                SchemaSearch(query, schema, objective, allowed=allowed), delta
+                SchemaSearch(query, schema, objective, allowed, cap), delta
             )
         )
         if width is None
         else list(
             nsmallest_beam(
-                SchemaSearch(query, schema, objective, allowed=allowed),
+                SchemaSearch(query, schema, objective, allowed, cap),
                 delta,
                 width,
             )
         )
-        for query, schema, allowed, delta, width in searches
+        for query, schema, allowed, cap, delta, width in searches
     ]
 
 
@@ -182,13 +186,14 @@ def test_bench_search_oracles(benchmark, evaluation):
 def test_engine_replay_speedup_and_identical(evaluation):
     """The contract: same sequences and floats, the engine ≥1.2× faster.
 
-    Measured on a 2-vCPU VM: engine 168-203 ms, oracles 263-312 ms per
-    replay (1.5-1.7×).
+    Measured on a 2-vCPU VM: engine 86-125 ms, oracles 195-281 ms per
+    replay (2.1-2.3×).
     """
     objective, searches = evaluation
     widths = {width for *_rest, width in searches}
     assert widths == {None, S2_ONE_BEAM_WIDTH}  # both strategies replayed
-    assert any(allowed is not None for _q, _s, allowed, _d, _w in searches)
+    assert any(allowed is not None for _q, _s, allowed, *_rest in searches)
+    assert {cap for _q, _s, _a, cap, _d, _w in searches} == {None, S2_EXTRA_TOPK}
     listed = engine(objective, searches)
     assert all(type(found) is list for found in listed)
     assert hexed(listed) == hexed(oracles(objective, searches))

@@ -39,8 +39,9 @@ Underneath sits the **repository scoring kernel**
 (:mod:`repro.matching.similarity.kernel`): every distinct
 (normalised label, datatype) cost is computed once per repository into
 interned flat rows, matrices gather from them, clustering runs over the
-same interned surface, and every search fills one list from per-depth
-loops over bitmasks, after an early exit on the matrix's minima.  When
+same interned surface, and every search fills one list after an early
+exit on the matrix's minima — the exhaustive one from a loop nest
+generated and compiled once per query shape.  When
 numpy is installed
 (:func:`numpy_available`), the kernel gathers each query label's costs
 and candidate orders for the whole repository in one batch, with the

@@ -20,6 +20,7 @@ nominated clusters) are mostly retained.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.errors import MatchingError
@@ -182,13 +183,14 @@ class ClusteringMatcher(Matcher):
         )
         self._clusters: list[ElementCluster] | None = None
         self._repository_digest: str | None = None
-        self._current_allowed: set[tuple[str, int]] | None = None
-        # query content digest -> nominated keys; nomination is a
-        # deterministic function of (clusters, query content,
+        #: the current query's nominated element ids, ascending, by schema id
+        self._current_nominated: dict[str, list[int]] | None = None
+        # query content digest -> nominated ids by schema; nomination is
+        # a deterministic function of (clusters, query content,
         # clusters_per_element), so re-ranking every cluster on every
         # begin_query (once per threshold per query in a sweep) is pure
         # rework.  Invalidated with the clusters, bounded FIFO.
-        self._nominations: dict[str, set[tuple[str, int]]] = {}
+        self._nominations: dict[str, dict[str, list[int]]] = {}
 
     def prepare(self, repository: SchemaRepository) -> None:
         """Cluster the repository once (cached per repository *content*).
@@ -228,27 +230,39 @@ class ClusteringMatcher(Matcher):
         Runs after :meth:`prepare`, so the nomination always works on the
         *full* repository's clusters — also under the sharded pipeline,
         which prepares on the whole repository before fanning shards out.
-        Nominations are memoised per query *content* against the current
-        clusters, so a threshold sweep re-ranks nothing.
+        The nominated keys are filed once as ascending element ids per
+        schema id, so each pair's search reads its allowed targets with
+        one lookup.  Nominations are memoised per query *content*
+        against the current clusters, so a threshold sweep re-ranks
+        nothing.
         """
         digest = query.content_digest()
-        allowed = self._nominations.get(digest)
-        if allowed is None:
-            allowed = self.allowed_element_keys(query)
-            fifo_put(self._nominations, digest, allowed, 4096)
-        self._current_allowed = allowed
+        nominated = self._nominations.get(digest)
+        if nominated is None:
+            nominated = {}
+            for schema_id, element_id in sorted(self.allowed_element_keys(query)):
+                nominated.setdefault(schema_id, []).append(element_id)
+            fifo_put(self._nominations, digest, nominated, 4096)
+        self._current_nominated = nominated
+
+    def _nominated_ids(self, schema: Schema) -> list[int]:
+        """The current query's nominated element ids of ``schema``, ascending.
+
+        Ids at or past ``len(schema)`` are dropped, so a schema that is
+        not the clustered repository's version gets only ids it has.
+        """
+        nominated = self._current_nominated
+        if nominated is None:
+            raise MatchingError("internal error: cluster nomination missing")
+        ids = nominated.get(schema.schema_id, [])
+        if ids and ids[-1] >= len(schema):
+            return ids[: bisect_left(ids, len(schema))]
+        return ids
 
     def _match_schema(
         self, query: Schema, schema: Schema, delta_max: float
     ) -> list[tuple[tuple[int, ...], float]]:
-        allowed_keys = self._current_allowed
-        if allowed_keys is None:
-            raise MatchingError("internal error: cluster nomination missing")
-        in_schema = [
-            element_id
-            for element_id in range(len(schema))
-            if (schema.schema_id, element_id) in allowed_keys
-        ]
+        in_schema = self._nominated_ids(schema)
         if len(in_schema) < len(query):
             return []  # cannot host an injective mapping within the clusters
         allowed = [in_schema] * len(query)

@@ -48,33 +48,56 @@ List-filling search
 -------------------
 Each strategy fills and returns one list; no generator frame sits
 between a found mapping and the caller.  :meth:`SchemaSearch.exhaustive`
-runs one ``for`` loop per depth over the cost-sorted candidate rows,
-with ``used`` as an integer bitmask and ancestry read as one shift
-against the schema's precomputed per-target ancestor bitsets
-(:meth:`~repro.schema.model.Schema.ancestor_masks`).  The last depth is
-a leaf-only loop that scores each surviving target in line from the
-two constants of :meth:`~repro.matching.objective.ObjectiveFunction
-.combine_terms`.  :meth:`SchemaSearch.beam` keeps each level's best
-states with one stable sort on the bound and a slice.  A restricted
-search filters the matrix's ``(cost, id)``-sorted candidate orders
-through its allowed sets.  Bound and score arithmetic is expression for
-expression that of the code these loops replaced, which the tests keep
-as the executable specification (``recursive_exhaustive``,
-``nsmallest_beam`` and ``sorted_prepare`` in
+runs one plain function per query shape (the memoised
+:meth:`~repro.schema.model.Schema.parent_ids` tuple): ``k`` nested
+``for`` loops over the cost-sorted candidate rows, generated from one
+source template (:func:`_chunk_source`) and compiled once into a
+bounded cache that every thread shares.  The function reads each
+depth's row, cost row and tail once per search and keeps the prefix in
+locals: its targets (a target the prefix holds is skipped by
+comparison), cost sum and violation count, with ancestry read as one
+shift against the schema's per-target ancestor bitsets
+(:meth:`~repro.schema.model.Schema.ancestor_masks`).  The last depth
+scores each surviving target in line from the two constants of
+:meth:`~repro.matching.objective.ObjectiveFunction.combine_terms`,
+rounds it by the inlined text of
+:data:`~repro.matching.objective.SCORE_ROUNDING`, and builds one
+``(t0, …, tk-1)`` tuple per emitted mapping.  CPython refuses more than
+20 statically nested blocks, so a query deeper than
+:data:`_CHUNK_DEPTHS` chains generated chunks, the innermost loop of
+one calling the next.  The generated source is built only from
+integers — the depth count and the parent indices, checked to be
+pre-ordered — never from labels or any other input.
+
+:meth:`SchemaSearch.beam` keeps each level's best expansions with one
+stable sort on the bound and a slice; an expansion is a ``(bound,
+state index, target, extra violation)`` tuple, and only the survivors
+are built into states.  A capped search (top-k) cuts the matrix's
+``(cost, id)``-sorted candidate orders, and a restricted search filters
+them through its allowed sets.  Bound and score arithmetic is
+expression for expression that of the code these loops replaced, which
+the tests keep as the executable specification
+(``recursive_exhaustive``, ``nsmallest_beam`` and ``sorted_prepare`` in
 ``tests/helpers/oracles.py``), so every emitted sequence is
 byte-identical.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
 from repro.errors import MatchingError
-from repro.matching.objective import SCORE_DECIMALS, ObjectiveFunction
+from repro.matching.objective import (
+    SCORE_ROUNDING,
+    ObjectiveFunction,
+    round_score,
+)
 from repro.matching.similarity.matrix import suffix_cost_sums
 from repro.schema.model import Schema
+from repro.util.caching import fifo_put
 
 __all__ = [
     "SchemaSearch",
@@ -89,6 +112,17 @@ _TRIM_SLACK = 1e-12
 
 #: one search's results: ``(target_ids, score)`` in emission order
 SearchResults = list[tuple[tuple[int, ...], float]]
+
+#: depths one generated function nests: CPython refuses more than 20
+#: statically nested blocks, so a deeper query chains functions
+_CHUNK_DEPTHS = 16
+#: compiled loop nests kept, one per query shape
+_NEST_LIMIT = 256
+#: query shape (``Schema.parent_ids()``) -> its compiled loop nest;
+#: shared by every thread, so inserts and evictions hold the lock
+_NESTS: dict[tuple[int | None, ...], Callable[..., None]] = {}
+_NESTS_LOCK = threading.Lock()
+_NEST_PARAMETERS = "rows, cost_rows, tails, masks, es, ss, cutoff, weight, terms, emit"
 
 
 def count_assignments(query_size: int, schema_size: int) -> int:
@@ -137,6 +171,110 @@ def threshold_unreachable(
     return share * total_min_cost > delta_max + _EPSILON
 
 
+def _names(letter: str, depths: range) -> str:
+    """``"t0, t1, "``: one generated local per depth, as a tuple body."""
+    return "".join(f"{letter}{depth}, " for depth in depths)
+
+
+def _chunk_source(parents: tuple[int | None, ...], start: int, stop: int) -> str:
+    """Source of ``chunk``: the search loops of depths ``start..stop-1``.
+
+    ``parents`` is the query shape; the text is built from its length
+    and its parent indices alone.  ``chunk`` takes the search's rows,
+    cost rows, tails and constants plus the prefix before ``start``:
+    its targets, cost sum ``S`` and violation count ``V``.  Depth ``d``
+    binds target ``t<d>`` and cost sum ``S<d>`` and, below a parent,
+    violation count ``V<d>``.  The last depth scores in line and emits;
+    a chunk that stops short of it hands each surviving prefix to the
+    next chunk, ``nxt``.  Bound, violation and score expressions are
+    those of the executable specification, on the same floats (module
+    docstring).
+    """
+    k = len(parents)
+    depths = range(start, stop)
+    lines = [
+        f"def chunk({_NEST_PARAMETERS}, prefix, S, V):",
+        f"    ({_names('t', range(start))}) = prefix",
+        f"    {_names('R', depths)}= rows[{start}:{stop}]",
+        f"    {_names('C', depths)}= cost_rows[{start}:{stop}]",
+        f"    {_names('M', range(start + 1, stop + 1))}= tails[{start + 1}:{stop + 1}]",
+        "    G = ss * V",
+    ]
+    # names holding the prefix's cost sum, violations and structure term
+    cost, violations, structure = "S", "V", "G"
+    for depth in depths:
+        pad = "    " * (1 + depth - start)
+        body = pad + "    "
+        lines.append(f"{pad}for t{depth} in R{depth}:")
+        if depth:  # injective: skip the targets the prefix holds
+            taken = " or ".join(f"t{depth} == t{j}" for j in range(depth))
+            lines.append(f"{body}if {taken}: continue")
+        lines.append(f"{body}S{depth} = {cost} + C{depth}[t{depth}]")
+        lines.append(f"{body}B = es * (S{depth} + M{depth + 1}) + {structure}")
+        lines.append(f"{body}if B > cutoff: break  # rows are cost-sorted")
+        parent = parents[depth]
+        if parent is not None:
+            lines.append(f"{body}V{depth} = {violations}")
+            lines.append(f"{body}if not (masks[t{depth}] >> t{parent}) & 1:")
+            lines.append(f"{body}    if B + ss > cutoff: continue  # later targets may fit")
+            lines.append(f"{body}    V{depth} += 1")
+            violations = f"V{depth}"
+        if depth == k - 1:
+            lines.append(f"{body}x = weight * (S{depth} / {k}) + terms[{violations}]")
+            lines.extend(body + line for line in SCORE_ROUNDING.splitlines())
+            lines.append(f"{body}if x <= cutoff: emit((({_names('t', range(k))}), x))")
+        elif depth == stop - 1:
+            lines.append(
+                f"{body}nxt({_NEST_PARAMETERS}, ({_names('t', range(stop))}), "
+                f"S{depth}, {violations})"
+            )
+        elif parent is not None:
+            lines.append(f"{body}G{depth} = ss * {violations}")
+            structure = f"G{depth}"
+        cost = f"S{depth}"
+    return "\n".join(lines) + "\n"
+
+
+def _compile_nest(parents: tuple[int | None, ...]) -> Callable[..., None]:
+    """The exhaustive search for one query shape, as one function.
+
+    Chunks of :data:`_CHUNK_DEPTHS` depths are compiled from the last
+    to the first, each calling the next from its innermost loop.  The
+    shape must be pre-ordered parent indices, so the generated text
+    holds only integers and names of its own.
+    """
+    if not parents or any(
+        parent is not None and not (type(parent) is int and 0 <= parent < depth)
+        for depth, parent in enumerate(parents)
+    ):
+        raise MatchingError(f"not a pre-ordered query shape: {parents!r}")
+    following = None
+    for start in reversed(range(0, len(parents), _CHUNK_DEPTHS)):
+        stop = min(start + _CHUNK_DEPTHS, len(parents))
+        namespace = {"nxt": following}
+        code = compile(
+            _chunk_source(parents, start, stop),
+            f"<search nest {start}-{stop - 1} of {len(parents)}>",
+            "exec",
+        )
+        exec(code, namespace)
+        # popped, so the namespace the function keeps does not hold it
+        following = namespace.pop("chunk")
+    return following
+
+
+def _nest(parents: tuple[int | None, ...]) -> Callable[..., None]:
+    """The compiled loop nest of one query shape, from the shared cache."""
+    nest = _NESTS.get(parents)
+    if nest is None:
+        with _NESTS_LOCK:
+            nest = _NESTS.get(parents)
+            if nest is None:
+                nest = _compile_nest(parents)
+                fifo_put(_NESTS, parents, nest, _NEST_LIMIT)
+    return nest
+
+
 @dataclass
 class _SearchContext:
     """Precomputed per-(query, schema) state shared by both strategies."""
@@ -161,22 +299,28 @@ class SchemaSearch:
         schema: Schema,
         objective: ObjectiveFunction,
         allowed: Sequence[Sequence[int] | None] | None = None,
+        cap: int | None = None,
     ):
         """``allowed[i]``, when given, restricts query element i's targets.
 
         ``None`` (or a ``None`` entry) means all elements of the schema
         are candidates.  An allowed list counts as a set: repeated ids
         are one candidate, and ids outside the schema are ignored.
+        ``cap``, when given, keeps only each element's ``cap`` cheapest
+        targets (ties by id) before any allowed set filters them.
         Costs come from the objective's similarity substrate, which
         builds the pair's
         :class:`~repro.matching.similarity.matrix.ScoreMatrix` on first
         use and serves it from cache afterwards.  Nothing is read until
         a search runs.
         """
+        if cap is not None and cap < 1:
+            raise MatchingError(f"cap must be >= 1, got {cap!r}")
         self.query = query
         self.schema = schema
         self.objective = objective
         self.allowed = allowed
+        self.cap = cap
 
     def _context(self, delta_max: float) -> _SearchContext | None:
         """The search's state, or ``None`` when it provably emits nothing.
@@ -184,10 +328,12 @@ class SchemaSearch:
         Cheapest proof first: a schema smaller than the query hosts no
         injective mapping, and :func:`threshold_unreachable` on the
         cached matrix's ``min_rest[0]`` settles the search before any
-        per-search state exists.  A restricted search then filters each
-        of the matrix's ``(cost, id)``-sorted candidate orders through
-        its allowed set, which keeps that order, and sums its own
-        minima.
+        per-search state exists.  A capped search then cuts each of the
+        matrix's ``(cost, id)``-sorted candidate orders to its first
+        ``cap`` targets: the cheapest target is inside every cut, so the
+        matrix's minima stay the search's.  A restricted search filters
+        each order through its allowed set, which keeps that order, and
+        sums its own minima.
         """
         query, schema = self.query, self.schema
         k = len(query)
@@ -197,20 +343,23 @@ class SchemaSearch:
         sw = self.objective.weights.structure
         if threshold_unreachable(matrix.min_rest[0], k, sw, delta_max):
             return None
-        allowed = self.allowed
+        allowed, cap = self.allowed, self.cap
+        orders: Sequence[Sequence[int]] = matrix.candidate_order
+        if cap is not None:
+            orders = [order[:cap] for order in orders]
         candidates: Sequence[Sequence[int]]
         if allowed is None:
             # Unrestricted search: the context aliases the matrix's
-            # candidate orders and suffix sums outright — ``min_rest``
-            # *is* suffix_cost_sums(row_min), the shared accumulation, so
-            # no per-search float work runs here.
-            candidates = matrix.candidate_order
+            # candidate orders (or their cuts) and suffix sums outright —
+            # ``min_rest`` *is* suffix_cost_sums(row_min), the shared
+            # accumulation, so no per-search float work runs here.
+            candidates = orders
             min_rest = matrix.min_rest
         else:
             candidates = []
             row_best: list[float] = []
             for i in range(k):
-                order = matrix.candidate_order[i]
+                order = orders[i]
                 if allowed[i] is None:
                     candidates.append(order)
                     row_best.append(matrix.row_min[i])
@@ -273,12 +422,11 @@ class SchemaSearch:
     def exhaustive(self, delta_max: float) -> SearchResults:
         """All injective assignments with Δ ≤ δmax, via branch-and-bound.
 
-        One ``for`` loop per depth over the trimmed, cost-sorted
-        candidate rows; the last depth scores each surviving target in
-        line (module docstring).  The returned sequence is
-        candidate-for-candidate identical to the recursive generator
-        kept as the executable specification in the tests — same
-        assignments, same floats, same order — property-tested in
+        Runs the query shape's compiled loop nest over the trimmed,
+        cost-sorted candidate rows (module docstring).  The returned
+        sequence is candidate-for-candidate identical to the recursive
+        generator kept as the executable specification in the tests —
+        same assignments, same floats, same order — property-tested in
         ``tests/properties/test_prop_kernel.py``.
         """
         found: SearchResults = []
@@ -289,105 +437,12 @@ class SchemaSearch:
         candidates = self._trimmed_candidates(ctx, cutoff)
         if candidates is None:
             return found
-        k = len(candidates)
-        last = k - 1
-        costs = ctx.costs
-        min_rest = ctx.min_rest
-        parents = ctx.parents
-        element_share = ctx.element_share
-        structure_share = ctx.structure_share
-        ancestor_masks = ctx.schema.ancestor_masks()
         weight, structure_terms = self.objective.combine_terms(ctx.num_edges)
-        emit = found.append
-        leaf_row = candidates[last]
-        leaf_costs = costs[last]
-        leaf_tail = min_rest[k]
-        leaf_parent = parents[last]
-
-        def leaves(
-            prefix: tuple[int, ...],
-            prefix_cost: float,
-            prefix_violations: int,
-            used: int,
-        ) -> None:
-            # depth k−1: complete each prefix, score in line and emit
-            structure_so_far = structure_share * prefix_violations
-            parent_target = prefix[leaf_parent] if leaf_parent is not None else -1
-            for target in leaf_row:
-                if (used >> target) & 1:
-                    continue
-                cost = leaf_costs[target]
-                base_bound = (
-                    element_share * (prefix_cost + cost + leaf_tail)
-                    + structure_so_far
-                )
-                if base_bound > cutoff:
-                    break  # candidates are cost-sorted; the rest only worse
-                violations = prefix_violations
-                if parent_target >= 0 and not (
-                    (ancestor_masks[target] >> parent_target) & 1
-                ):
-                    if base_bound + structure_share > cutoff:
-                        continue  # violation pushed this one out; others may fit
-                    violations += 1
-                score = round(
-                    weight * ((prefix_cost + cost) / k)
-                    + structure_terms[violations],
-                    SCORE_DECIMALS,
-                )
-                if score <= cutoff:
-                    emit((prefix + (target,), score))
-
-        def expand(
-            depth: int,
-            prefix: tuple[int, ...],
-            prefix_cost: float,
-            prefix_violations: int,
-            used: int,
-        ) -> None:
-            # depths 0..k−2: extend the prefix by every target that fits
-            row = candidates[depth]
-            cost_row = costs[depth]
-            tail_min = min_rest[depth + 1]
-            structure_so_far = structure_share * prefix_violations
-            parent = parents[depth]
-            parent_target = prefix[parent] if parent is not None else -1
-            at_leaves = depth + 1 == last
-            for target in row:
-                if (used >> target) & 1:
-                    continue
-                cost = cost_row[target]
-                base_bound = (
-                    element_share * (prefix_cost + cost + tail_min)
-                    + structure_so_far
-                )
-                if base_bound > cutoff:
-                    break  # candidates are cost-sorted; the rest only worse
-                violations = prefix_violations
-                if parent_target >= 0 and not (
-                    (ancestor_masks[target] >> parent_target) & 1
-                ):
-                    if base_bound + structure_share > cutoff:
-                        continue  # violation pushed this one out; others may fit
-                    violations += 1
-                if at_leaves:
-                    leaves(
-                        prefix + (target,), prefix_cost + cost, violations,
-                        used | (1 << target),
-                    )
-                else:
-                    expand(
-                        depth + 1, prefix + (target,), prefix_cost + cost,
-                        violations, used | (1 << target),
-                    )
-
-        if last == 0:
-            leaves((), 0.0, 0, 0)
-        else:
-            expand(0, (), 0.0, 0, 0)
-        # ``expand`` holds itself through its closure; emptying the cell
-        # frees it now instead of leaving a cycle to the collector
-        del expand
+        _nest(ctx.parents)(
+            candidates, ctx.costs, ctx.min_rest, ctx.schema.ancestor_masks(),
+            ctx.element_share, ctx.structure_share, cutoff, weight,
+            structure_terms, found.append, (), 0.0, 0,
+        )
         return found
 
     # -- beam search ---------------------------------------------------------
@@ -397,9 +452,10 @@ class SchemaSearch:
         partial assignments per query element.
 
         Each level's expansions are ordered by one stable sort on their
-        bound and cut to the width, so ties keep expansion order.
-        Returned mappings score with the shared objective, so the result
-        is always a subset of :meth:`exhaustive` at the same threshold.
+        bound and cut to the width, so ties keep expansion order; only
+        the survivors are built into states.  Returned mappings score
+        with the shared objective, so the result is always a subset of
+        :meth:`exhaustive` at the same threshold.
         """
         if beam_width < 1:
             raise MatchingError(f"beam width must be >= 1, got {beam_width}")
@@ -418,57 +474,56 @@ class SchemaSearch:
         structure_share = ctx.structure_share
         ancestor_masks = ctx.schema.ancestor_masks()
         by_bound = itemgetter(0)
-        # state: (bound, assignment tuple, used bitmask, cost_sum, violations)
-        # — the bitmask is internal bookkeeping; selection sorts on the
-        # bound alone, so the kept beam is the same
-        states: list[tuple[float, tuple[int, ...], int, float, int]] = [
-            (element_share * min_rest[0], (), 0, 0.0, 0)
-        ]
+        # state: (assignment tuple, used bitmask, cost_sum, violations)
+        states: list[tuple[tuple[int, ...], int, float, int]] = [((), 0, 0.0, 0)]
         for depth in range(k):
-            expansions: list[tuple[float, tuple[int, ...], int, float, int]] = []
+            # expansion: (bound, state index, target, extra violation)
+            expansions: list[tuple[float, int, int, int]] = []
             append = expansions.append
             row = candidates[depth]
             cost_row = costs[depth]
             tail_min = min_rest[depth + 1]
             parent = ctx.parents[depth]
-            for _bound, assignment, used, cost_sum, violations in states:
+            for index, (assignment, used, cost_sum, violations) in enumerate(
+                states
+            ):
                 parent_target = assignment[parent] if parent is not None else -1
                 structure_so_far = structure_share * violations
                 for target in row:
                     if (used >> target) & 1:
                         continue
-                    cost = cost_row[target]
                     base_bound = (
-                        element_share * (cost_sum + cost + tail_min)
+                        element_share * (cost_sum + cost_row[target] + tail_min)
                         + structure_so_far
                     )
                     if base_bound > cutoff:
                         break
-                    new_violations = violations
-                    new_bound = base_bound
                     if parent_target >= 0 and not (
                         (ancestor_masks[target] >> parent_target) & 1
                     ):
-                        new_violations += 1
-                        new_bound += structure_share
+                        new_bound = base_bound + structure_share
                         if new_bound > cutoff:
                             continue
-                    append((
-                        new_bound,
-                        assignment + (target,),
-                        used | (1 << target),
-                        cost_sum + cost,
-                        new_violations,
-                    ))
+                        append((new_bound, index, target, 1))
+                    else:
+                        append((base_bound, index, target, 0))
             if not expansions:
                 return found
             expansions.sort(key=by_bound)
-            states = expansions[:beam_width]
+            survivors = []
+            for _bound, index, target, extra in expansions[:beam_width]:
+                assignment, used, cost_sum, violations = states[index]
+                survivors.append((
+                    assignment + (target,),
+                    used | (1 << target),
+                    cost_sum + cost_row[target],
+                    violations + extra,
+                ))
+            states = survivors
         weight, structure_terms = self.objective.combine_terms(ctx.num_edges)
-        for _bound, assignment, _used, cost_sum, violations in states:
-            score = round(
-                weight * (cost_sum / k) + structure_terms[violations],
-                SCORE_DECIMALS,
+        for assignment, _used, cost_sum, violations in states:
+            score = round_score(
+                weight * (cost_sum / k) + structure_terms[violations]
             )
             if score <= cutoff:
                 found.append((assignment, score))

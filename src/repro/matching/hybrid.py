@@ -53,14 +53,7 @@ class HybridMatcher(ClusteringMatcher):
     def _match_schema(
         self, query: Schema, schema: Schema, delta_max: float
     ) -> list[tuple[tuple[int, ...], float]]:
-        allowed_keys = self._current_allowed
-        if allowed_keys is None:
-            raise MatchingError("internal error: cluster nomination missing")
-        in_schema = [
-            element_id
-            for element_id in range(len(schema))
-            if (schema.schema_id, element_id) in allowed_keys
-        ]
+        in_schema = self._nominated_ids(schema)
         if len(in_schema) < len(query):
             return []
         allowed = [in_schema] * len(query)

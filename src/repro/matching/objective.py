@@ -30,11 +30,54 @@ from repro.matching.similarity.structure import ancestry_violations, query_edges
 from repro.schema.model import Schema, SchemaElement
 from repro.schema.repository import ElementHandle, SchemaRepository
 
-__all__ = ["ObjectiveWeights", "ObjectiveFunction"]
+__all__ = ["ObjectiveWeights", "ObjectiveFunction", "round_score"]
 
 # Scores are rounded so that algebraically identical costs computed along
 # different code paths (exhaustive vs beam vs clustering) compare equal.
 SCORE_DECIMALS = 9
+
+# The fast path of score rounding.  ``y = x · 10^9`` is scaled with one
+# rounding error of at most half an ulp of ``y``: below 2**30 that is
+# 2**-24, well inside the band of 2**-20 the guard keeps from a half.
+# Adding and subtracting 1.5 · 2**52 rounds a double below 2**51 to the
+# nearest integer ``r`` (ties to even) without a call.  When ``y`` is
+# positive, below the limit and clear of a half by the band, the exact
+# ``x · 10^9`` rounds to the same ``r``, and ``r / 10^9`` is then the
+# double nearest the decimal ``round(x, 9)`` rounds to — the float
+# ``round`` returns.  Anything else (zeros of either sign, negatives,
+# NaN, infinities, large values, near-halves) takes ``round`` itself.
+_FAST_ROUND_LIMIT = 2.0**30
+_HALF_CLEAR = 0.5 - 2.0**-20
+
+#: :func:`round_score`'s statements, rounding ``x`` in place; the search
+#: engine's generated loops inline this text, so every score in the
+#: system is rounded by one definition.
+SCORE_ROUNDING = (
+    f"y = x * 1e{SCORE_DECIMALS}\n"
+    "r = y + 6755399441055744.0 - 6755399441055744.0\n"
+    f"if 0.0 < y < {_FAST_ROUND_LIMIT!r} and "
+    f"-{_HALF_CLEAR!r} <= y - r <= {_HALF_CLEAR!r}:\n"
+    f"    x = r / 1e{SCORE_DECIMALS}\n"
+    "else:\n"
+    f"    x = round(x, {SCORE_DECIMALS})\n"
+)
+
+
+def _compile_round_score():
+    namespace = {"__name__": __name__}
+    body = "".join(f"    {line}\n" for line in SCORE_ROUNDING.splitlines())
+    exec(
+        f"def round_score(x: float) -> float:\n{body}    return x\n",
+        namespace,
+    )
+    return namespace.pop("round_score")
+
+
+round_score = _compile_round_score()
+round_score.__doc__ = (
+    "``round(x, SCORE_DECIMALS)``, the same float (``float.hex``) for every "
+    "``x``, at half its cost on scores: compiled from :data:`SCORE_ROUNDING`."
+)
 
 
 @dataclass(frozen=True)
@@ -249,17 +292,17 @@ class ObjectiveFunction:
         """Total Δ from the two aggregated components (shared by all matchers)."""
         sw = self.weights.structure
         average = element_cost_sum / query_size
-        return round((1.0 - sw) * average + sw * structure_cost, SCORE_DECIMALS)
+        return round_score((1.0 - sw) * average + sw * structure_cost)
 
     def combine_terms(self, num_edges: int) -> tuple[float, tuple[float, ...]]:
         """:meth:`combine`'s two constants for a query with ``num_edges`` edges.
 
         Returns ``(1 − sw, terms)`` with ``terms[v] = sw · (v / p)`` for
         ``v = 0..p`` violated edges (``(sw · 0.0,)`` when ``p = 0``), so
-        that ``round(weight * (cost_sum / k) + terms[v], SCORE_DECIMALS)``
-        is ``combine(cost_sum, k, v / p)`` bit for bit: the same
-        operations on the same floats.  The search engine scores each
-        complete assignment in line from these.
+        that ``round_score(weight * (cost_sum / k) + terms[v])`` is
+        ``combine(cost_sum, k, v / p)`` bit for bit: the same operations
+        on the same floats.  The search engine scores each complete
+        assignment in line from these.
         """
         sw = self.weights.structure
         if num_edges == 0:

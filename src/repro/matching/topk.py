@@ -43,16 +43,11 @@ class TopKCandidateMatcher(Matcher):
     def _match_schema(
         self, query: Schema, schema: Schema, delta_max: float
     ) -> list[tuple[tuple[int, ...], float]]:
-        if len(schema) < len(query):
-            return []
-        # the matrix's candidate orders sort by the engine's (cost, id)
-        # key, so each cut keeps the k cheapest targets, ties by id
-        matrix = self.objective.substrate().matrix(query, schema)
-        allowed = [
-            matrix.candidate_order[i][: self.candidates_per_element]
-            for i in range(len(query))
-        ]
-        search = SchemaSearch(query, schema, self.objective, allowed=allowed)
+        # the search cuts each (cost, id)-sorted candidate order to its
+        # k cheapest targets, ties by id, once its early exit has passed
+        search = SchemaSearch(
+            query, schema, self.objective, cap=self.candidates_per_element
+        )
         return search.exhaustive(delta_max)
 
     def describe(self) -> dict[str, object]:

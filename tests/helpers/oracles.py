@@ -14,10 +14,11 @@ substrate   cached score matrices, the early exit     direct per-search scoring
 kernel      interned label-universe cost rows +       per-matrix distinct-label build
             matrix gathers; the shared interned       (``ScoreMatrix.build`` without a kernel)
             cluster build                             and :func:`cluster_scan`
-flat-search list-filling searches: per-depth ``for``  the generator searches
-            loops scoring leaves in line, a sorted    :func:`recursive_exhaustive` and
-            and sliced beam, allowed sets filtered    :func:`nsmallest_beam`, both on
-            through the matrix's candidate orders     :func:`sorted_prepare`
+flat-search list-filling searches: one generated      the generator searches
+            loop nest per query shape scoring leaves  :func:`recursive_exhaustive` and
+            in line, a sorted and sliced beam, the    :func:`nsmallest_beam`, both on
+            matrix's candidate orders cut by a cap    :func:`sorted_prepare`, scored
+            and filtered through allowed sets         through ``combine``
 numpy       the kernel's batched whole-repository     the one-schema python gather
             gather                                    (``kernel._np`` is ``None``, as when
                                                       numpy is absent)
@@ -113,9 +114,10 @@ def sorted_prepare(search: SchemaSearch) -> _SearchContext | None:
     """:meth:`SchemaSearch._context`'s spec: eager, with no early exit.
 
     Builds the whole search context up front, and gives a restricted
-    element the ids of its allowed list that fall inside the schema,
-    deduplicated and sorted by ``(cost, id)`` tuples, where production
-    filters the matrix's candidate order through the allowed set.
+    or capped element the ids of its allowed list that fall inside the
+    schema (and, under a cap, among its ``cap`` cheapest targets, as
+    top-k cut them), deduplicated and sorted by ``(cost, id)`` tuples,
+    where production cuts and filters the matrix's candidate order.
     """
     query, schema = search.query, search.schema
     k, m = len(query), len(schema)
@@ -123,19 +125,22 @@ def sorted_prepare(search: SchemaSearch) -> _SearchContext | None:
         return None  # injectivity impossible; no mappings exist
     matrix = search.objective.substrate().matrix(query, schema)
     costs = matrix.costs
-    allowed = search.allowed
-    if allowed is None:
+    allowed, cap = search.allowed, search.cap
+    if allowed is None and cap is None:
         candidates = list(matrix.candidate_order)
         min_rest = matrix.min_rest
     else:
         candidates = []
         row_best: list[float] = []
         for i in range(k):
-            if allowed[i] is None:
+            ids = None if allowed is None else allowed[i]
+            if ids is None and cap is None:
                 candidates.append(matrix.candidate_order[i])
                 row_best.append(matrix.row_min[i])
                 continue
-            valid = {j for j in allowed[i] if 0 <= j < m}
+            valid = set(range(m)) if ids is None else {j for j in ids if 0 <= j < m}
+            if cap is not None:
+                valid &= set(matrix.candidate_order[i][:cap])
             if not valid:
                 return None  # some element has no candidate at all
             pairs = sorted((costs[i][j], j) for j in valid)
@@ -164,7 +169,7 @@ def recursive_exhaustive(
     """The recursive branch-and-bound: :meth:`SchemaSearch.exhaustive`'s spec.
 
     This is the PR-4 engine, kept verbatim as the executable
-    specification the list-filling loops are property-tested against
+    specification the generated loop nests are property-tested against
     and as the baseline half of ``benchmarks/bench_kernel.py`` and
     ``benchmarks/bench_engine.py``.  It reads its context from
     :func:`sorted_prepare` and scores each complete assignment through

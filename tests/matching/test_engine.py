@@ -8,10 +8,15 @@ technique assumes S1 truly is exhaustive.
 
 import gc
 import itertools
+import sys
+import threading
+from unittest import mock
 
 import pytest
 
+from helpers.oracles import recursive_exhaustive
 from repro.errors import MatchingError
+from repro.matching import engine as engine_module
 from repro.matching.engine import SchemaSearch, count_assignments
 from repro.matching.mapping import Mapping
 from repro.matching.objective import ObjectiveFunction, ObjectiveWeights
@@ -238,6 +243,131 @@ class TestNoCyclicGarbage:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _pruned(schema: Schema, size: int, schema_id: str) -> Schema:
+    """``schema`` without its last pre-order elements, ``size`` kept.
+
+    The last element in pre-order is always a leaf, so each cut leaves
+    a tree whose ids, parents and labels are the source's own.
+    """
+    root = schema.root.copy()
+    elements = list(root.walk())
+    while len(elements) > size:
+        last = elements.pop()
+        parent = next(e for e in elements if last in e.children)
+        parent.children.remove(last)
+    return Schema(schema_id, root)
+
+
+def _hexed(results):
+    return [(ids, score.hex()) for ids, score in results]
+
+
+class TestGeneratedNests:
+    """The exhaustive search runs one compiled loop nest per query shape."""
+
+    def test_query_deeper_than_a_chunk_matches_reference(self):
+        repo = generate_repository(
+            GeneratorConfig(num_schemas=1, min_size=26, max_size=30, seed=0)
+        )
+        schema = _pruned(repo.schemas()[0], 26, "deep-schema")
+        query = _pruned(schema, 24, "deep-query")
+        assert (len(query), len(schema)) == (24, 26)
+        assert len(query) > engine_module._CHUNK_DEPTHS  # chunks chain
+        search = SchemaSearch(query, schema, small_objective())
+        found = search.exhaustive(0.05)
+        assert len(found) > 1
+        assert _hexed(found) == _hexed(recursive_exhaustive(search, 0.05))
+
+    def test_cache_stays_at_its_bound(self):
+        shapes = [(None,) + (0,) * size for size in range(12)]
+        with (
+            mock.patch.object(engine_module, "_NESTS", {}),
+            mock.patch.object(engine_module, "_NEST_LIMIT", 5),
+        ):
+            for shape in shapes:
+                nest = engine_module._nest(shape)
+                assert engine_module._nest(shape) is nest  # served from cache
+                assert len(engine_module._NESTS) <= 5
+            assert list(engine_module._NESTS) == shapes[-5:]
+
+    def test_shape_must_be_pre_ordered(self):
+        for shape in ((), (None, 1), (None, -1), (None, True), (None, "0")):
+            with pytest.raises(MatchingError):
+                engine_module._compile_nest(shape)
+
+    def test_threads_share_the_cache(self):
+        """Threads compiling and evicting shapes at once stay correct.
+
+        A cache of two nests and six shapes makes every thread insert
+        and evict while the others read; a lost update or a torn
+        eviction would raise or overfill the cache.
+        """
+        repo = generate_repository(
+            GeneratorConfig(num_schemas=3, min_size=8, max_size=12, seed=5)
+        )
+        objective = small_objective()
+        searches = [
+            SchemaSearch(
+                extract_personal_schema(
+                    rng.make_tagged(40 + size), schema, None, target_size=size
+                ),
+                schema,
+                objective,
+            )
+            for schema in repo
+            for size in (1, 2, 3, 4)
+        ]
+        expected = [_hexed(recursive_exhaustive(s, 0.5)) for s in searches]
+        assert len({s.query.parent_ids() for s in searches}) > 2
+        failures: list[BaseException] = []
+
+        def work():
+            try:
+                for _ in range(15):
+                    for search, reference in zip(searches, expected):
+                        assert _hexed(search.exhaustive(0.5)) == reference
+                        assert len(engine_module._NESTS) <= 2
+            except BaseException as error:  # reported by the main thread
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        with (
+            mock.patch.object(engine_module, "_NESTS", {}),
+            mock.patch.object(engine_module, "_NEST_LIMIT", 2),
+        ):
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_cap_keeps_each_elements_cheapest_targets(self):
+        repo = generate_repository(
+            GeneratorConfig(num_schemas=2, min_size=6, max_size=10, seed=8)
+        )
+        objective = small_objective()
+        for index, schema in enumerate(repo):
+            query = extract_personal_schema(
+                rng.make_tagged(9 + index), schema, None, target_size=3
+            )
+            order = objective.substrate().matrix(query, schema).candidate_order
+            for cap in (1, 2, 4):
+                cut = [row[:cap] for row in order]
+                capped = SchemaSearch(query, schema, objective, cap=cap)
+                restricted = SchemaSearch(query, schema, objective, allowed=cut)
+                assert _hexed(capped.exhaustive(0.6)) == _hexed(
+                    restricted.exhaustive(0.6)
+                )
+        with pytest.raises(MatchingError):
+            SchemaSearch(query, schema, objective, cap=0)
 
 
 class TestBeam:

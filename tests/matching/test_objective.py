@@ -1,10 +1,19 @@
 """Unit tests for the shared objective function Δ."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MatchingError, ObjectiveMismatchError
 from repro.matching.mapping import Mapping
-from repro.matching.objective import ObjectiveFunction, ObjectiveWeights
+from repro.matching.objective import (
+    SCORE_DECIMALS,
+    ObjectiveFunction,
+    ObjectiveWeights,
+    round_score,
+)
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
 from repro.schema.model import Datatype, Schema, SchemaElement
 from repro.schema.repository import SchemaRepository
@@ -154,3 +163,48 @@ class TestFingerprint:
     def test_check_same_as_passes(self):
         sim = NameSimilarity()
         ObjectiveFunction(sim).check_same_as(ObjectiveFunction(sim))
+
+
+#: ``x`` whose scaled ``x · 10^9`` lies within 1e-6 of a half
+near_halves = st.builds(
+    lambda n, offset: (n + 0.5 + offset) / 1e9,
+    st.integers(min_value=0, max_value=2 * 10**9),
+    st.floats(min_value=-1e-6, max_value=1e-6),
+)
+#: odd multiples of 2**-10: ``x · 10^9`` is an exact tie, e.g. 976562.5
+exact_ties = st.builds(
+    lambda odd: (2 * odd + 1) * 2.0**-10, st.integers(min_value=0, max_value=2**20)
+)
+
+
+class TestRoundScore:
+    """``round_score`` is ``round(x, SCORE_DECIMALS)``, float for float."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(
+        st.floats(allow_nan=True, allow_infinity=True)
+        | st.floats(min_value=0.0, max_value=1.0)
+        | st.floats(min_value=1.07, max_value=1e6)
+        | near_halves
+        | exact_ties
+    )
+    @example(0.0)
+    @example(-0.0)
+    @example(math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(0.0009765625)  # x · 10^9 = 976562.5 exactly
+    @example(0.3972363295)  # x · 10^9 rounds to a half the exact value is not
+    @example(0.0141390175)
+    @example(2.0**30 / 1e9)
+    def test_equals_round_by_float_hex(self, x):
+        assert round_score(x).hex() == round(x, SCORE_DECIMALS).hex()
+
+    def test_combine_rounds_through_it(self):
+        obj = objective()
+        sw = obj.weights.structure
+        for cost_sum, size, structure in ((0.1 + 0.2, 3, 0.0), (1.7, 4, 0.5)):
+            average = cost_sum / size
+            assert obj.combine(cost_sum, size, structure) == round_score(
+                (1.0 - sw) * average + sw * structure
+            )

@@ -16,10 +16,10 @@ Three families:
   (:func:`~helpers.oracles.recursive_exhaustive`,
   :func:`~helpers.oracles.nsmallest_beam`, both on the sorted
   restricted prepare): same assignments, same score floats
-  (``float.hex``), same order — for query sizes 1 to 6, unrestricted
-  and restricted (allowed lists with repeated, negative and
-  out-of-range ids), with and without the substrate's early exit and
-  trim.
+  (``float.hex``), same order — for query sizes 1 to 8 (exhaustive)
+  and 1 to 6 (beam), unrestricted and restricted (allowed lists with
+  repeated, negative and out-of-range ids), capped or not, with and
+  without the substrate's early exit and trim.
 * **Derived vs. cold kernels** — a kernel derived across each delta of
   a stream (replaces, adds, removes, duplicated-content schemas) must
   equal a cold build of the new version in universe order, lid maps,
@@ -280,16 +280,18 @@ def _search_case(repo_seed, query_seed, query_size):
 @given(
     repo_seed=st.integers(min_value=0, max_value=40),
     query_seed=st.integers(min_value=0, max_value=40),
-    query_size=st.integers(min_value=1, max_value=6),
+    query_size=st.integers(min_value=1, max_value=8),
     delta=st.sampled_from((0.05, 0.2, 0.35, 0.5, 0.7)),
     restricted=st.booleans(),
+    cap=st.none() | st.integers(min_value=1, max_value=4),
     with_substrate=st.booleans(),
     data=st.data(),
 )
 def test_flat_search_emits_reference_sequence(
-    repo_seed, query_seed, query_size, delta, restricted, with_substrate, data
+    repo_seed, query_seed, query_size, delta, restricted, cap, with_substrate,
+    data,
 ):
-    """Listed and recursive searches: same mappings, same floats, same order."""
+    """Generated and recursive searches: same mappings, floats and order."""
     repo, objective, query = _search_case(repo_seed, query_seed, query_size)
     for schema in repo:
         allowed = (
@@ -300,7 +302,9 @@ def test_flat_search_emits_reference_sequence(
         with ExitStack() as stack:
             if not with_substrate:
                 stack.enter_context(substrate_off())
-            search = SchemaSearch(query, schema, objective, allowed=allowed)
+            search = SchemaSearch(
+                query, schema, objective, allowed=allowed, cap=cap
+            )
             listed = search.exhaustive(delta)
             assert type(listed) is list
             reference = _hex(recursive_exhaustive(search, delta))

@@ -18,10 +18,12 @@ Usage (from the repository root)::
     python tools/mutate.py topk-cut        # the named mutants only
     python tools/mutate.py --path repro/matching/engine.py
                                            # one source file's mutants
+                                           # (repeat --path for more)
     python tools/mutate.py --list          # names, files, covering tests
 
 A change to a source file runs at least that file's mutants
-(``--path``, relative to ``src/``; a leading ``src/`` is accepted).
+(``--path``, relative to ``src/``; a leading ``src/`` is accepted; give
+it once per file).
 
 The tool prints each verdict, the kill rate and the survivors, and
 exits 1 if any mutant survives.  It refuses (exit 2) a mutant whose
@@ -70,10 +72,8 @@ MUTANTS = (
     Mutant(
         name="topk-cut",
         path="repro/matching/topk.py",
-        snippet="matrix.candidate_order[i][: self.candidates_per_element]",
-        replacement=(
-            "matrix.candidate_order[i][: self.candidates_per_element + 1]"
-        ),
+        snippet="cap=self.candidates_per_element",
+        replacement="cap=self.candidates_per_element + 1",
         tests=(
             "tests/properties/test_prop_completeness.py",
             "tests/matching/test_matchers.py",
@@ -108,40 +108,26 @@ MUTANTS = (
     Mutant(
         name="leaf-structure-term-index",
         path="repro/matching/engine.py",
-        snippet=(
-            "weight * ((prefix_cost + cost) / k)\n"
-            "                    + structure_terms[violations],"
-        ),
-        replacement=(
-            "weight * ((prefix_cost + cost) / k)\n"
-            "                    + structure_terms[prefix_violations],"
-        ),
+        snippet="+ terms[{violations}]",
+        replacement="+ terms[V]",
         tests=(
             "tests/properties/test_prop_engine.py",
             "tests/matching/test_engine.py",
         ),
-        why="a complete assignment is scored without its last element's "
-        "edge violation",
+        why="a complete assignment is scored with the violations its chunk "
+        "was handed, not with those of its own edges",
     ),
     Mutant(
         name="leaf-violation-skip",
         path="repro/matching/engine.py",
-        snippet=(
-            "continue  # violation pushed this one out; others may fit\n"
-            "                    violations += 1\n"
-            "                score = round("
-        ),
-        replacement=(
-            "break\n"
-            "                    violations += 1\n"
-            "                score = round("
-        ),
+        snippet="if B + ss > cutoff: continue  # later targets may fit",
+        replacement="if B + ss > cutoff: break",
         tests=(
             "tests/properties/test_prop_engine.py",
             "tests/matching/test_engine.py",
         ),
-        why="a leaf pushed over the threshold by its edge violation ends "
-        "the row, so later targets that keep the edge are lost",
+        why="a target pushed over the threshold by its edge violation ends "
+        "its row, so later targets that keep the edge are lost",
     ),
     Mutant(
         name="early-exit-comparison",
@@ -167,13 +153,30 @@ MUTANTS = (
         why="clustering skips a schema whose nominated elements just fit",
     ),
     Mutant(
-        name="search-closure-cycle",
+        name="chunk-boundary-cost",
         path="repro/matching/engine.py",
-        snippet="        del expand\n",
-        replacement="",
+        snippet='f"S{depth}, {violations})"',
+        replacement='f"{cost}, {violations})"',
         tests=("tests/matching/test_engine.py",),
-        why="the recursive search closure keeps itself alive, so every "
-        "exhaustive search leaves a reference cycle to the collector",
+        why="a query deeper than one generated chunk hands the next chunk "
+        "its prefix's cost sum without the boundary depth's target",
+    ),
+    Mutant(
+        name="round-guard-band",
+        path="repro/matching/objective.py",
+        snippet="_HALF_CLEAR = 0.5 - 2.0**-20",
+        replacement="_HALF_CLEAR = 0.5",
+        tests=("tests/matching/test_objective.py",),
+        why="fast score rounding takes a scaled score that sits on a half, "
+        "where the scaling error can turn the rounding the wrong way",
+    ),
+    Mutant(
+        name="round-guard-zero",
+        path="repro/matching/objective.py",
+        snippet='f"if 0.0 < y < {',
+        replacement='f"if 0.0 <= y < {',
+        tests=("tests/matching/test_objective.py",),
+        why="fast score rounding takes -0.0 and returns +0.0",
     ),
     Mutant(
         name="static-trim-limit",
@@ -256,8 +259,8 @@ MUTANTS = (
     Mutant(
         name="beam-width-plus-one",
         path="repro/matching/engine.py",
-        snippet="states = expansions[:beam_width]",
-        replacement="states = expansions[: beam_width + 1]",
+        snippet="expansions[:beam_width]",
+        replacement="expansions[: beam_width + 1]",
         tests=(
             "tests/matching/test_engine.py",
             "tests/matching/test_matchers.py",
@@ -546,7 +549,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument(
         "--path",
-        help="run only the mutants of this source file (relative to src/)",
+        action="append",
+        help="run only the mutants of this source file (relative to src/); "
+        "repeatable",
     )
     parser.add_argument(
         "--list", action="store_true", help="list the mutants and exit"
@@ -558,10 +563,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
     chosen = [known[name] for name in args.names] or list(MUTANTS)
     if args.path is not None:
-        path = args.path.removeprefix("src/")
-        chosen = [mutant for mutant in chosen if mutant.path == path]
-        if not chosen:
-            parser.error(f"no mutants in src/{path}")
+        paths = [path.removeprefix("src/") for path in args.path]
+        for path in paths:
+            if not any(mutant.path == path for mutant in chosen):
+                parser.error(f"no mutants in src/{path}")
+        chosen = [mutant for mutant in chosen if mutant.path in paths]
     if args.list:
         for mutant in chosen:
             print(f"{mutant.name}: src/{mutant.path} — {mutant.why}")
