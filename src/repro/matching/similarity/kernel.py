@@ -49,10 +49,12 @@ that follows the delta rather than the repository:
   build's first-occurrence order, so labels and every lid array equal a
   cold build's.  The universe is pure structure (normalised label plus
   datatype), so it carries whatever the objective;
-* **rows** — each carried cost row is copied through the inverted map
-  in one C-level gather; only entries against labels new to the
-  universe are scored.  Cost is a pure function of the label pair, so a
-  copied entry is the float a cold row would compute;
+* **rows** — both universes number labels first-seen, so the old→new
+  map is a few shifted runs of consecutive ids; each carried cost row
+  is assembled from one slice copy of the old ``array('d')`` per run,
+  and only entries against labels new to the universe are scored.  Cost
+  is a pure function of the label pair, so a copied entry is the float
+  a cold row would compute;
 * **gathers** — the per-(query label, schema) gathers of every schema
   digest that survived carry over; a bucket that lacks a digest (the
   schemas the delta changed) fills that digest alone.  A gather is a
@@ -105,7 +107,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from operator import itemgetter
 
 from repro.errors import SnapshotError
 from repro.schema.model import Datatype, Schema
@@ -130,18 +131,6 @@ LabelKey = tuple[str, Datatype]
 def numpy_available() -> bool:
     """Whether numpy imported at all (``REPRO_NO_NUMPY=1`` forces false)."""
     return _np is not None
-
-
-def _picker(indices: list[int]):
-    """``row -> tuple(row[i] for i in indices)`` as one C-level call.
-
-    ``itemgetter`` returns a bare value for a single index, so that size
-    is wrapped; callers never pass an empty list.
-    """
-    if len(indices) == 1:
-        (index,) = indices
-        return lambda row: (row[index],)
-    return itemgetter(*indices)
 
 
 class CostKernel:
@@ -276,23 +265,12 @@ class CostKernel:
         """Carry the previous version's rows and gathers into this universe.
 
         ``remap`` maps each old label id to its new one (-1: the label
-        left the universe).  Inverted once, it gives each new lid its
-        old lid; each carried row is copied through that inverse in one
-        C-level ``itemgetter`` gather, and only entries against labels
-        new to the universe are scored.  Cost is a pure function of the
-        (normalised query label, universe label) pair, so a copied entry
-        is the float a cold row computes.  Rows are keyed by query
-        label, which survives repository evolution, so a long-lived
-        session keeps its query-side warmth across every delta.  At most
-        :data:`MAX_ROWS` rows carry over — the newest insertions, the
-        same bound :meth:`row` enforces — so migration work per delta is
-        capped regardless of how many labels a service has ever seen.
-
-        The gathers of every schema digest still in the universe carry
-        too (each is a pure function of the query label and the schema
-        content); :meth:`gather` fills a carried bucket's missing digests
-        one at a time.  Rows and gathers carry only from a kernel of the
-        same objective fingerprint and corpus token.
+        left the universe); :meth:`_carry_rows` copies the cost rows
+        through it.  The gathers of every schema digest still in the
+        universe carry too (each is a pure function of the query label
+        and the schema content); :meth:`gather` fills a carried bucket's
+        missing digests one at a time.  Rows and gathers carry only from
+        a kernel of the same objective fingerprint and corpus token.
         """
         if previous.objective.fingerprint() != self.objective.fingerprint():
             return  # foreign kernel; nothing it holds is trustworthy
@@ -315,26 +293,51 @@ class CostKernel:
             for digest in gone:
                 bucket.pop(digest, None)
             self._gathers[key] = bucket
+        self._carry_rows(previous, remap)
+
+    def _carry_rows(self, previous: "CostKernel", remap: list[int]) -> None:
+        """Copy the previous version's cost rows into this universe.
+
+        Both universes number labels in first-occurrence order, so the
+        old→new map is a few shifted stretches: one walk over the new
+        lids finds the maximal runs whose old lids are consecutive, and
+        every carried row is assembled from one slice copy per run
+        (a ``memcpy`` of the old ``array('d')``, no float objects);
+        only entries against labels new to the universe — the lids no
+        run covers, zero until scored — go through
+        :meth:`~repro.matching.objective.ObjectiveFunction.label_cost`.
+        Cost is a pure function of the (normalised query label, universe
+        label) pair, so a copied entry is the float a cold row computes.
+        Rows are keyed by query label, which survives repository
+        evolution, so a long-lived session keeps its query-side warmth
+        across every delta.  At most :data:`MAX_ROWS` rows carry over —
+        the newest insertions, the same bound :meth:`row` enforces — so
+        the work per delta is capped regardless of how many labels a
+        service has ever seen.
+        """
         labels = self._labels
         inverse = [-1] * len(labels)
         for old_lid, lid in enumerate(remap):
             if lid >= 0:
                 inverse[lid] = old_lid
-        fresh = [lid for lid, old_lid in enumerate(inverse) if old_lid < 0]
-        if len(fresh) == len(labels):  # no label survived: score them all
-            pick = None
-        else:
-            for lid in fresh:  # placeholder lanes, overwritten below
-                inverse[lid] = 0
-            pick = _picker(inverse)
-        fresh_labels = [(lid, labels[lid]) for lid in fresh]
+        # (start, stop, old start, old stop) of each maximal run
+        runs: list[tuple[int, int, int, int]] = []
+        fresh_labels: list[tuple[int, LabelKey]] = []
+        for lid, old_lid in enumerate(inverse):
+            if old_lid < 0:
+                fresh_labels.append((lid, labels[lid]))
+            elif runs and runs[-1][1] == lid and runs[-1][3] == old_lid:
+                start, _, old_start, _ = runs[-1]
+                runs[-1] = (start, lid + 1, old_start, old_lid + 1)
+            else:
+                runs.append((lid, lid + 1, old_lid, old_lid + 1))
+        blank = array("d", bytes(8 * len(labels)))
         label_cost = self.objective.label_cost
         for key, old_row in list(previous._rows.items())[-self.MAX_ROWS:]:
             query_label, query_datatype = key
-            if pick is None:
-                new_row = array("d", bytes(8 * len(labels)))
-            else:
-                new_row = array("d", pick(old_row))
+            new_row = blank[:]
+            for start, stop, old_start, old_stop in runs:
+                new_row[start:stop] = old_row[old_start:old_stop]
             for lid, (target_label, target_datatype) in fresh_labels:
                 new_row[lid] = label_cost(
                     query_label, query_datatype, target_label, target_datatype
@@ -575,14 +578,16 @@ class CostKernel:
         derivation a repository delta uses.  The saved kernel carries
         labels and rows but no lid maps, so every live schema takes the
         intern path, and rows are copied through the one old→new id map
-        where a saved universe label matches a live one; the rest is
+        where a saved universe label matches a live one (one slice per
+        row when the saved universe equals the live one); the rest is
         recomputed.  This makes a payload saved against any repository
         version safe: cost is a pure function of the label pair, so
         matching labels carry over exactly and everything else
         re-derives — a kernel saved mid-evolution warm-starts the
         overlap instead of being refused.  Structurally inconsistent
-        payloads (row length disagreeing with the saved universe) raise
-        :class:`~repro.errors.SnapshotError`.
+        payloads (row length disagreeing with the saved universe, an
+        unknown datatype, a non-numeric cost) raise
+        :class:`~repro.errors.SnapshotError` naming the label.
         """
         saved = cls.__new__(cls)
         saved.objective = objective
@@ -591,7 +596,8 @@ class CostKernel:
         # were all scored corpus-free, which "" states exactly
         saved.corpus_token = state.get("corpus_token", "")
         saved._labels = [
-            (label, Datatype(value)) for label, value in state.get("labels", [])
+            (label, _saved_datatype(label, value))
+            for label, value in state.get("labels", [])
         ]
         saved._intern = {key: lid for lid, key in enumerate(saved._labels)}
         saved._schema_lids = {}
@@ -608,5 +614,22 @@ class CostKernel:
                     f"kernel snapshot row for label {label!r} holds "
                     f"{len(costs)} costs for a universe of {universe} labels"
                 )
-            saved._rows[(label, Datatype(value))] = array("d", costs)
+            try:
+                row = array("d", costs)
+            except TypeError as exc:
+                raise SnapshotError(
+                    f"kernel snapshot row for label {label!r} holds a "
+                    f"non-numeric cost ({exc})"
+                ) from None
+            saved._rows[(label, _saved_datatype(label, value))] = row
         return cls(objective, repository, previous=saved)
+
+
+def _saved_datatype(label: str, value) -> Datatype:
+    """The datatype a kernel snapshot names for ``label``, or a refusal."""
+    try:
+        return Datatype(value)
+    except ValueError:
+        raise SnapshotError(
+            f"kernel snapshot label {label!r} names unknown datatype {value!r}"
+        ) from None

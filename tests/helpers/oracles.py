@@ -30,6 +30,14 @@ the searches, one for numpy) and restores them on exit, also when the
 block raises.  Nothing here is visible to pool or socket workers —
 differential runs are serial.
 
+One more context swaps a spec into kernel derivation:
+:func:`picked_migration` makes :meth:`CostKernel._carry_rows
+<repro.matching.similarity.kernel.CostKernel._carry_rows>` copy each
+carried cost row entry by entry through one ``itemgetter``
+(:func:`picked_rows`) instead of one slice per run of consecutive label
+ids; ``tests/matching/test_kernel.py`` and
+``benchmarks/bench_kernel.py`` diff the rows of both by ``tobytes()``.
+
 Three answer-set specs are plain functions, diffed against their
 replacements by ``tests/properties/test_prop_answers.py`` and
 ``tests/properties/test_prop_columns.py``:
@@ -64,9 +72,11 @@ replayed against the production code by
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator
 from contextlib import contextmanager
+from operator import itemgetter
 from unittest import mock
 
 from repro.core.answers import Answer, AnswerSet
@@ -79,6 +89,7 @@ from repro.matching.clustering import ElementCluster, ElementClusterer
 from repro.matching.engine import _EPSILON, SchemaSearch, _SearchContext
 from repro.matching.mapping import Mapping
 from repro.matching.similarity import kernel as kernel_module
+from repro.matching.similarity.kernel import CostKernel
 from repro.matching.similarity.matrix import (
     ScoreMatrix,
     SimilaritySubstrate,
@@ -101,6 +112,8 @@ __all__ = [
     "nsmallest_beam",
     "numpy_off",
     "pairwise_compute",
+    "picked_migration",
+    "picked_rows",
     "profile_by_threshold",
     "recursive_exhaustive",
     "scan_jaro",
@@ -555,6 +568,65 @@ def flat_search_off() -> Iterator[None]:
         mock.patch.object(SchemaSearch, "exhaustive", _listed_exhaustive),
         mock.patch.object(SchemaSearch, "beam", _listed_beam),
     ):
+        yield
+
+
+def _picker(indices: list[int]):
+    """``row -> tuple(row[i] for i in indices)`` as one C-level call.
+
+    ``itemgetter`` returns a bare value for a single index, so that size
+    is wrapped; callers never pass an empty list.
+    """
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda row: (row[index],)
+    return itemgetter(*indices)
+
+
+def picked_rows(
+    kernel: CostKernel, previous: CostKernel, remap: list[int]
+) -> None:
+    """:meth:`CostKernel._carry_rows` copying each row entry by entry.
+
+    The spec the run copy replaced: the old→new map inverted into one
+    old lid per new lid (placeholder 0 for a label new to the
+    universe), every carried row gathered through it by one
+    ``itemgetter`` call into a tuple of floats and back into an
+    ``array('d')``, then every new label scored through
+    :meth:`~repro.matching.objective.ObjectiveFunction.label_cost`.
+    """
+    labels = kernel._labels
+    inverse = [-1] * len(labels)
+    for old_lid, lid in enumerate(remap):
+        if lid >= 0:
+            inverse[lid] = old_lid
+    fresh = [lid for lid, old_lid in enumerate(inverse) if old_lid < 0]
+    if len(fresh) == len(labels):  # no label survived: score them all
+        pick = None
+    else:
+        for lid in fresh:  # placeholder lanes, overwritten below
+            inverse[lid] = 0
+        pick = _picker(inverse)
+    fresh_labels = [(lid, labels[lid]) for lid in fresh]
+    label_cost = kernel.objective.label_cost
+    for key, old_row in list(previous._rows.items())[-kernel.MAX_ROWS:]:
+        query_label, query_datatype = key
+        if pick is None:
+            new_row = array("d", bytes(8 * len(labels)))
+        else:
+            new_row = array("d", pick(old_row))
+        for lid, (target_label, target_datatype) in fresh_labels:
+            new_row[lid] = label_cost(
+                query_label, query_datatype, target_label, target_datatype
+            )
+        kernel._rows[key] = new_row
+        kernel.rows_migrated += 1
+
+
+@contextmanager
+def picked_migration() -> Iterator[None]:
+    """Derived kernels carry their cost rows through :func:`picked_rows`."""
+    with mock.patch.object(CostKernel, "_carry_rows", picked_rows):
         yield
 
 

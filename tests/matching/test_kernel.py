@@ -19,6 +19,7 @@ import pytest
 from helpers import oracles
 from helpers.differential import assert_kernel_equals_cold, warm_kernel
 from repro.errors import MatchingError, SnapshotError
+from repro.evaluation import build_workload
 from repro.matching import ExhaustiveMatcher, HybridMatcher
 from repro.matching.clustering import ClusteringMatcher, ElementClusterer
 from repro.matching.objective import ObjectiveFunction
@@ -240,6 +241,26 @@ class TestCostKernel:
         with pytest.raises(SnapshotError, match="universe"):
             CostKernel.from_state(objective, repo, state)
 
+    @pytest.mark.parametrize("section", ["labels", "rows"])
+    def test_state_unknown_datatype_rejected(self, setup, section):
+        repo, objective, _ = setup
+        kernel = CostKernel(objective, repo)
+        kernel.row("order", Datatype.STRING)
+        state = kernel.export_state()
+        entry = state[section][0]
+        entry[1] = "strnig"
+        with pytest.raises(SnapshotError, match=f"{entry[0]!r}.*'strnig'"):
+            CostKernel.from_state(objective, repo, state)
+
+    def test_state_non_numeric_cost_rejected(self, setup):
+        repo, objective, _ = setup
+        kernel = CostKernel(objective, repo)
+        kernel.row("order", Datatype.STRING)
+        state = kernel.export_state()
+        state["rows"][0][2][3] = "0.5"
+        with pytest.raises(SnapshotError, match="'order'.*non-numeric"):
+            CostKernel.from_state(objective, repo, state)
+
     def test_state_saved_mid_evolution_still_restores(self, setup):
         """Digest drift migrates the overlap instead of refusing.
 
@@ -387,6 +408,161 @@ class TestDerivation:
             key for key in _cached_gathers(kernel) if key[2] not in removed
         }
         assert_kernel_equals_cold(derived, evolved, elements)
+
+    #: (before, after) schema label lists, one case per shape of the
+    #: old→new label-id map the row copy walks
+    RUN_CASES = {
+        # the universe is unchanged: the inverse map is one run
+        "one-run": (
+            [["alpha", "beta", "gamma", "delta"]],
+            [["alpha", "beta"], ["gamma", "delta", "beta"]],
+        ),
+        # every label is new: no run, every entry scored
+        "no-run": (
+            [["alpha", "beta"], ["gamma"]],
+            [["omega", "sigma"], ["theta"]],
+        ),
+        "fresh-first": (
+            [["alpha", "beta", "gamma"]],
+            [["omega"], ["alpha", "beta", "gamma"]],
+        ),
+        "fresh-middle": (
+            [["alpha", "beta", "gamma", "delta"]],
+            [["alpha", "beta", "omega", "gamma", "delta"]],
+        ),
+        "fresh-last": (
+            [["alpha", "beta", "gamma"]],
+            [["alpha", "beta", "gamma"], ["omega", "sigma"]],
+        ),
+        # "gamma" leaves, so the one old run splits in two
+        "removed-splits-run": (
+            [["alpha", "beta", "gamma", "delta", "epsilon"]],
+            [["alpha", "beta", "delta", "epsilon"]],
+        ),
+        # shifted runs in a new order, fresh labels between them
+        "reordered": (
+            [["alpha", "beta"], ["gamma", "delta"], ["epsilon"]],
+            [["gamma", "delta", "omega"], ["alpha", "beta", "sigma"],
+             ["epsilon", "gamma"]],
+        ),
+    }
+
+    @staticmethod
+    def _repository(label_lists):
+        return SchemaRepository(
+            "runs",
+            [
+                _schema(f"s{index}", names)
+                for index, names in enumerate(label_lists)
+            ],
+        )
+
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
+    def test_rows_copy_by_runs(self, case):
+        """Carried rows equal the cold build's and the per-entry copy's.
+
+        Rows are compared by ``tobytes()``: a slice assignment of the
+        wrong length resizes the row instead of failing, so length
+        counts as much as content.  ``label_cost`` runs exactly once per
+        (carried row, label new to the universe).
+        """
+        before, after = (
+            self._repository(lists) for lists in self.RUN_CASES[case]
+        )
+        objective = ObjectiveFunction(NameSimilarity())
+        # rows for every label of both universes plus one outside them
+        elements = [
+            (name, Datatype.STRING)
+            for name in dict.fromkeys(
+                name
+                for repository in (before, after)
+                for schema in repository
+                for name, _ in _elements(schema)
+            )
+        ] + [("customer", Datatype.STRING)]
+        kernel = warm_kernel(CostKernel(objective, before), elements, before)
+        fresh = [
+            key for key in CostKernel(objective, after)._labels
+            if key not in kernel._intern
+        ]
+        scored = []
+        original = objective.label_cost
+        objective.label_cost = lambda *args: (
+            scored.append(args), original(*args)
+        )[1]
+        try:
+            derived = CostKernel(objective, after, previous=kernel)
+        finally:
+            del objective.label_cost
+        assert sorted(scored) == sorted(
+            (*row_key, *label_key)
+            for row_key in kernel._rows
+            for label_key in fresh
+        )
+        with oracles.picked_migration():
+            picked = CostKernel(objective, after, previous=kernel)
+        assert derived.rows_migrated == picked.rows_migrated == len(elements)
+        assert list(derived._rows) == list(picked._rows)
+        for key, row in derived._rows.items():
+            assert row.tobytes() == picked._rows[key].tobytes(), key
+        assert_kernel_equals_cold(derived, after, elements)
+
+    def test_state_same_universe_scores_nothing(self, setup):
+        """A payload saved for the live universe carries every row whole."""
+        repo, objective, query = setup
+        elements = _elements(query)
+        kernel = warm_kernel(CostKernel(objective, repo), elements, repo)
+        state = json.loads(json.dumps(kernel.export_state()))
+        scored = []
+        original = objective.label_cost
+        objective.label_cost = lambda *args: (
+            scored.append(args), original(*args)
+        )[1]
+        try:
+            restored = CostKernel.from_state(objective, repo, state)
+        finally:
+            del objective.label_cost
+        assert scored == []
+        for key, row in kernel._rows.items():
+            assert restored._rows[key].tobytes() == row.tobytes(), key
+
+    def test_churn_script_matches_cold_and_oracle(self):
+        """Replica-serve's first ten churn deltas, derived step by step.
+
+        The default workload's kernel, warm for every query label
+        against every schema as a serving replica's is, derives along
+        the workload's one-schema partial renames (``churn=0.025``,
+        replace-only, seeds 4242 onwards); every step equals a cold
+        build and, row for row, the per-entry copy.
+        """
+        workload = build_workload()
+        objective = workload.objective
+        repository = workload.repository
+        elements = [
+            (element.name, element.datatype)
+            for scenario in workload.suite.scenarios
+            for element in scenario.query.elements()
+        ]
+        kernel = warm_kernel(
+            CostKernel(objective, repository), elements, repository
+        )
+        for index in range(10):
+            delta = churn_delta(
+                repository, 0.025, seed=4242 + index,
+                replace_weight=1.0, add_weight=0.0, remove_weight=0.0,
+            )
+            repository, _ = repository.apply(delta)
+            with oracles.picked_migration():
+                picked = CostKernel(objective, repository, previous=kernel)
+            derived = CostKernel(objective, repository, previous=kernel)
+            assert list(derived._rows) == list(picked._rows)
+            for key, row in derived._rows.items():
+                assert row.tobytes() == picked._rows[key].tobytes(), (
+                    index, key,
+                )
+            assert_kernel_equals_cold(derived, repository, elements)
+            assert derived.rows_built == 0
+            kernel = derived
 
     def test_moved_corpus_token_carries_no_rows_or_gathers(self, setup):
         repo, _, query = setup

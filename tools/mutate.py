@@ -223,6 +223,31 @@ MUTANTS = (
         "not the (cost, id) order",
     ),
     Mutant(
+        name="carried-run-overrun",
+        path="repro/matching/similarity/kernel.py",
+        snippet="new_row[start:stop] = old_row[old_start:old_stop]",
+        replacement="new_row[start:stop + 1] = old_row[old_start:old_stop + 1]",
+        tests=(
+            "tests/matching/test_kernel.py",
+            "tests/properties/test_prop_kernel.py",
+        ),
+        why="a derived kernel copies each run of a carried cost row one "
+        "label past its end, which resizes a row whose last run is cut "
+        "short by the end of either universe",
+    ),
+    Mutant(
+        name="carried-fresh-placeholder",
+        path="repro/matching/similarity/kernel.py",
+        snippet="in fresh_labels:",
+        replacement="in fresh_labels[1:]:",
+        tests=(
+            "tests/matching/test_kernel.py",
+            "tests/properties/test_prop_kernel.py",
+        ),
+        why="a derived kernel leaves the first label new to the universe "
+        "at its placeholder cost 0.0 in every carried row",
+    ),
+    Mutant(
         name="answers-size-at-exclusive",
         path="repro/core/answers.py",
         snippet="return bisect.bisect_right(self._scores, delta)",
