@@ -10,11 +10,18 @@ asserts the warm path is ≥ 3× faster than the cold path on the standard
 sets; as everywhere, byte-identity is asserted unconditionally and the
 wall-clock half is skipped when ``BENCH_TIMING_ASSERTS=0`` (CI).
 
+A snapshot holds the cost kernel, not the score matrices gathered from
+it, so after every timed warm load the restored process re-runs the
+retained sweep (untimed) and asserts, unconditionally, that its answers
+are byte-identical and that the restored kernel scored no row
+(``rows_built == 0``): every matrix is a gather again.
+
 The ``test_bench_*`` trio feeds ``BENCH_serving.json``:
 ``test_bench_warm_start`` / ``test_bench_cold_start`` time the two
 restart paths (their means' ratio tracks the ≥ 3× contract across
 commits), and ``test_bench_snapshot_write`` times producing a snapshot
-from live state (the checkpointing cost a serving process pays).
+from live state (the checkpointing cost a serving process pays) and
+records the substrate section's size as ``extra_info["substrate_bytes"]``.
 """
 
 import os
@@ -77,6 +84,21 @@ def _warm_start(root, workload):
     return snapshot.result.answer_sets
 
 
+def _check_warm_sweep(workload, queries, expected):
+    """Re-run the retained sweep on a warm-loaded process (untimed).
+
+    The snapshot held only the kernel, so the sweep gathers every score
+    matrix again; it must answer byte-identically and score no kernel
+    row.
+    """
+    matcher = ExhaustiveMatcher(workload.objective)
+    result = MatchingPipeline(matcher).run(
+        queries, workload.repository, _DELTA_MAX
+    )
+    assert _canonical(result.answer_sets) == expected
+    assert workload.objective.substrate().kernel().rows_built == 0
+
+
 def _cold_start(workload, queries):
     """The cold restart path: prepare + full repository sweep."""
     matcher = ExhaustiveMatcher(workload.objective)
@@ -93,13 +115,16 @@ def test_bench_warm_start(benchmark, snapshot):
         return (_fresh_setup(),), {}
 
     def warm(fresh):
-        workload, _queries = fresh
+        workload, queries = fresh
         matcher = ExhaustiveMatcher(workload.objective)
         loaded = load_snapshot(root, matcher)
         assert _canonical(loaded.result.answer_sets) == expected
-        return loaded
+        return workload, queries
 
-    benchmark.pedantic(warm, setup=setup, rounds=3, iterations=1)
+    workload, queries = benchmark.pedantic(
+        warm, setup=setup, rounds=3, iterations=1
+    )
+    _check_warm_sweep(workload, queries, expected)
 
 
 def test_bench_cold_start(benchmark, snapshot):
@@ -121,19 +146,27 @@ def test_bench_cold_start(benchmark, snapshot):
 
 
 def test_bench_snapshot_write(benchmark, tmp_path):
-    """Checkpointing cost: serialize live state to a snapshot directory."""
+    """Checkpointing cost: serialize live state to a snapshot directory.
+
+    The substrate section's size rides along in ``extra_info``, so
+    ``BENCH_serving.json`` tracks what a checkpoint writes, too.
+    """
     workload, queries = _fresh_setup()
     matcher = ExhaustiveMatcher(workload.objective)
     result = MatchingPipeline(matcher).run(
         queries, workload.repository, _DELTA_MAX
     )
-    benchmark(
+    store = benchmark(
         save_snapshot,
         tmp_path / "snap",
         workload.repository,
         queries=queries,
         result=result,
         substrate=workload.objective.substrate(),
+    )
+    section = store.manifest()["substrate_section"]
+    benchmark.extra_info["substrate_bytes"] = (
+        (store.root / section).stat().st_size
     )
 
 
@@ -156,10 +189,11 @@ def test_serving_warm_start_speedup_and_identical(snapshot):
     for _trial in range(2):
         # workload construction (the process's own configuration) is
         # excluded from both windows: only the restart work is timed
-        warm_workload, _ = _fresh_setup()
+        warm_workload, warm_queries = _fresh_setup()
         started = perf_counter()
         warm_answers = _warm_start(root, warm_workload)
         warm_seconds.append(perf_counter() - started)
+        _check_warm_sweep(warm_workload, warm_queries, expected)
         cold_workload, cold_queries = _fresh_setup()
         started = perf_counter()
         cold_answers = _cold_start(cold_workload, cold_queries)

@@ -7,8 +7,8 @@ walks the serving subsystem end to end:
 
 1. start a :class:`MatchingService` cold, serve the workload's queries
    as concurrent async requests (micro-batched under the hood),
-2. checkpoint the full state — repository, similarity substrate,
-   retained pair results — to a snapshot directory,
+2. checkpoint the full state — repository, the substrate's cost
+   kernel, retained pair results — to a snapshot directory,
 3. "restart": build a fresh objective/matcher (as a new process would)
    and warm-start a second service from the snapshot alone,
 4. verify the warm service answers every retained query from state,
@@ -71,12 +71,13 @@ async def demo(snapshot_dir: str) -> None:
     # 4. Warm answers come from retained state — zero searches — and are
     #    byte-identical to the cold run's.
     stats = restarted.stats
+    kernel = restarted.matcher.objective.substrate().kernel()
     assert stats.warm_start and stats.served_from_state == len(queries)
     assert stats.batched_queries == 0, "warm start must not re-match!"
     assert canonical(warm) == canonical(baseline), "warm answers diverged!"
     print(
         f"warm start + same wave: {warm_seconds:.3f}s (~{speedup:.0f}x; "
-        f"{stats.matrices_restored} score matrices restored, "
+        f"{kernel.rows_migrated} kernel rows restored, "
         f"{stats.served_from_state}/{len(queries)} answers from state)"
     )
 

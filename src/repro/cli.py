@@ -529,7 +529,7 @@ def _cmd_snapshot(args: argparse.Namespace, config: WorkloadConfig | None) -> in
     print(
         f"snapshot written to {store.root}: {len(workload.repository)} "
         f"schemas, {len(queries)} retained queries, "
-        f"{len(substrate.cached_matrices())} score matrices, "
+        f"{substrate.kernel().rows_cached} kernel rows, "
         f"δmax={args.delta}, matcher={args.matcher} "
         f"({result.stats.wall_seconds:.3f}s to match cold)"
     )
@@ -596,9 +596,10 @@ def _cmd_serve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
             await front.start(workload.repository)
         start_seconds = perf_counter() - started
         mode = "warm" if first.stats.warm_start else "cold"
+        kernel = first.matcher.objective.substrate().kernel()
         print(
             f"{mode} start in {start_seconds:.3f}s "
-            f"({first.stats.matrices_restored} matrices restored), "
+            f"({kernel.rows_migrated if kernel else 0} kernel rows restored), "
             f"matcher={args.matcher}, δmax={args.delta}, "
             f"replicas={args.replicas}"
         )

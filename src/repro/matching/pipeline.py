@@ -369,6 +369,8 @@ class MatchingPipeline:
         whose *scores* do (corpus-sensitive similarity backends — a
         delta moves the corpus statistics under every pair), fall back
         to a full recompute, flagged in the returned ``rematch`` stats.
+        Either way, the substrate first drops the cached matrices of the
+        schema versions the delta removed or replaced.
 
         Recomputed pairs run serially in the coordinating process: the
         changed set is small by construction (that is the point of a
@@ -413,6 +415,18 @@ class MatchingPipeline:
 
         started = perf_counter()
         matcher = self.matcher
+        # Matrices are keyed by schema content, so those of the versions
+        # the delta displaced can never hit again; a content-identical
+        # replace keeps its digest, and with it its matrices.
+        displaced = {
+            schema.content_digest()
+            for schema in report.removed_schemas + report.replaced_old
+        }
+        displaced.difference_update(
+            schema.content_digest() for schema in repository
+        )
+        if displaced:
+            matcher.objective.substrate().drop_schemas(displaced)
         rematch_stats = RematchStats(
             queries=len(queries),
             pairs_total=len(queries) * len(repository),

@@ -77,8 +77,6 @@ class ServiceStats:
     checkpoints_written: int = 0
     #: true when :meth:`start` restored state from a snapshot
     warm_start: bool = False
-    #: score matrices adopted from the snapshot at warm start
-    matrices_restored: int = 0
 
 
 class MatchingService:
@@ -262,7 +260,6 @@ class MatchingService:
                     )
                 }
             self.stats.warm_start = True
-            self.stats.matrices_restored = snapshot.matrices_restored
         elif repository is not None:
             self._repository = repository
             await loop.run_in_executor(None, self.matcher.prepare, repository)

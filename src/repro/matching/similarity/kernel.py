@@ -585,21 +585,31 @@ class CostKernel:
         matching labels carry over exactly and everything else
         re-derives — a kernel saved mid-evolution warm-starts the
         overlap instead of being refused.  Structurally inconsistent
-        payloads (row length disagreeing with the saved universe, an
-        unknown datatype, a non-numeric cost) raise
-        :class:`~repro.errors.SnapshotError` naming the label.
+        payloads (malformed entries, a label that is not a string, row
+        length disagreeing with the saved universe, an unknown datatype,
+        a non-numeric cost) raise :class:`~repro.errors.SnapshotError`.
         """
+        if not isinstance(state, dict):
+            raise SnapshotError("kernel snapshot state is not a JSON object")
+        try:
+            labels = [_saved_key(*entry) for entry in state.get("labels", [])]
+            rows = [
+                (_saved_key(label, value), costs)
+                for label, value, costs in state.get("rows", [])
+            ]
+        except (TypeError, ValueError):
+            raise SnapshotError(
+                "kernel snapshot labels and rows must be [label, datatype] "
+                "and [label, datatype, costs] lists"
+            ) from None
         saved = cls.__new__(cls)
         saved.objective = objective
         saved.repository_digest = state.get("repository_digest", "")
         # payloads written before backends existed lack the key; they
         # were all scored corpus-free, which "" states exactly
         saved.corpus_token = state.get("corpus_token", "")
-        saved._labels = [
-            (label, _saved_datatype(label, value))
-            for label, value in state.get("labels", [])
-        ]
-        saved._intern = {key: lid for lid, key in enumerate(saved._labels)}
+        saved._labels = labels
+        saved._intern = {key: lid for lid, key in enumerate(labels)}
         saved._schema_lids = {}
         saved._rows = {}
         saved._norms = {}
@@ -607,28 +617,28 @@ class CostKernel:
         saved._vindex = None
         saved.rows_built = 0
         saved.rows_migrated = 0
-        universe = len(saved._labels)
-        for label, value, costs in state.get("rows", []):
-            if len(costs) != universe:
+        for key, costs in rows:
+            if not isinstance(costs, list) or len(costs) != len(labels):
                 raise SnapshotError(
-                    f"kernel snapshot row for label {label!r} holds "
-                    f"{len(costs)} costs for a universe of {universe} labels"
+                    f"kernel snapshot row for label {key[0]!r} does not hold "
+                    f"one cost per label of its {len(labels)}-label universe"
                 )
             try:
-                row = array("d", costs)
-            except TypeError as exc:
+                saved._rows[key] = array("d", costs)
+            except (TypeError, OverflowError) as exc:
                 raise SnapshotError(
-                    f"kernel snapshot row for label {label!r} holds a "
+                    f"kernel snapshot row for label {key[0]!r} holds a "
                     f"non-numeric cost ({exc})"
                 ) from None
-            saved._rows[(label, _saved_datatype(label, value))] = row
         return cls(objective, repository, previous=saved)
 
 
-def _saved_datatype(label: str, value) -> Datatype:
-    """The datatype a kernel snapshot names for ``label``, or a refusal."""
+def _saved_key(label, value) -> LabelKey:
+    """The (label, datatype) a kernel snapshot names, or a refusal."""
+    if not isinstance(label, str):
+        raise SnapshotError(f"kernel snapshot label {label!r} is not a string")
     try:
-        return Datatype(value)
+        return label, Datatype(value)
     except ValueError:
         raise SnapshotError(
             f"kernel snapshot label {label!r} names unknown datatype {value!r}"

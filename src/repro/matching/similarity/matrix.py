@@ -57,7 +57,6 @@ untrimmed.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import MatchingError
@@ -95,8 +94,7 @@ def suffix_cost_sums(row_minima) -> tuple[float, ...]:
 def _candidate_order(row) -> tuple[int, ...]:
     """Target ids of one cost row, sorted by the engine's ``(cost, id)``.
 
-    The candidate-order sort of the direct (kernel-less) build and the
-    snapshot restore path.
+    The candidate-order sort of the direct (kernel-less) build.
     """
     return tuple(j for _, j in sorted(zip(row, range(len(row)))))
 
@@ -226,39 +224,6 @@ class ScoreMatrix:
             tuple(orders),  # type: ignore[arg-type]
         )
 
-    @classmethod
-    def restore(
-        cls,
-        query_digest: str,
-        schema_digest: str,
-        costs,
-    ) -> "ScoreMatrix":
-        """Rebuild a matrix from persisted costs alone.
-
-        Candidate orders, row minima and suffix sums are *derived* from
-        the costs with the same ``(cost, id)`` sort key and the shared
-        :func:`suffix_cost_sums` accumulation :meth:`build` uses, so a
-        restored matrix is indistinguishable from a freshly built one as
-        long as the persisted floats round-tripped exactly (JSON via
-        ``repr`` does).  Duplicate rows alias one tuple/order pair, like
-        :meth:`build`'s label grouping: restore cost stays proportional
-        to the *distinct* row surface.
-        """
-        frozen_rows: dict[tuple[float, ...], tuple[float, ...]] = {}
-        orders_by_row: dict[tuple[float, ...], tuple[int, ...]] = {}
-        rows = []
-        orders = []
-        for row in costs:
-            key = tuple(row)
-            shared = frozen_rows.get(key)
-            if shared is None:
-                shared = key
-                frozen_rows[key] = shared
-                orders_by_row[key] = _candidate_order(key)
-            rows.append(shared)
-            orders.append(orders_by_row[key])
-        return cls(query_digest, schema_digest, tuple(rows), tuple(orders))
-
 
 @dataclass
 class SubstrateStats:
@@ -325,7 +290,8 @@ class SimilaritySubstrate:
         (:meth:`kernel`), at a cost that follows the delta.  Score
         matrices need no such treatment: they are keyed by schema
         content digests already, so matrices of untouched schemas keep
-        hitting across versions.  Returns the kernel.
+        hitting across versions (those of displaced versions leave by
+        :meth:`drop_schemas`).  Returns the kernel.
         """
         objective = self.objective
         if getattr(objective, "corpus_sensitive", False):
@@ -369,31 +335,22 @@ class SimilaritySubstrate:
         return self._kernel
 
     def cached_matrices(self) -> list[ScoreMatrix]:
-        """All cached matrices, least recently used first (for snapshots)."""
+        """All cached matrices, least recently used first (for inspection;
+        snapshots persist the kernel rows they are gathered from)."""
         return list(self._matrices.values())
 
-    def adopt(
-        self,
-        matrices: Iterable[ScoreMatrix] = (),
-        kernel: CostKernel | None = None,
-    ) -> None:
-        """Install restored state — the warm-start path of a snapshot load.
+    def adopt(self, kernel: CostKernel) -> None:
+        """Install a restored kernel — the warm-start path of a snapshot
+        load.  Matrices are gathered from it the first time one is read."""
+        self._kernel = kernel
 
-        ``kernel`` (if given) replaces the repository cost kernel;
-        ``matrices`` are inserted under their own digest keys, evicting
-        LRU entries past ``max_matrices`` exactly like :meth:`matrix`
-        does.  Counters keep running; adopted entries are not counted as
-        builds.
-        """
-        if kernel is not None:
-            self._kernel = kernel
-        for matrix in matrices:
-            key = (matrix.query_digest, matrix.schema_digest)
-            self._matrices[key] = matrix
-            self._matrices.move_to_end(key)
-            while len(self._matrices) > self.max_matrices:
-                self._matrices.popitem(last=False)
-                self.stats.matrix_evictions += 1
+    def drop_schemas(self, digests: set[str]) -> None:
+        """Drop the cached matrices of these schema content digests, in
+        one pass over the cache.  The re-match passes the schema versions
+        a delta displaced."""
+        matrices = self._matrices
+        for key in [key for key in matrices if key[1] in digests]:
+            del matrices[key]
 
     def matrix(self, query: Schema, schema: Schema) -> ScoreMatrix:
         """The (query, schema) score matrix, built on first use."""

@@ -5,12 +5,11 @@ to keep schemas on disk with integrity checks; this module layers the
 matching-side state on top so that a restarted process **warm-starts in
 O(load)** instead of re-matching:
 
-* the similarity substrate — the repository scoring kernel
+* the similarity substrate's repository scoring kernel
   (:class:`~repro.matching.similarity.kernel.CostKernel`: interned label
-  universe + per-query-label cost rows, so a warm start skips every
-  similarity evaluation, not just the assembled matrices) and every
-  cached :class:`ScoreMatrix` (costs only; candidate orders and suffix
-  sums are re-derived deterministically on load);
+  universe + per-query-label cost rows), so a warm start scores no
+  similarity.  Score matrices are not persisted: each is a gather from
+  the kernel's rows, made again the first time a search reads it;
 * the retained :class:`~repro.matching.pipeline.PipelineResult` — the
   per-(query, schema) pair results incremental re-matching feeds on,
   plus the identifying digests and the matcher fingerprint.
@@ -31,9 +30,12 @@ by :mod:`json`, whose float formatting is ``repr``-based and
 round-trip-exact for Python floats.
 
 Payloads are **numpy-agnostic**: kernel rows export from their
-``array('d')`` buffers and matrices from their cost tuples — so a
-snapshot saved with the kernel's numpy gather on restores (and serves
-byte-identically) in a process without numpy, and vice versa.  The numpy property suite pins both diagonals.
+``array('d')`` buffers, so a snapshot saved with the kernel's numpy
+gather on restores (and serves byte-identically) in a process without
+numpy, and vice versa.  The numpy property suite pins both diagonals.
+
+A section that does not parse into the shape its writer gives it raises
+:class:`~repro.errors.SnapshotError` like every other refusal.
 """
 
 from __future__ import annotations
@@ -44,13 +46,14 @@ from dataclasses import dataclass
 
 from repro.errors import SnapshotError
 from repro.matching.base import Matcher
+from repro.matching.executor import PairResult
 from repro.matching.pipeline import (
     PipelineResult,
     PipelineStats,
     matcher_fingerprint,
 )
 from repro.matching.similarity.kernel import CostKernel
-from repro.matching.similarity.matrix import ScoreMatrix, SimilaritySubstrate
+from repro.matching.similarity.matrix import SimilaritySubstrate
 from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
 from repro.schema.store import SnapshotStore, payload_digest
@@ -78,33 +81,35 @@ def _digest_named(stem: str, payload: str) -> str:
     return f"{stem}-{payload_digest(payload.encode('utf-8'))[:16]}.json"
 
 
+def _parse(payload: str, section: str) -> dict:
+    """One section's JSON object, or a :class:`SnapshotError`."""
+    try:
+        state = json.loads(payload)
+    except ValueError:  # json.JSONDecodeError is a ValueError
+        state = None
+    if not isinstance(state, dict):
+        raise SnapshotError(f"{section} snapshot section is not a JSON object")
+    return state
+
+
 # ---------------------------------------------------------------------------
 # Substrate payloads
 # ---------------------------------------------------------------------------
 
 def substrate_payload(substrate: SimilaritySubstrate) -> str:
-    """Serialize a substrate's kernel + matrices to a JSON section.
+    """Serialize a substrate's cost kernel to a JSON section.
 
-    The kernel section is optional in both directions: a substrate
-    saved before its first ``prepare`` writes ``"kernel": null``, and
-    payloads written before the kernel existed simply lack the key —
+    Only the objective fingerprint and the kernel are written.  A
+    substrate saved before its first ``prepare`` writes ``"kernel":
+    null``, and payloads written before the kernel existed lack the key;
     :func:`restore_substrate` treats both as "rebuild on first
-    ``prepare``", so snapshot format compatibility holds across the
-    kernel's introduction.
+    ``prepare``".
     """
     kernel = substrate.kernel()
     return json.dumps(
         {
             "objective_fingerprint": substrate.objective.fingerprint(),
             "kernel": None if kernel is None else kernel.export_state(),
-            "matrices": [
-                {
-                    "query": matrix.query_digest,
-                    "schema": matrix.schema_digest,
-                    "costs": [list(row) for row in matrix.costs],
-                }
-                for matrix in substrate.cached_matrices()
-            ],
         },
         sort_keys=True,
     )
@@ -114,18 +119,19 @@ def restore_substrate(
     substrate: SimilaritySubstrate,
     payload: str,
     repository: SchemaRepository,
-) -> int:
-    """Adopt a persisted substrate payload; returns matrices restored.
+) -> None:
+    """Adopt the kernel of a persisted substrate payload.
 
     The payload must have been saved under an identically configured
     objective (fingerprints compared, not trusted); the kernel's
     universe and label-id maps are re-derived from the *live*
     repository, so state saved for other content cannot corrupt
     candidate generation.  Payloads written by earlier versions also
-    carry an ``"index"`` section (a token index the substrate no longer
-    keeps); it is ignored.
+    carry a ``"matrices"`` section (score matrices, which are now
+    gathered again from the kernel) and an ``"index"`` section (a token
+    index the substrate no longer keeps); both are ignored.
     """
-    state = json.loads(payload)
+    state = _parse(payload, "substrate")
     recorded = state.get("objective_fingerprint")
     live = substrate.objective.fingerprint()
     if recorded != live:
@@ -140,19 +146,11 @@ def restore_substrate(
         # objective (token "") would refuse every persisted row and
         # silently cold-start the similarity plane.
         substrate.objective.prepare_corpus(repository)
-    kernel = None
-    # Payloads written before the scoring kernel existed have no
-    # "kernel" key; either way the kernel is rebuilt on first prepare().
-    if state.get("kernel") is not None:
-        kernel = CostKernel.from_state(
-            substrate.objective, repository, state["kernel"]
+    kernel = state.get("kernel")
+    if kernel is not None:  # else rebuilt on first prepare()
+        substrate.adopt(
+            CostKernel.from_state(substrate.objective, repository, kernel)
         )
-    matrices = [
-        ScoreMatrix.restore(item["query"], item["schema"], item["costs"])
-        for item in state.get("matrices", [])
-    ]
-    substrate.adopt(matrices, kernel=kernel)
-    return len(matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +195,10 @@ def restore_results(
     a different query list — the same checks ``rematch`` runs, applied
     at load time so stale state can never masquerade as warm state.
     Answer sets are reassembled via :meth:`Matcher.assemble` from the
-    restored pair results: byte-identical to the original run.
+    restored pair results, each checked for shape first: byte-identical
+    to the original run.
     """
-    state = json.loads(payload)
+    state = _parse(payload, "results")
     recorded = state.get("matcher_fingerprint")
     live = matcher_fingerprint(matcher)
     if recorded != live:
@@ -212,25 +211,28 @@ def restore_results(
             "results snapshot was computed against a different repository "
             "version (content digests differ)"
         )
-    query_digests = tuple(state.get("query_digests", []))
-    if query_digests != tuple(query.content_digest() for query in queries):
+    query_digests = tuple(query.content_digest() for query in queries)
+    if state.get("query_digests") != list(query_digests):
         raise SnapshotError(
             "results snapshot was computed for a different query list "
             "(content digests differ)"
         )
-    pair_results = [
-        {
-            schema_id: [(tuple(ids), score) for ids, score in pairs]
-            for schema_id, pairs in by_schema.items()
-        }
-        for by_schema in state["pair_results"]
-    ]
-    if len(pair_results) != len(queries):
+    delta_max = state.get("delta_max")
+    if type(delta_max) not in (int, float):
         raise SnapshotError(
-            f"results snapshot retains {len(pair_results)} queries' pair "
-            f"results for {len(queries)} recorded queries"
+            f"results snapshot records no numeric delta_max ({delta_max!r})"
         )
-    delta_max = state["delta_max"]
+    saved = state.get("pair_results")
+    if not isinstance(saved, list) or len(saved) != len(queries):
+        raise SnapshotError(
+            "results snapshot does not retain one pair-result map for each "
+            f"of its {len(queries)} recorded queries"
+        )
+    sizes = {schema.schema_id: len(schema) for schema in repository}
+    pair_results = [
+        _saved_pair_results(query, sizes, by_schema)
+        for query, by_schema in zip(queries, saved)
+    ]
     answer_sets = [
         matcher.assemble(query, repository, by_schema, delta_max)
         for query, by_schema in zip(queries, pair_results)
@@ -240,11 +242,58 @@ def restore_results(
         answer_sets=answer_sets,
         stats=stats,
         pair_results=pair_results,
-        repository_digest=state["repository_digest"],
+        repository_digest=repository.content_digest(),
         query_digests=query_digests,
         matcher_key=recorded,
         delta_max=delta_max,
     )
+
+
+def _saved_pair_results(
+    query: Schema, sizes: dict[str, int], by_schema
+) -> dict[str, PairResult]:
+    """One query's persisted ``{schema id: pair result}`` map, checked.
+
+    It must name exactly the repository's schemas (``sizes``: schema id
+    -> element count), each with a list of ``[target ids, score]``
+    entries: one in-range integer id per query element and a float
+    score — what :meth:`Matcher.assemble` reads.
+    """
+    if not isinstance(by_schema, dict) or by_schema.keys() != sizes.keys():
+        raise SnapshotError(
+            f"results snapshot pair results for query {query.schema_id!r} "
+            "do not name exactly the repository's schemas"
+        )
+    restored: dict[str, PairResult] = {}
+    for schema_id, size in sizes.items():
+        pairs = _saved_pairs(by_schema[schema_id], len(query), size)
+        if pairs is None:
+            raise SnapshotError(
+                f"results snapshot holds malformed pair results for query "
+                f"{query.schema_id!r} on schema {schema_id!r}"
+            )
+        restored[schema_id] = pairs
+    return restored
+
+
+def _saved_pairs(pairs, width: int, size: int) -> PairResult | None:
+    """``[[target ids, score], ...]`` as a pair result; None if malformed."""
+    if type(pairs) is not list:
+        return None
+    restored = []
+    for entry in pairs:
+        if type(entry) is not list or len(entry) != 2:
+            return None
+        ids, score = entry
+        if type(ids) is not list or len(ids) != width:
+            return None
+        if type(score) is not float:
+            return None
+        for j in ids:
+            if type(j) is not int or not 0 <= j < size:
+                return None
+        restored.append((tuple(ids), score))
+    return restored
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +307,6 @@ class Snapshot:
     repository: SchemaRepository
     queries: list[Schema]
     result: PipelineResult | None
-    matrices_restored: int
 
 
 def save_snapshot(
@@ -331,10 +379,9 @@ def load_snapshot(
     manifest = store.manifest()
     repository = store.load_repository(manifest)
     queries = store.load_queries(manifest)
-    matrices_restored = 0
     substrate_section = manifest.get(_SUBSTRATE_KEY)
     if substrate_section is not None:
-        matrices_restored = restore_substrate(
+        restore_substrate(
             matcher.objective.substrate(),
             store.read_section(substrate_section, manifest),
             repository,
@@ -348,9 +395,4 @@ def load_snapshot(
             repository,
             store.read_section(results_section, manifest),
         )
-    return Snapshot(
-        repository=repository,
-        queries=queries,
-        result=result,
-        matrices_restored=matrices_restored,
-    )
+    return Snapshot(repository=repository, queries=queries, result=result)

@@ -190,6 +190,81 @@ class TestRematchAccounting:
         assert result.rematch.pairs_recomputed == result.rematch.pairs_total
 
 
+class TestDisplacedMatrices:
+    """A re-match drops the matrices of the schema versions a delta
+    displaced, so the substrate follows the live repository."""
+
+    @staticmethod
+    def _digests(schemas) -> set[str]:
+        return {schema.content_digest() for schema in schemas}
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [("exhaustive", {}), ("clustering", {"clusters_per_element": 2})],
+    )
+    def test_no_matrix_of_a_displaced_version(self, queries, name, params):
+        """Over 20 churn deltas, incremental and full-recompute alike."""
+        workload = build_workload(small_config())  # a substrate of its own
+        substrate = workload.objective.substrate()
+        matcher = make_matcher(name, workload.objective, **params)
+        session = EvolutionSession(matcher, queries, 0.3)
+        session.match(workload.repository)
+        displaced: set[str] = set()
+        for step in range(20):
+            result, report = session.apply(
+                churn_delta(session.repository, churn=0.2, seed=step)
+            )
+            live = self._digests(session.repository)
+            displaced |= self._digests(
+                report.removed_schemas + report.replaced_old
+            )
+            cached = {m.schema_digest for m in substrate.cached_matrices()}
+            assert not cached & (displaced - live), step
+            cold = _cold(matcher, queries, session.repository, 0.3)
+            assert _canonical(result.answer_sets) == _canonical(
+                cold.answer_sets
+            ), step
+        assert displaced - live  # the deltas did displace versions
+
+    def test_identical_replace_keeps_its_matrices(self, queries):
+        workload = build_workload(small_config())
+        substrate = workload.objective.substrate()
+        session = EvolutionSession(
+            ExhaustiveMatcher(workload.objective), queries, 0.3
+        )
+        session.match(workload.repository)
+        schema = workload.repository.schemas()[0]
+
+        def held():
+            return [
+                m for m in substrate.cached_matrices()
+                if m.schema_digest == schema.content_digest()
+            ]
+
+        before = held()
+        assert before
+        _result, report = session.apply(RepositoryDelta(replaces=(schema,)))
+        assert report.replaced_old == (schema,) and report.is_noop
+        assert held() == before
+
+    def test_alternating_repositories_keep_their_hits(self, queries):
+        """Plain matching drops nothing: only a delta displaces."""
+        workload = build_workload(small_config())
+        substrate = workload.objective.substrate()
+        matcher = ExhaustiveMatcher(workload.objective)
+        other, _report = workload.repository.apply(
+            churn_delta(workload.repository, churn=0.5, seed=3)
+        )
+        for repository in (workload.repository, other):
+            matcher.batch_match(queries, repository, 0.3, workers=1)
+        built = substrate.stats.matrices_built
+        hits = substrate.stats.matrix_hits
+        for repository in (workload.repository, other, workload.repository):
+            matcher.batch_match(queries, repository, 0.3, workers=1)
+        assert substrate.stats.matrices_built == built
+        assert substrate.stats.matrix_hits > hits
+
+
 class TestSessionApi:
     def test_accessors_require_match(self, workload, queries):
         session = EvolutionSession(

@@ -1,11 +1,15 @@
 """Matching-state persistence: warm starts that cannot lie.
 
-Round-trip fidelity (restored substrate matrices and reassembled answer
-sets are byte-identical to the originals) plus the fingerprint gates: a
-snapshot saved under any other objective/matcher configuration, against
-any other repository version or query list, refuses to load with a
-:class:`~repro.errors.SnapshotError` — never a silent cold start.
+Round-trip fidelity (the restored kernel scores no row, matrices
+gathered again from it and reassembled answer sets are byte-identical
+to the originals) plus the fingerprint gates: a snapshot saved under
+any other objective/matcher configuration, against any other repository
+version or query list, refuses to load with a
+:class:`~repro.errors.SnapshotError` — never a silent cold start.  So
+does a section that does not parse into the shape its writer gives it.
 """
+
+import json
 
 import pytest
 
@@ -85,6 +89,45 @@ def _index_entry(schema) -> dict:
     }
 
 
+def _matrices_entry(matrix) -> dict:
+    """One entry of the ``"matrices"`` section older payloads carry."""
+    return {
+        "query": matrix.query_digest,
+        "schema": matrix.schema_digest,
+        "costs": [list(row) for row in matrix.costs],
+    }
+
+
+def _by_key(substrate) -> dict:
+    return {
+        (matrix.query_digest, matrix.schema_digest): matrix
+        for matrix in substrate.cached_matrices()
+    }
+
+
+def _regathered(substrate, saved: dict, universe) -> int:
+    """Gather ``saved``'s matrices again from ``substrate``; compare them.
+
+    Only matrices of ``universe``'s queries and repository are compared
+    (a shared substrate may also hold other versions'); returns how many.
+    """
+    queries = {
+        s.query.content_digest(): s.query for s in universe.suite.scenarios
+    }
+    schemas = {s.content_digest(): s for s in universe.repository}
+    compared = 0
+    for (query_digest, schema_digest), matrix in saved.items():
+        if query_digest in queries and schema_digest in schemas:
+            twin = substrate.matrix(
+                queries[query_digest], schemas[schema_digest]
+            )
+            assert twin.costs == matrix.costs
+            assert twin.candidate_order == matrix.candidate_order
+            assert twin.min_rest == matrix.min_rest
+            compared += 1
+    return compared
+
+
 def _fresh_universe():
     """A content-identical workload with its own objective/substrate.
 
@@ -96,27 +139,24 @@ def _fresh_universe():
 
 class TestSubstrateRoundTrip:
     def test_matrices_and_index_survive(self, workload, queries, result):
-        payload = substrate_payload(workload.objective.substrate())
+        """Only the kernel is written; matrices gathered again from the
+        restored kernel equal the saved ones, and no row is scored."""
+        saved = workload.objective.substrate()
+        payload = substrate_payload(saved)
+        assert sorted(json.loads(payload)) == [
+            "kernel", "objective_fingerprint"
+        ]
         fresh = _fresh_universe()
         substrate = fresh.objective.substrate()
-        restored = restore_substrate(substrate, payload, fresh.repository)
-        assert restored == len(workload.objective.substrate().cached_matrices())
-        # restored matrices are bit-identical to freshly built ones
-        for matrix in workload.objective.substrate().cached_matrices():
-            twin = next(
-                m for m in substrate.cached_matrices()
-                if (m.query_digest, m.schema_digest)
-                == (matrix.query_digest, matrix.schema_digest)
-            )
-            assert twin.costs == matrix.costs
-            assert twin.candidate_order == matrix.candidate_order
-            assert twin.min_rest == matrix.min_rest
+        restore_substrate(substrate, payload, fresh.repository)
+        assert len(substrate) == 0  # no matrix is read back
         # the kernel's label universe and cost rows carried over
         kernel = substrate.kernel()
-        saved = workload.objective.substrate().kernel()
         assert kernel is not None
-        assert kernel.export_state() == saved.export_state()
-        assert kernel.rows_migrated == saved.rows_cached > 0
+        assert kernel.export_state() == saved.kernel().export_state()
+        assert kernel.rows_migrated == saved.kernel().rows_cached > 0
+        assert _regathered(substrate, _by_key(saved), fresh) > 0
+        assert kernel.rows_built == 0
 
     def test_warm_substrate_builds_nothing(self, workload, queries, result):
         payload = substrate_payload(workload.objective.substrate())
@@ -128,22 +168,9 @@ class TestSubstrateRoundTrip:
         run = MatchingPipeline(matcher).run(
             fresh_queries, fresh.repository, 0.3
         )
-        assert substrate.stats.matrices_built == 0  # warm start: O(load)
+        # warm start: every matrix is a gather, no kernel row is scored
+        assert substrate.kernel().rows_built == 0
         assert _canonical(run.answer_sets) == _canonical(result.answer_sets)
-
-    def test_restore_aliases_duplicate_rows(self):
-        """Like ``build``, ``restore`` shares one tuple/order pair across
-        identical rows — warm-start cost stays O(distinct labels)."""
-        from repro.matching import ScoreMatrix
-
-        duplicate = [0.5, 0.1, 0.3]
-        matrix = ScoreMatrix.restore(
-            "q", "s", [duplicate, [0.2, 0.9, 0.0], duplicate]
-        )
-        assert matrix.costs[0] is matrix.costs[2]
-        assert matrix.candidate_order[0] is matrix.candidate_order[2]
-        assert matrix.candidate_order[0] == (1, 2, 0)
-        assert matrix.candidate_order[1] == (2, 0, 1)
 
     def test_objective_mismatch_is_loud(self, workload):
         payload = substrate_payload(workload.objective.substrate())
@@ -212,35 +239,25 @@ class TestWholeSnapshots:
         assert [q.content_digest() for q in snapshot.queries] == [
             q.content_digest() for q in queries
         ]
-        assert snapshot.matrices_restored > 0
+        # the kernel's rows were adopted; no matrix was read back
+        substrate = fresh.objective.substrate()
+        assert substrate.kernel().rows_migrated > 0
+        assert len(substrate) == 0
         assert _canonical(snapshot.result.answer_sets) == _canonical(
             result.answer_sets
         )
 
-    def test_index_section_restores_and_serves(
-        self, tmp_path, workload, queries, result
-    ):
-        """Format compatibility: a substrate section with an ``"index"`` key.
-
-        Substrate payloads written while the substrate kept a token index
-        carry an ``"index"`` section beside the kernel and the matrices.
-        The snapshot format version did not change, so such a snapshot
-        must restore (the section is ignored) and serve byte-identically.
-        """
-        import json
-
+    def _legacy_store(self, root, workload, queries, result, extra: dict):
+        """A snapshot whose substrate section also holds ``extra`` keys."""
         from repro.matching.similarity import persist
 
         saved = workload.objective.substrate()
         payload = json.loads(substrate_payload(saved))
-        assert "index" not in payload  # no longer written
-        payload["index"] = {
-            "repository_digest": workload.repository.content_digest(),
-            "entries": [_index_entry(schema) for schema in workload.repository],
-        }
-        indexed_payload = json.dumps(payload, sort_keys=True)
+        assert not set(extra) & set(payload)  # no longer written
+        payload.update(extra)
+        legacy_payload = json.dumps(payload, sort_keys=True)
 
-        store = SnapshotStore(tmp_path / "snap")
+        store = SnapshotStore(root)
         meta = {
             "repository": SnapshotStore.repository_meta(workload.repository),
             "queries": SnapshotStore.query_meta(queries),
@@ -255,18 +272,21 @@ class TestWholeSnapshots:
         meta["results_section"] = persist._digest_named("results", results)
         sections[meta["results_section"]] = results
         meta["substrate_section"] = persist._digest_named(
-            "substrate", indexed_payload
+            "substrate", legacy_payload
         )
-        sections[meta["substrate_section"]] = indexed_payload
+        sections[meta["substrate_section"]] = legacy_payload
         store.save(meta, sections)
+        return store
 
+    def _assert_serves_warm(self, store, workload, result):
+        """Warm-start from ``store``; it must serve byte-identically."""
         fresh = _fresh_universe()
         matcher = ExhaustiveMatcher(fresh.objective)
         snapshot = load_snapshot(store, matcher)
         substrate = fresh.objective.substrate()
-        assert snapshot.matrices_restored == len(payload["matrices"]) > 0
+        assert len(substrate) == 0  # legacy sections are ignored
         assert substrate.kernel().export_state() == (
-            saved.kernel().export_state()
+            workload.objective.substrate().kernel().export_state()
         )
         assert _canonical(snapshot.result.answer_sets) == _canonical(
             result.answer_sets
@@ -275,16 +295,70 @@ class TestWholeSnapshots:
             snapshot.queries, snapshot.repository, 0.3
         )
         assert _canonical(live.answer_sets) == _canonical(result.answer_sets)
-        assert substrate.stats.matrices_built == 0  # served warm
+        assert substrate.kernel().rows_built == 0  # served warm
+        return substrate
+
+    def test_index_section_restores_and_serves(
+        self, tmp_path, workload, queries, result
+    ):
+        """Format compatibility: a substrate section with an ``"index"`` key.
+
+        Substrate payloads written while the substrate kept a token index
+        carry an ``"index"`` section beside the kernel and the matrices.
+        The snapshot format version did not change, so such a snapshot
+        must restore (both sections are ignored) and serve
+        byte-identically.
+        """
+        saved = workload.objective.substrate()
+        store = self._legacy_store(
+            tmp_path / "snap", workload, queries, result,
+            {
+                "index": {
+                    "repository_digest": workload.repository.content_digest(),
+                    "entries": [
+                        _index_entry(schema) for schema in workload.repository
+                    ],
+                },
+                "matrices": [
+                    _matrices_entry(m) for m in saved.cached_matrices()
+                ],
+            },
+        )
+        self._assert_serves_warm(store, workload, result)
+
+    def test_matrices_section_restores_and_serves(
+        self, tmp_path, workload, queries, result
+    ):
+        """Format compatibility: a substrate section with ``"matrices"``.
+
+        Every snapshot written while matrices were persisted holds them
+        beside the kernel.  The section is ignored: the warm start serves
+        byte-identically, scores no kernel row, and the matrices it
+        gathers again equal the ones the section holds.
+        """
+        saved = workload.objective.substrate()
+        entries = [_matrices_entry(m) for m in saved.cached_matrices()]
+        store = self._legacy_store(
+            tmp_path / "snap", workload, queries, result,
+            {"matrices": entries},
+        )
+        substrate = self._assert_serves_warm(store, workload, result)
+        regathered = _by_key(substrate)
+        compared = 0
+        for entry in entries:
+            twin = regathered.get((entry["query"], entry["schema"]))
+            if twin is not None:
+                assert [list(row) for row in twin.costs] == entry["costs"]
+                compared += 1
+        assert compared > 0
 
     def test_repository_only_snapshot(self, tmp_path, workload):
         store = save_snapshot(tmp_path / "bare", workload.repository)
-        snapshot = load_snapshot(
-            store, ExhaustiveMatcher(_fresh_universe().objective)
-        )
+        fresh = _fresh_universe()
+        snapshot = load_snapshot(store, ExhaustiveMatcher(fresh.objective))
         assert snapshot.result is None
         assert snapshot.queries == []
-        assert snapshot.matrices_restored == 0
+        assert fresh.objective.substrate().kernel() is None  # nothing adopted
 
     def test_save_refuses_mismatched_result(
         self, tmp_path, workload, queries, result
@@ -449,3 +523,114 @@ class TestSessionResume:
             EvolutionSession.from_state(
                 matcher, workload.repository, result, queries[:-1]
             )
+
+
+def _first_pairs(state) -> tuple[int, str]:
+    """(query index, schema id) of the first non-empty pair result."""
+    return next(
+        (index, schema_id)
+        for index, by_schema in enumerate(state["pair_results"])
+        for schema_id, pairs in sorted(by_schema.items())
+        if pairs
+    )
+
+
+def _edit_pairs(edit):
+    """A results mutation applied to the first non-empty pair result."""
+    def mutate(state):
+        index, schema_id = _first_pairs(state)
+        edit(state["pair_results"][index], schema_id)
+    return mutate
+
+
+def _set_entry(position, value):
+    def edit(by_schema, schema_id):
+        by_schema[schema_id][0][position] = value
+    return edit
+
+
+def _set_id(value):
+    def edit(by_schema, schema_id):
+        by_schema[schema_id][0][0][0] = value
+    return edit
+
+
+_SUBSTRATE_MUTATIONS = {
+    "list-section": lambda state: [],
+    "kernel-list": lambda state: state.update(kernel=[]),
+    "labels-not-list": lambda state: state["kernel"].update(labels=5),
+    "label-arity": lambda state: state["kernel"]["labels"].__setitem__(
+        0, ["x"]
+    ),
+    "label-not-string": lambda state: state["kernel"]["labels"][0].__setitem__(
+        0, 7
+    ),
+    "row-arity": lambda state: state["kernel"]["rows"].__setitem__(
+        0, state["kernel"]["rows"][0][:2]
+    ),
+    "costs-not-list": lambda state: state["kernel"]["rows"][0].__setitem__(
+        2, 1.5
+    ),
+}
+
+_RESULTS_MUTATIONS = {
+    "list-section": lambda state: [],
+    "no-delta-max": lambda state: state.pop("delta_max"),
+    "text-delta-max": lambda state: state.update(delta_max="0.3"),
+    "query-digests-not-list": lambda state: state.update(query_digests=5),
+    "pair-results-map": lambda state: state.update(pair_results={}),
+    "pair-results-short": lambda state: state["pair_results"].pop(),
+    "by-schema-list": lambda state: state["pair_results"].__setitem__(0, []),
+    "schema-missing": _edit_pairs(lambda by_schema, sid: by_schema.pop(sid)),
+    "schema-foreign": _edit_pairs(
+        lambda by_schema, sid: by_schema.update(ghost=[])
+    ),
+    "pairs-map": _edit_pairs(
+        lambda by_schema, sid: by_schema.update({sid: {}})
+    ),
+    "entry-arity": _edit_pairs(
+        lambda by_schema, sid: by_schema[sid].__setitem__(0, [[0]])
+    ),
+    "ids-not-list": _edit_pairs(_set_entry(0, 5)),
+    "ids-too-long": _edit_pairs(
+        lambda by_schema, sid: by_schema[sid][0][0].append(0)
+    ),
+    "id-negative": _edit_pairs(_set_id(-1)),
+    "id-past-schema": _edit_pairs(_set_id(10_000)),
+    "id-not-int": _edit_pairs(_set_id(0.0)),
+    "score-text": _edit_pairs(_set_entry(1, "0.1")),
+}
+
+
+class TestMalformedSections:
+    """Every malformed section raises ``SnapshotError`` and nothing else."""
+
+    @staticmethod
+    def _mutated(payload: str, mutate) -> str:
+        state = json.loads(payload)
+        replaced = mutate(state)
+        return json.dumps(replaced if isinstance(replaced, list) else state)
+
+    @pytest.mark.parametrize("name", ["not-json", *_SUBSTRATE_MUTATIONS])
+    def test_substrate_section_refused(self, workload, result, name):
+        payload = substrate_payload(workload.objective.substrate())
+        if name == "not-json":
+            payload = payload[:-1]
+        else:
+            payload = self._mutated(payload, _SUBSTRATE_MUTATIONS[name])
+        fresh = _fresh_universe()
+        with pytest.raises(SnapshotError):
+            restore_substrate(
+                fresh.objective.substrate(), payload, fresh.repository
+            )
+
+    @pytest.mark.parametrize("name", ["not-json", *_RESULTS_MUTATIONS])
+    def test_results_section_refused(self, workload, queries, result, name):
+        payload = results_payload(result)
+        if name == "not-json":
+            payload = payload[:-1]
+        else:
+            payload = self._mutated(payload, _RESULTS_MUTATIONS[name])
+        matcher = ExhaustiveMatcher(workload.objective)
+        with pytest.raises(SnapshotError):
+            restore_results(matcher, queries, workload.repository, payload)

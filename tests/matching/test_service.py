@@ -222,16 +222,16 @@ class TestSnapshotLifecycle:
             await service.start()  # no repository: from snapshot alone
             answers = await _serve_all(service, fresh_queries)
             stats = service.stats
-            substrate_stats = fresh.objective.substrate().stats
+            kernel = fresh.objective.substrate().kernel()
             await service.stop()
-            return answers, stats, substrate_stats
+            return answers, stats, kernel
 
-        answers, stats, substrate_stats = _run(scenario())
+        answers, stats, kernel = _run(scenario())
         assert stats.warm_start
-        assert stats.matrices_restored > 0
+        assert kernel.rows_migrated > 0  # the saved rows were adopted
         assert stats.served_from_state == len(queries)  # zero searches ran
         assert stats.batched_queries == 0
-        assert substrate_stats.matrices_built == 0
+        assert kernel.rows_built == 0
         assert _canonical(answers) == _canonical(baseline)
 
     def test_checkpoint_every_writes_snapshots(

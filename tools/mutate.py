@@ -248,6 +248,49 @@ MUTANTS = (
         "at its placeholder cost 0.0 in every carried row",
     ),
     Mutant(
+        name="substrate-fingerprint-unchecked",
+        path="repro/matching/similarity/persist.py",
+        snippet=(
+            "if recorded != live:\n        raise SnapshotError(\n"
+            '            "substrate snapshot'
+        ),
+        replacement=(
+            "if False:\n        raise SnapshotError(\n"
+            '            "substrate snapshot'
+        ),
+        tests=("tests/matching/test_persist.py",),
+        why="a substrate section saved under another objective is adopted",
+    ),
+    Mutant(
+        name="results-query-digests-unchecked",
+        path="repro/matching/similarity/persist.py",
+        snippet='if state.get("query_digests") != list(query_digests):',
+        replacement="if False:",
+        tests=("tests/matching/test_persist.py",),
+        why="retained results computed for another query list are restored",
+    ),
+    Mutant(
+        name="drop-identical-replaces",
+        path="repro/matching/pipeline.py",
+        snippet="displaced.difference_update(",
+        replacement="displaced.union(",
+        tests=("tests/matching/test_evolution.py",),
+        why="a re-match drops the matrices of a content-identical replace, "
+        "whose digest the evolved repository still holds",
+    ),
+    Mutant(
+        name="drop-skipped-on-full-recompute",
+        path="repro/matching/pipeline.py",
+        snippet="matcher.objective.substrate().drop_schemas(displaced)",
+        replacement=(
+            "matcher.pair_local and "
+            "matcher.objective.substrate().drop_schemas(displaced)"
+        ),
+        tests=("tests/matching/test_evolution.py",),
+        why="a matcher that re-matches in full (clustering, hybrid) keeps "
+        "the matrices of the schema versions a delta displaced",
+    ),
+    Mutant(
         name="answers-size-at-exclusive",
         path="repro/core/answers.py",
         snippet="return bisect.bisect_right(self._scores, delta)",
