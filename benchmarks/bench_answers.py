@@ -76,7 +76,7 @@ def evaluation():
     runs = [
         (
             matcher,
-            MatchingPipeline(matcher, workers=1)
+            MatchingPipeline(matcher)
             .run(queries, workload.repository, workload.schedule.final)
             .pair_results,
         )

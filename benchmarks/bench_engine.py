@@ -111,7 +111,7 @@ def evaluation():
 
     def run():
         for matcher in systems:
-            MatchingPipeline(matcher, workers=1).run(
+            MatchingPipeline(matcher).run(
                 queries, workload.repository, workload.schedule.final
             )
 

@@ -47,7 +47,10 @@ Subcommands
 slow machines); ``--seed`` reseeds workload generation.  ``--workers``
 fans repository matching out over worker processes through the sharded
 pipeline (``--shards`` overrides the shard count, default one per
-worker); both default to serial, which produces identical output.
+worker); both default to serial, which produces identical output.  The
+flags build one executor — the process pool, or the socket workers of
+``serve --remote-workers`` — that :func:`main` hands to the subcommand
+and shuts down when it returns; nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -234,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--remote-workers",
         default=None,
         help="comma-separated socket worker addresses (host:port,...) to "
-        "fan shard units out to, e.g. started with 'repro worker'",
+        "fan shard units out to, e.g. started with 'repro worker'; "
+        "replaces --workers, one shard per worker unless --shards",
     )
     serve.add_argument(
         "--status",
@@ -287,35 +291,63 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_figure(experiment_id: str, config: WorkloadConfig | None) -> int:
+def _execution(args: argparse.Namespace) -> dict:
+    """The ``executor``/``shards`` keywords every subcommand forwards.
+
+    Validates ``--workers``/``--shards`` before any work runs and builds
+    the one executor they name: the process pool for ``--workers``, the
+    socket workers for ``serve --remote-workers`` (both together are
+    refused), serial otherwise.
+    """
+    from repro.matching.executor import executor_for
+
+    if args.shards is not None and args.shards < 1:
+        raise ReproError(f"shards must be >= 1, got {args.shards!r}")
+    remote_workers = getattr(args, "remote_workers", None)
+    if not remote_workers:
+        return {"executor": executor_for(args.workers), "shards": args.shards}
+    if args.workers is not None:
+        raise ReproError(
+            "--workers and --remote-workers both name where matching runs; "
+            "pass one"
+        )
+    from repro.matching.remote import RemoteShardExecutor
+
+    addresses = [a.strip() for a in remote_workers.split(",") if a.strip()]
+    return {"executor": RemoteShardExecutor(addresses), "shards": args.shards}
+
+
+def _cmd_figure(
+    experiment_id: str, config: WorkloadConfig | None, execution: dict
+) -> int:
     from repro.experiments import run_experiment
 
-    print(run_experiment(experiment_id, config).render())
+    print(run_experiment(experiment_id, config, **execution).render())
     return 0
 
 
-def _cmd_all(config: WorkloadConfig | None) -> int:
+def _cmd_all(config: WorkloadConfig | None, execution: dict) -> int:
     from repro.experiments import list_experiments, run_experiment
 
     for experiment_id, _title in list_experiments():
-        print(run_experiment(experiment_id, config).render())
+        print(run_experiment(experiment_id, config, **execution).render())
         print()
     return 0
 
 
-def _cmd_demo(config: WorkloadConfig | None) -> int:
+def _cmd_demo(config: WorkloadConfig | None, execution: dict) -> int:
     from repro.core.report import render_band_plot, summarize_guarantees
     from repro.evaluation import build_workload, run_system, validate_improvement
     from repro.matching import BeamMatcher, ExhaustiveMatcher
 
     workload = build_workload(config)
     original = run_system(
-        ExhaustiveMatcher(workload.objective), workload.suite, workload.schedule
+        ExhaustiveMatcher(workload.objective), workload.suite,
+        workload.schedule, **execution,
     )
     improved = run_system(
-        BeamMatcher(workload.objective, beam_width=10),
-        workload.suite,
-        workload.schedule,
+        BeamMatcher(workload.objective, beam_width=10), workload.suite,
+        workload.schedule, **execution,
     )
     validation = validate_improvement(original, improved)
     print(render_band_plot(validation.band, title="Demo: beam improvement band"))
@@ -351,7 +383,10 @@ def _parse_matcher_spec(spec: str) -> tuple[str, dict[str, int | float]]:
 
 
 def _cmd_compare(
-    first_spec: str, second_spec: str, config: WorkloadConfig | None
+    first_spec: str,
+    second_spec: str,
+    config: WorkloadConfig | None,
+    execution: dict,
 ) -> int:
     from repro.core.comparison import Verdict, compare_bounds, dominates
     from repro.core.report import render_comparison
@@ -378,9 +413,12 @@ def _cmd_compare(
                 ExhaustiveMatcher(matcher.objective),
                 workload.suite,
                 workload.schedule,
+                **execution,
             )
             originals[family] = original
-        run = run_system(matcher, workload.suite, workload.schedule)
+        run = run_system(
+            matcher, workload.suite, workload.schedule, **execution
+        )
         validations.append(validate_improvement(original, run))
     if families[0] != families[1]:
         # the bounds technique never ranks across objectives: each spec
@@ -432,7 +470,9 @@ def _parse_churn_rates(text: str) -> tuple[float, ...]:
     return rates
 
 
-def _cmd_evolve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
+def _cmd_evolve(
+    args: argparse.Namespace, config: WorkloadConfig | None, execution: dict
+) -> int:
     from repro.evaluation import EvolutionConfig, build_evolution, build_workload
     from repro.matching import evolution_session
     from repro.util.tables import format_table
@@ -447,7 +487,8 @@ def _cmd_evolve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
     queries = [scenario.query for scenario in workload.suite.scenarios]
     steps = build_evolution(workload, evolution)
     session = evolution_session(
-        name, workload.objective, queries, args.delta, params=params
+        name, workload.objective, queries, args.delta, params=params,
+        **execution,
     )
     baseline = session.match(workload.repository)
     print(
@@ -462,6 +503,7 @@ def _cmd_evolve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
         assert stats is not None
         verified = ""
         if args.verify:
+            # the reference runs serially, whatever executor the session has
             cold = session.matcher.batch_match(
                 queries, step.repository, args.delta
             )
@@ -504,7 +546,9 @@ def _cmd_evolve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
     return 0
 
 
-def _cmd_snapshot(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
+def _cmd_snapshot(
+    args: argparse.Namespace, config: WorkloadConfig | None, execution: dict
+) -> int:
     from repro.evaluation import build_workload
     from repro.matching import MatchingPipeline, make_matcher, save_snapshot
 
@@ -512,7 +556,7 @@ def _cmd_snapshot(args: argparse.Namespace, config: WorkloadConfig | None) -> in
     workload = build_workload(config)
     queries = [scenario.query for scenario in workload.suite.scenarios]
     matcher = make_matcher(name, workload.objective, **params)
-    result = MatchingPipeline(matcher).run(
+    result = MatchingPipeline(matcher, **execution).run(
         queries, workload.repository, args.delta
     )
     # the matcher's objective, not the workload's: backend variants
@@ -536,7 +580,9 @@ def _cmd_snapshot(args: argparse.Namespace, config: WorkloadConfig | None) -> in
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
+def _cmd_serve(
+    args: argparse.Namespace, config: WorkloadConfig | None, execution: dict
+) -> int:
     import asyncio
     from time import perf_counter
 
@@ -561,17 +607,11 @@ def _cmd_serve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
     queries = [scenario.query for scenario in workload.suite.scenarios]
     matcher = make_matcher(name, workload.objective, **params)
     store = SnapshotStore(args.directory) if args.directory else None
-    executor = None
     if args.remote_workers:
-        from repro.matching.remote import RemoteShardExecutor
-
-        addresses = [
-            address.strip()
-            for address in args.remote_workers.split(",")
-            if address.strip()
-        ]
-        executor = RemoteShardExecutor(addresses)
-        print(f"shard fan-out: {len(addresses)} remote socket workers")
+        print(
+            f"shard fan-out: {execution['executor'].width} remote socket "
+            "workers"
+        )
 
     async def run() -> list[tuple]:
         if args.replicas > 1:
@@ -580,13 +620,13 @@ def _cmd_serve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
             front = replica_group(
                 name, workload.objective, args.replicas, args.delta,
                 params=params, store=store, max_batch=args.max_batch,
-                executor=executor,
+                **execution,
             )
             first = front.services[0]
         else:
             front = MatchingService(
                 matcher, args.delta, store=store, max_batch=args.max_batch,
-                executor=executor,
+                **execution,
             )
             first = front
         started = perf_counter()
@@ -615,6 +655,7 @@ def _cmd_serve(args: argparse.Namespace, config: WorkloadConfig | None) -> int:
             seconds = perf_counter() - wave_started
             verified = ""
             if args.verify:
+                # the offline reference runs serially, in this process
                 offline = matcher.batch_match(
                     queries, front.repository, args.delta
                 )
@@ -747,30 +788,25 @@ def _cmd_show_collection(directory: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = _config_from_args(args)
+    execution: dict = {}
     try:
-        if args.workers is not None or args.shards is not None:
-            from repro.matching import pipeline
-
-            pipeline.configure(
-                workers=args.workers,
-                **({} if args.shards is None else {"shards": args.shards}),
-            )
+        execution = _execution(args)
         if args.command == "list":
             return _cmd_list()
         if args.command == "figure":
-            return _cmd_figure(args.experiment_id, config)
+            return _cmd_figure(args.experiment_id, config, execution)
         if args.command == "all":
-            return _cmd_all(config)
+            return _cmd_all(config, execution)
         if args.command == "demo":
-            return _cmd_demo(config)
+            return _cmd_demo(config, execution)
         if args.command == "compare":
-            return _cmd_compare(args.first, args.second, config)
+            return _cmd_compare(args.first, args.second, config, execution)
         if args.command == "evolve":
-            return _cmd_evolve(args, config)
+            return _cmd_evolve(args, config, execution)
         if args.command == "snapshot":
-            return _cmd_snapshot(args, config)
+            return _cmd_snapshot(args, config, execution)
         if args.command == "serve":
-            return _cmd_serve(args, config)
+            return _cmd_serve(args, config, execution)
         if args.command == "worker":
             return _cmd_worker(args)
         if args.command == "save-collection":
@@ -781,6 +817,9 @@ def main(argv: list[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if execution.get("executor") is not None:
+            execution["executor"].shutdown()
 
 
 if __name__ == "__main__":

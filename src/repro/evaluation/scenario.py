@@ -16,6 +16,7 @@ from repro.core.answers import AnswerSet
 from repro.errors import GroundTruthError
 from repro.evaluation.ground_truth import GroundTruth, enumerate_ground_truth
 from repro.matching.base import Matcher
+from repro.matching.executor import ShardExecutor
 from repro.schema.model import Schema
 from repro.schema.mutations import MutationConfig, extract_personal_schema
 from repro.schema.repository import SchemaRepository
@@ -71,17 +72,18 @@ class ScenarioSuite:
         *,
         workers: int | None = None,
         shards: int | None = None,
+        executor: ShardExecutor | None = None,
     ) -> AnswerSet:
         """Pooled answer set of a system over the whole workload.
 
         Routed through the sharded matching pipeline
-        (:meth:`~repro.matching.base.Matcher.batch_match`):  ``workers``
-        fans queries/shards out across processes; the defaults resolve
-        to the module-wide pipeline configuration, whose serial fallback
-        reproduces per-query matching exactly.  The per-query sets are
-        disjoint (query ids are unique and part of every mapping's
-        identity), so they pool in one :meth:`~repro.core.answers
-        .AnswerSet.disjoint_union`; an overlap would raise.
+        (:meth:`~repro.matching.base.Matcher.batch_match`, which takes
+        the same ``workers``/``shards``/``executor``): by default serial
+        in this process, which reproduces per-query matching exactly.
+        The per-query sets are disjoint (query ids are unique and part
+        of every mapping's identity), so they pool in one
+        :meth:`~repro.core.answers.AnswerSet.disjoint_union`; an overlap
+        would raise.
         """
         per_query = matcher.batch_match(
             [scenario.query for scenario in self.scenarios],
@@ -89,6 +91,7 @@ class ScenarioSuite:
             delta_max,
             workers=workers,
             shards=shards,
+            executor=executor,
         )
         return AnswerSet.disjoint_union(per_query)
 

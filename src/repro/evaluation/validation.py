@@ -24,6 +24,7 @@ from repro.core.thresholds import ThresholdSchedule
 from repro.errors import BoundsError
 from repro.evaluation.scenario import ScenarioSuite
 from repro.matching.base import Matcher
+from repro.matching.executor import ShardExecutor
 from repro.matching.pipeline import reject_cache
 
 __all__ = ["SystemRun", "BoundsValidation", "run_system", "validate_improvement"]
@@ -54,19 +55,24 @@ def run_system(
     *,
     workers: int | None = None,
     shards: int | None = None,
+    executor: ShardExecutor | None = None,
     cache: object | None = None,
 ) -> SystemRun:
     """Run a matcher over the suite and judge it at every threshold.
 
-    Matching goes through the sharded pipeline; ``workers``/``shards``
-    default to the module-wide pipeline configuration (serial unless
-    :func:`repro.matching.pipeline.configure` — or the CLI's
-    ``--workers`` flag — says otherwise).  ``cache`` accepts only
-    ``None`` or ``False`` (:func:`~repro.matching.pipeline.reject_cache`).
+    Matching goes through the sharded pipeline, serial unless the
+    caller passes ``executor`` or ``workers`` (as
+    :meth:`~repro.matching.base.Matcher.batch_match` takes them, with
+    ``shards``).  ``cache`` accepts only ``None`` or ``False``
+    (:func:`~repro.matching.pipeline.reject_cache`).
     """
     reject_cache(cache)
     answers = suite.run(
-        matcher, schedule.final, workers=workers, shards=shards
+        matcher,
+        schedule.final,
+        workers=workers,
+        shards=shards,
+        executor=executor,
     )
     profile = SystemProfile.from_answer_set(
         schedule, answers, suite.ground_truth.mappings

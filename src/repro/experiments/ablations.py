@@ -52,8 +52,10 @@ __all__: list[str] = []
 
 
 @register("abl-increments", "Bound tightness vs threshold granularity")
-def run_increments(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run_increments(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     truth = bundle.workload.suite.ground_truth.mappings
     fine = ThresholdSchedule.from_answer_scores(bundle.original.answers, 32)
 
@@ -100,8 +102,10 @@ def run_increments(config: WorkloadConfig | None = None) -> ExperimentResult:
 
 
 @register("abl-hsize", "Section 4.1 sensitivity to the |H| guess")
-def run_hsize(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run_hsize(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     true_relevant = bundle.workload.relevant_size
 
     result = ExperimentResult(
@@ -128,8 +132,10 @@ def run_hsize(config: WorkloadConfig | None = None) -> ExperimentResult:
 
 
 @register("abl-matchers", "Efficiency/effectiveness sweep over matcher parameters")
-def run_matchers(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run_matchers(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     workload = bundle.workload
     original = bundle.original
 
@@ -152,7 +158,9 @@ def run_matchers(config: WorkloadConfig | None = None) -> ExperimentResult:
         for value in values:
             matcher = factory(workload.objective, **{param_name: value})
             started = time.perf_counter()
-            run = run_system(matcher, workload.suite, workload.schedule)
+            run = run_system(
+                matcher, workload.suite, workload.schedule, **execution
+            )
             elapsed = time.perf_counter() - started
             validation = validate_improvement(original, run)
             final = validation.bounds[len(validation.bounds) - 1]
@@ -194,8 +202,10 @@ def run_matchers(config: WorkloadConfig | None = None) -> ExperimentResult:
 
 
 @register("abl-pooling", "TREC-style pooling estimates vs exact bounds")
-def run_pooling(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run_pooling(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     truth = bundle.workload.suite.ground_truth.mappings
     final_delta = bundle.workload.schedule.final
     participants = [
@@ -279,8 +289,10 @@ def _noisy_profile(
 
 
 @register("abl-noise", "Bound validity under a noisy input curve")
-def run_noise(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run_noise(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     improved = bundle.beam
 
     result = ExperimentResult(
@@ -330,7 +342,9 @@ def run_noise(config: WorkloadConfig | None = None) -> ExperimentResult:
 
 
 @register("abl-scaling", "Cost of the bound computation itself")
-def run_scaling(config: WorkloadConfig | None = None) -> ExperimentResult:
+def run_scaling(
+    config: WorkloadConfig | None = None, **_execution
+) -> ExperimentResult:
     result = ExperimentResult(
         "abl-scaling", "Pure-math scalability of compute_incremental_bounds"
     )

@@ -65,7 +65,9 @@ def _family_label(name: str) -> str:
 
 
 @register("abl-backends", "Similarity backends across vocabulary-mutation profiles")
-def run_backends(config: WorkloadConfig | None = None) -> ExperimentResult:
+def run_backends(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
     config = config or WorkloadConfig()
     workload = build_workload(config)
     # the profile sweep re-derives the query suite per mutation mix; a
@@ -91,7 +93,7 @@ def run_backends(config: WorkloadConfig | None = None) -> ExperimentResult:
         best: tuple[float, str] | None = None
         for family in BACKEND_FAMILIES:
             matcher = make_matcher(family, workload.objective)
-            run = run_system(matcher, suite, workload.schedule)
+            run = run_system(matcher, suite, workload.schedule, **execution)
             counts = run.profile.final_counts()
             precision = counts.correct / counts.answers if counts.answers else 0.0
             recall = counts.correct / suite.relevant_size
@@ -135,12 +137,16 @@ def run_backends(config: WorkloadConfig | None = None) -> ExperimentResult:
     for family in BACKEND_FAMILIES:
         objective = make_matcher(family, workload.objective).objective
         original = run_system(
-            ExhaustiveMatcher(objective), workload.suite, workload.schedule
+            ExhaustiveMatcher(objective),
+            workload.suite,
+            workload.schedule,
+            **execution,
         )
         improved = run_system(
             BeamMatcher(objective, beam_width=FAMILY_BEAM_WIDTH),
             workload.suite,
             workload.schedule,
+            **execution,
         )
         validation = validate_improvement(original, improved)
         final = validation.bounds[len(validation.bounds) - 1]

@@ -39,8 +39,10 @@ __all__: list[str] = []
 
 
 @register("abl-topn", "Band width vs top-N cutoff (narrow at the top)")
-def run_topn(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run_topn(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     truth = bundle.workload.suite.ground_truth.mappings
     cutoffs = default_cutoffs(len(bundle.original.answers))
 
@@ -83,8 +85,10 @@ def run_topn(config: WorkloadConfig | None = None) -> ExperimentResult:
 
 
 @register("abl-estimators", "Point estimates between the bounds vs oracle truth")
-def run_estimators(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run_estimators(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     result = ExperimentResult(
         "abl-estimators",
         "Guaranteed-error point estimates, validated against the oracle",
@@ -130,8 +134,10 @@ def run_estimators(config: WorkloadConfig | None = None) -> ExperimentResult:
 
 
 @register("abl-tuning", "Does tuning by bounds agree with tuning by truth?")
-def run_tuning(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run_tuning(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     workload = bundle.workload
     configurations = [
         ("beam-5", BeamMatcher(workload.objective, beam_width=5)),
@@ -148,7 +154,9 @@ def run_tuning(config: WorkloadConfig | None = None) -> ExperimentResult:
     worst_scores = []
     random_scores = []
     for name, matcher in configurations:
-        run = run_system(matcher, workload.suite, workload.schedule)
+        run = run_system(
+            matcher, workload.suite, workload.schedule, **execution
+        )
         validation = validate_improvement(bundle.original, run)
         final = validation.bounds[len(validation.bounds) - 1]
         truth = run.profile.final_counts().correct
@@ -195,8 +203,10 @@ def run_tuning(config: WorkloadConfig | None = None) -> ExperimentResult:
 
 
 @register("abl-confidence", "Chebyshev intervals around the random curve")
-def run_confidence(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run_confidence(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     truth = bundle.workload.suite.ground_truth.mappings
     schedule = bundle.workload.schedule
     bounds = compute_incremental_bounds(

@@ -28,8 +28,10 @@ __all__: list[str] = []
 
 
 @register("abl-macro", "Micro vs macro averaging, with macro bounds")
-def run_macro(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run_macro(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     workload = bundle.workload
     original_runs = per_query_runs(
         ExhaustiveMatcher(workload.objective), workload.suite, workload.schedule

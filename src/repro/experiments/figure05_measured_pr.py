@@ -46,8 +46,10 @@ def profile_rows(profile: SystemProfile) -> list[tuple]:
 
 
 @register("fig05", "Measured P/R curve of the exhaustive system S1")
-def run(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     profile = bundle.original.profile
     curve = profile.pr_curve()
 

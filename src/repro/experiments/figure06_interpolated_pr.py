@@ -16,8 +16,10 @@ from repro.util.asciiplot import AsciiPlot, Series
 
 
 @register("fig06", "Interpolated 11-point P/R curve of S1")
-def run(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     measured = bundle.original.profile.pr_curve()
     interpolated = measured.interpolate(STANDARD_RECALL_LEVELS)
 

@@ -28,7 +28,9 @@ from repro.util.fractions_ext import format_fraction
 
 
 @register("fig08", "Incremental worst-case estimation example (exact)")
-def run(config: WorkloadConfig | None = None) -> ExperimentResult:
+def run(
+    config: WorkloadConfig | None = None, **_execution
+) -> ExperimentResult:
     original = figure8_original_profile()
     improved = figure8_improved_sizes()
     naive = compute_naive_bounds(original, improved)

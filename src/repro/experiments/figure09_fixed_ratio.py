@@ -45,8 +45,10 @@ def fixed_ratio_sizes(
 
 
 @register("fig09", "Best/worst case P/R band for fixed ratio 0.9")
-def run(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     original = bundle.original.profile
     improved = fixed_ratio_sizes(original)
     bounds = compute_incremental_bounds(original, improved)

@@ -22,8 +22,10 @@ from repro.util.asciiplot import AsciiPlot, Series
 
 
 @register("fig10", "Answer-size-ratio curves of two improvements")
-def run(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     original = bundle.original
     curves = {
         "S2-one (beam)": SizeRatioCurve.from_profiles(

@@ -84,8 +84,10 @@ def _analyse(result: ExperimentResult, name: str, original, improved: SystemRun)
 
 
 @register("fig11", "Best/worst/random bands for S2-one and S2-two")
-def run(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     result = ExperimentResult(
         "fig11",
         "Effectiveness bands for the two improvements (+ containment check)",

@@ -90,8 +90,10 @@ def recover_profile_from_curve(
 
 
 @register("fig12", "Bounds from an interpolated input curve (|H| guessed)")
-def run(config: WorkloadConfig | None = None) -> ExperimentResult:
-    bundle = base_runs(config)
+def run(
+    config: WorkloadConfig | None = None, **execution
+) -> ExperimentResult:
+    bundle = base_runs(config, **execution)
     true_relevant = bundle.workload.relevant_size
     curve = trimmed_interpolated_curve(bundle.original.profile)
     improved_answers = bundle.beam.answers

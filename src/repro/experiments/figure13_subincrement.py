@@ -26,7 +26,9 @@ from repro.util.asciiplot import AsciiPlot, Series
 
 
 @register("fig13", "Sub-increment interpolation boundaries (exact)")
-def run(config: WorkloadConfig | None = None) -> ExperimentResult:
+def run(
+    config: WorkloadConfig | None = None, **_execution
+) -> ExperimentResult:
     analyzer = SubIncrementAnalyzer(figure13_low(), figure13_high())
     highlighted = analyzer.segment(FIGURE13_EXPECTED["intermediate_answers"])
 

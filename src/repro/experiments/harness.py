@@ -9,8 +9,13 @@ notes.  The benchmark files and the CLI both go through
 Simulation-backed figures share one expensive artifact — the exhaustive
 and improved systems' runs over the workload — cached per config in
 :func:`base_runs`.  The cache is in-process and keyed by the (frozen,
-hashable) config, so repeated figures in one session pay for matching
-once.
+hashable) config and the execution values, so repeated figures in one
+session pay for matching once.
+
+Where matching runs is the caller's choice, passed with every call:
+:func:`run_experiment` hands its ``executor``/``shards`` keywords to the
+experiment, which forwards them to :func:`base_runs` and
+:func:`~repro.evaluation.validation.run_system` (default: serial).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from repro.evaluation.validation import SystemRun, run_system
 from repro.evaluation.workloads import Workload, WorkloadConfig, build_workload
 from repro.matching.beam import BeamMatcher
 from repro.matching.clustering import ClusteringMatcher
+from repro.matching.executor import ShardExecutor
 from repro.matching.exhaustive import ExhaustiveMatcher
 from repro.matching.topk import TopKCandidateMatcher
 from repro.util.tables import format_table
@@ -103,55 +109,61 @@ class RunBundle:
         }
 
 
-@lru_cache(maxsize=8)
 def base_runs(
-    config: WorkloadConfig | None = None, workers: int | None = None
+    config: WorkloadConfig | None = None,
+    *,
+    executor: ShardExecutor | None = None,
+    shards: int | None = None,
 ) -> RunBundle:
     """Build the workload and run all systems once (cached per config).
 
-    All four system runs go through the sharded matching pipeline:
-    ``workers`` (default: the module-wide pipeline configuration, which
-    the CLI's ``--workers`` flag sets) fans the per-(query, shard)
-    searches out across processes.
+    All four system runs go through the sharded matching pipeline on
+    ``executor`` with ``shards`` partitions (default: serial, one
+    shard), as :func:`~repro.evaluation.validation.run_system` takes
+    them.
     """
+    return _run_bundle(config, executor, shards)
+
+
+@lru_cache(maxsize=8)
+def _run_bundle(
+    config: WorkloadConfig | None,
+    executor: ShardExecutor | None,
+    shards: int | None,
+) -> RunBundle:
     workload = build_workload(config)
     objective = workload.objective
-    original = run_system(
-        ExhaustiveMatcher(objective),
-        workload.suite,
-        workload.schedule,
-        workers=workers,
-    )
-    beam = run_system(
-        BeamMatcher(objective, beam_width=S2_ONE_BEAM_WIDTH),
-        workload.suite,
-        workload.schedule,
-        workers=workers,
-    )
-    clustering = run_system(
-        ClusteringMatcher(
-            objective, clusters_per_element=S2_TWO_CLUSTERS_PER_ELEMENT
-        ),
-        workload.suite,
-        workload.schedule,
-        workers=workers,
-    )
-    topk = run_system(
-        TopKCandidateMatcher(objective, candidates_per_element=S2_EXTRA_TOPK),
-        workload.suite,
-        workload.schedule,
-        workers=workers,
-    )
+
+    def run(matcher) -> SystemRun:
+        return run_system(
+            matcher,
+            workload.suite,
+            workload.schedule,
+            executor=executor,
+            shards=shards,
+        )
+
     return RunBundle(
         workload=workload,
-        original=original,
-        beam=beam,
-        clustering=clustering,
-        topk=topk,
+        original=run(ExhaustiveMatcher(objective)),
+        beam=run(BeamMatcher(objective, beam_width=S2_ONE_BEAM_WIDTH)),
+        clustering=run(
+            ClusteringMatcher(
+                objective, clusters_per_element=S2_TWO_CLUSTERS_PER_ELEMENT
+            )
+        ),
+        topk=run(
+            TopKCandidateMatcher(
+                objective, candidates_per_element=S2_EXTRA_TOPK
+            )
+        ),
     )
 
 
-ExperimentFn = Callable[[WorkloadConfig | None], ExperimentResult]
+#: ``fn(config, executor=..., shards=...)``: an experiment takes the
+#: execution keywords with its config and forwards them to every
+#: :func:`base_runs`/:func:`~repro.evaluation.validation.run_system` call
+ExperimentFn = Callable[..., ExperimentResult]
 _REGISTRY: dict[str, tuple[str, ExperimentFn]] = {}
 
 
@@ -174,9 +186,13 @@ def list_experiments() -> list[tuple[str, str]]:
 
 
 def run_experiment(
-    experiment_id: str, config: WorkloadConfig | None = None
+    experiment_id: str,
+    config: WorkloadConfig | None = None,
+    *,
+    executor: ShardExecutor | None = None,
+    shards: int | None = None,
 ) -> ExperimentResult:
-    """Run one experiment by id."""
+    """Run one experiment by id, matching on ``executor`` (default: serial)."""
     _ensure_loaded()
     try:
         _title, fn = _REGISTRY[experiment_id]
@@ -185,7 +201,7 @@ def run_experiment(
         raise ExperimentError(
             f"unknown experiment {experiment_id!r}; known: {known}"
         ) from None
-    return fn(config)
+    return fn(config, executor=executor, shards=shards)
 
 
 def _ensure_loaded() -> None:

@@ -73,8 +73,10 @@ Distribution rides on the executor seam (:mod:`repro.matching
 pluggable :class:`~repro.matching.executor.ShardExecutor` — serial,
 the shared persistent process pool, or socket workers on remote nodes
 (:mod:`repro.matching.remote`, length-prefixed digest-verified frames,
-state pulled by digest from the snapshot store, every remote op
+state shipped only to workers that ask for it, every remote op
 deadline-budgeted and every worker address behind a circuit breaker).
+The executor is a value each call is handed; nothing in the process
+holds a default transport but serial execution.
 Replicated serving (:mod:`repro.matching.replication`) runs N services
 behind a sequence-numbered replicated delta log with gap/duplicate
 detection, in-line digest-checked delivery and a round-robin front-end
@@ -97,6 +99,7 @@ from repro.matching.executor import (
     SerialExecutor,
     ShardExecutor,
     WorkUnit,
+    shutdown_workers,
 )
 from repro.matching.exhaustive import ExhaustiveMatcher
 from repro.matching.hybrid import HybridMatcher
@@ -107,7 +110,6 @@ from repro.matching.pipeline import (
     PipelineResult,
     RematchStats,
     shard_repository,
-    shutdown_workers,
 )
 from repro.matching.random_matcher import (
     best_case_subset,

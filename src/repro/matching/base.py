@@ -36,6 +36,7 @@ from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
 
 if TYPE_CHECKING:  # pragma: no cover - pipeline imports this module
+    from repro.matching.executor import ShardExecutor
     from repro.matching.pipeline import PipelineResult
     from repro.schema.delta import DeltaReport
 
@@ -164,27 +165,29 @@ class Matcher(abc.ABC):
         *,
         workers: int | None = None,
         shards: int | None = None,
-        executor: object | None = None,
+        executor: "ShardExecutor | None" = None,
         cache: object | None = None,
     ) -> list[AnswerSet]:
         """Answer sets for many queries via the sharded matching pipeline.
 
-        ``workers`` worker processes fan the per-(query, shard) searches
-        out (``None`` uses the module default set by
-        :func:`repro.matching.pipeline.configure`; 1 is a deterministic
-        serial fallback).  ``shards`` controls repository partitioning
-        (default: one shard per worker) and ``executor`` the transport
-        (see :class:`~repro.matching.pipeline.MatchingPipeline`).
+        ``executor`` is the transport the per-(query, shard) searches run
+        on (default: serial, in this process); ``workers=N`` names the
+        shared process pool of N workers instead (1 = serial), resolved
+        by :func:`~repro.matching.executor.executor_for`, and cannot be
+        combined with ``executor``.  ``shards`` controls repository
+        partitioning (default: one shard per unit of the executor's
+        width; see :class:`~repro.matching.pipeline.MatchingPipeline`).
         Results are identical to
         ``[self.match(q, repository, delta_max) ...]`` regardless of
         workers/shards/executor.  ``cache`` accepts only ``None`` or
         ``False`` (:func:`~repro.matching.pipeline.reject_cache`).
         """
+        from repro.matching.executor import executor_for
         from repro.matching.pipeline import MatchingPipeline, reject_cache
 
         reject_cache(cache)
         pipeline = MatchingPipeline(
-            self, workers=workers, shards=shards, executor=executor
+            self, executor=executor_for(workers, executor), shards=shards
         )
         return pipeline.run(queries, repository, delta_max).answer_sets
 
@@ -196,9 +199,8 @@ class Matcher(abc.ABC):
         *,
         previous: "PipelineResult",
         report: "DeltaReport",
-        workers: int | None = None,
+        executor: "ShardExecutor | None" = None,
         shards: int | None = None,
-        executor: object | None = None,
     ) -> list[AnswerSet]:
         """Incremental :meth:`batch_match` after a repository delta.
 
@@ -209,15 +211,14 @@ class Matcher(abc.ABC):
         :meth:`~repro.schema.repository.SchemaRepository.apply`; only
         searches the delta can affect re-run, and the answer sets are
         byte-identical to a cold ``batch_match`` against ``repository``.
+        A full recompute runs on ``executor`` with ``shards`` partitions.
         For a stateful wrapper that tracks the previous result and
         repository across a whole delta stream, use
         :class:`~repro.matching.evolution.EvolutionSession`.
         """
         from repro.matching.pipeline import MatchingPipeline
 
-        pipeline = MatchingPipeline(
-            self, workers=workers, shards=shards, executor=executor
-        )
+        pipeline = MatchingPipeline(self, executor=executor, shards=shards)
         return pipeline.rematch(
             queries, repository, delta_max, previous=previous, report=report
         ).answer_sets

@@ -36,12 +36,11 @@ from collections.abc import Sequence
 from repro.core.answers import AnswerSet
 from repro.errors import MatchingError
 from repro.matching.base import Matcher
-from repro.matching.executor import ShardExecutor
+from repro.matching.executor import ShardExecutor, matcher_fingerprint
 from repro.matching.pipeline import (
     MatchingPipeline,
     PipelineResult,
     RematchStats,
-    matcher_fingerprint,
 )
 from repro.schema.delta import DeltaReport, RepositoryDelta
 from repro.schema.model import Schema
@@ -54,8 +53,8 @@ class EvolutionSession:
     """Matcher + queries + threshold, tracked across repository versions.
 
     The session owns a :class:`~repro.matching.pipeline.MatchingPipeline`
-    (``workers``/``shards``/``executor`` as in
-    :meth:`~repro.matching.base.Matcher.batch_match`) and remembers the
+    (over ``executor`` with ``shards`` partitions, as that class takes
+    them) and remembers the
     last repository and result, so replaying a delta stream is::
 
         session = EvolutionSession(matcher, queries, delta_max=0.3)
@@ -74,9 +73,8 @@ class EvolutionSession:
         queries: Sequence[Schema],
         delta_max: float,
         *,
-        workers: int | None = None,
-        shards: int | None = None,
         executor: ShardExecutor | None = None,
+        shards: int | None = None,
     ):
         if delta_max < 0:
             raise MatchingError(f"delta_max must be >= 0, got {delta_max!r}")
@@ -86,7 +84,7 @@ class EvolutionSession:
             raise MatchingError("an evolution session needs at least one query")
         self.delta_max = delta_max
         self._pipeline = MatchingPipeline(
-            matcher, workers=workers, shards=shards, executor=executor
+            matcher, executor=executor, shards=shards
         )
         self._repository: SchemaRepository | None = None
         self._result: PipelineResult | None = None
@@ -100,9 +98,8 @@ class EvolutionSession:
         result: PipelineResult,
         queries: Sequence[Schema],
         *,
-        workers: int | None = None,
-        shards: int | None = None,
         executor: ShardExecutor | None = None,
+        shards: int | None = None,
     ) -> "EvolutionSession":
         """Resume a session from a previously computed result.
 
@@ -140,9 +137,8 @@ class EvolutionSession:
             matcher,
             queries,
             result.delta_max,
-            workers=workers,
-            shards=shards,
             executor=executor,
+            shards=shards,
         )
         session._repository = repository
         session._result = result

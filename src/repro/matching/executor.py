@@ -8,8 +8,8 @@ described by a query index, a tuple of schema ids and the threshold.
 it lives behind the :class:`ShardExecutor` interface:
 
 * :class:`SerialExecutor` — units run in the calling process, in order;
-  the deterministic fallback with no pickling involved.
-* :class:`ProcessPoolShardExecutor` — the default fan-out: a persistent
+  the deterministic default with no pickling involved.
+* :class:`ProcessPoolShardExecutor` — a persistent
   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers hold
   the run's state (matcher, queries, the repository's schema table)
   installed **one-shot** through the pool initializer and reuse it
@@ -23,13 +23,19 @@ back, for each unit, the exact ``(schema_id, match_pair result)`` list
 the serial path would produce — transports move bytes, never answers,
 so the pipeline's byte-identity contract holds for any executor.
 
-The pool's module-level lifecycle (:func:`shutdown_workers`) and the
-state-key recipe (:meth:`ExecutionState.build`, over
-:func:`matcher_fingerprint`) live here; :mod:`repro.matching.pipeline`
-re-exports both functions for backwards compatibility.  Workers mirror
-no process-wide settings: every process runs the same code paths
-(numpy availability may differ, which by the vector layer's contract
-changes no answer), so the installed state is all a worker holds.
+The executor is a value its caller passes down; nothing in the process
+holds a default but :class:`SerialExecutor`.  Entry points that take a
+process count turn ``workers=N`` into an executor through
+:func:`executor_for`.  Each executor reports its
+:attr:`~ShardExecutor.width`, the units it runs at once; a pipeline
+given no shard count cuts one shard per unit of width.
+
+The pool's lifecycle (:func:`shutdown_workers`) and the state-key
+recipe (:meth:`ExecutionState.build`, over :func:`matcher_fingerprint`)
+live here.  Workers mirror no process-wide settings: every process runs
+the same code paths (numpy availability may differ, which by the
+kernel's contract changes no answer), so the installed state is all a
+worker holds.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
+from repro.errors import MatchingError
 from repro.matching.base import Matcher
 from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
@@ -51,6 +58,7 @@ __all__ = [
     "SerialExecutor",
     "ShardExecutor",
     "WorkUnit",
+    "executor_for",
     "matcher_fingerprint",
     "shutdown_workers",
 ]
@@ -179,6 +187,9 @@ class ShardExecutor(abc.ABC):
 
     #: short transport name for stats/debugging
     name: str = "abstract"
+    #: units this transport runs at once; a pipeline given no shard
+    #: count cuts one shard per unit of width
+    width: int = 1
 
     @abc.abstractmethod
     def execute(
@@ -208,8 +219,8 @@ class SerialExecutor(ShardExecutor):
 
     Uses the state's live matcher directly — no pickling, shared
     repository-global state, deterministic unit order.  This is the
-    ``workers=1`` path the parallel transports are differential-tested
-    against.
+    default transport (width 1) and the path the parallel transports
+    are differential-tested against.
     """
 
     name = "serial"
@@ -314,16 +325,22 @@ def _acquire_pool(max_workers: int, state: ExecutionState) -> ProcessPoolExecuto
 class ProcessPoolShardExecutor(ShardExecutor):
     """Fan units out over the shared persistent worker-process pool.
 
-    The default parallel transport (``workers > 1``).  All instances
-    share one module-level pool — reuse across runs is keyed purely by
-    ``state_key``, so two pipelines over the same state never respawn
-    processes.
+    The transport ``workers=N > 1`` names (:func:`executor_for`); its
+    width is ``max_workers``.  All instances share one module-level
+    pool — reuse across runs is keyed purely by ``state_key``, so two
+    pipelines over the same state never respawn processes.
     """
 
     name = "pool"
 
     def __init__(self, max_workers: int):
+        if max_workers < 1:
+            raise MatchingError(f"workers must be >= 1, got {max_workers!r}")
         self.max_workers = max_workers
+
+    @property
+    def width(self) -> int:
+        return self.max_workers
 
     def execute(self, state, units, delta_max):
         def submit_all(pool: ProcessPoolExecutor) -> dict:
@@ -366,3 +383,24 @@ class ProcessPoolShardExecutor(ShardExecutor):
 
     def shutdown(self) -> None:
         shutdown_workers()
+
+
+def executor_for(
+    workers: int | None, executor: ShardExecutor | None = None
+) -> ShardExecutor | None:
+    """The executor an entry point's ``workers``/``executor`` pair names.
+
+    ``workers=1`` is :class:`SerialExecutor` and ``workers=N`` the
+    shared :class:`ProcessPoolShardExecutor`; no ``workers`` leaves
+    ``executor`` as given.  Naming both is refused.
+    """
+    if workers is None:
+        return executor
+    if executor is not None:
+        raise MatchingError(
+            f"pass workers or executor, not both (got workers={workers!r} "
+            f"and executor={executor.name!r})"
+        )
+    if workers == 1:
+        return SerialExecutor()
+    return ProcessPoolShardExecutor(workers)

@@ -7,9 +7,10 @@ exploits that independence two ways:
 
 * **Sharding** — :func:`shard_repository` partitions the repository
   deterministically (round robin) into sub-repositories.
-* **Parallel fan-out** — :class:`MatchingPipeline` runs each
-  (query, shard) unit in a pool of worker processes; ``workers=1`` is a
-  deterministic serial fallback with no multiprocessing involved.
+* **Fan-out** — :class:`MatchingPipeline` hands each (query, shard)
+  unit to the executor its caller passed; the default
+  :class:`~repro.matching.executor.SerialExecutor` runs them in this
+  process, with no multiprocessing involved.
 
 Results are **identical to serial matching** by construction: the
 matcher ``prepare()``s on the *full* repository before sharding (so
@@ -28,7 +29,8 @@ Two further mechanisms ride on the same per-pair decomposition:
   (:mod:`repro.matching.remote`).  Successive runs with the same
   matcher/repository/query identity — a threshold sweep, repeated
   experiments — reuse live workers and pickle nothing but indices and
-  thresholds (:func:`shutdown_workers` tears the shared pool down).
+  thresholds (:func:`~repro.matching.executor.shutdown_workers` tears
+  the shared pool down).
 * **Incremental re-matching** — :meth:`MatchingPipeline.rematch` takes
   a previous :class:`PipelineResult` plus a
   :class:`~repro.schema.delta.DeltaReport` and re-runs only the
@@ -36,9 +38,9 @@ Two further mechanisms ride on the same per-pair decomposition:
   output (see :mod:`repro.matching.evolution` for the stateful
   session API).
 
-Module-level defaults (used when ``workers``/``shards`` are not given
-explicitly) are set with :func:`configure`; the CLI's
-``--workers``/``--shards`` flags call it.
+The pipeline holds no process-wide settings: its executor and shard
+count are values its caller passes, defaulting to serial execution with
+one shard per unit of the executor's width.
 """
 
 from __future__ import annotations
@@ -54,12 +56,10 @@ from repro.matching.engine import threshold_unreachable
 from repro.matching.executor import (
     ExecutionState,
     PairResult,
-    ProcessPoolShardExecutor,
     SerialExecutor,
     ShardExecutor,
     WorkUnit,
     matcher_fingerprint,
-    shutdown_workers,
 )
 from repro.schema.delta import DeltaReport
 from repro.schema.model import Schema
@@ -70,58 +70,9 @@ __all__ = [
     "PipelineResult",
     "PipelineStats",
     "RematchStats",
-    "configure",
-    "matcher_fingerprint",
-    "pipeline_defaults",
     "reject_cache",
     "shard_repository",
-    "shutdown_workers",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Module defaults
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PipelineDefaults:
-    """Module-wide execution defaults (see :func:`configure`)."""
-
-    workers: int = 1
-    shards: int | None = None  # None = one shard per worker
-
-
-_DEFAULTS = PipelineDefaults()
-_UNSET = object()
-
-
-def configure(
-    *,
-    workers: int | None = None,
-    shards: int | None | object = _UNSET,
-) -> PipelineDefaults:
-    """Set process-wide pipeline defaults; omitted values are kept.
-
-    ``workers`` is the default process count (1 = serial) and ``shards``
-    the default shard count (``None`` = one per worker).  Validation is
-    atomic: any invalid argument raises before *anything* is mutated,
-    so a failed call never leaves the process half-configured.  Returns
-    the resulting defaults.
-    """
-    if workers is not None and workers < 1:
-        raise MatchingError(f"workers must be >= 1, got {workers!r}")
-    if shards is not _UNSET and shards is not None and shards < 1:  # type: ignore[operator]
-        raise MatchingError(f"shards must be >= 1, got {shards!r}")
-    if workers is not None:
-        _DEFAULTS.workers = workers
-    if shards is not _UNSET:
-        _DEFAULTS.shards = shards  # type: ignore[assignment]
-    return _DEFAULTS
-
-
-def pipeline_defaults() -> PipelineDefaults:
-    """The current module-wide defaults (live object)."""
-    return _DEFAULTS
 
 
 def reject_cache(cache: object) -> None:
@@ -173,9 +124,9 @@ def shard_repository(
 
 @dataclass
 class PipelineStats:
-    """Execution record of one pipeline run."""
+    """Execution record of one pipeline run (``width``: the executor's)."""
 
-    workers: int
+    width: int
     shards: int
     queries: int
     pairs_total: int = 0
@@ -236,32 +187,28 @@ class PipelineResult:
 class MatchingPipeline:
     """Shard → fan out → reassemble, for one matcher.
 
-    Parameters mirror :meth:`Matcher.batch_match`: ``workers`` processes
-    (``None`` = module default; 1 = serial in-process) and ``shards``
-    partitions (``None`` = one per worker).  ``executor`` overrides the
-    transport units run on (``None`` = serial for ``workers=1``, the
-    shared process pool otherwise) — e.g. a
-    :class:`~repro.matching.remote.RemoteShardExecutor` fans the same
-    units out to socket workers on other nodes.
+    ``executor`` is the transport units run on (``None`` =
+    :class:`~repro.matching.executor.SerialExecutor`, in this process) —
+    e.g. a :class:`~repro.matching.executor.ProcessPoolShardExecutor`,
+    or a :class:`~repro.matching.remote.RemoteShardExecutor` that fans
+    the same units out to socket workers on other nodes.  ``shards`` is
+    the number of repository partitions (``None`` = one per unit of the
+    executor's :attr:`~repro.matching.executor.ShardExecutor.width`,
+    read at every run).
     """
 
     def __init__(
         self,
         matcher: Matcher,
         *,
-        workers: int | None = None,
-        shards: int | None = None,
         executor: ShardExecutor | None = None,
+        shards: int | None = None,
     ):
-        defaults = pipeline_defaults()
+        if shards is not None and shards < 1:
+            raise MatchingError(f"shards must be >= 1, got {shards!r}")
         self.matcher = matcher
-        self.workers = workers if workers is not None else defaults.workers
-        if self.workers < 1:
-            raise MatchingError(f"workers must be >= 1, got {self.workers!r}")
-        self.shards = shards if shards is not None else defaults.shards
-        if self.shards is not None and self.shards < 1:
-            raise MatchingError(f"shards must be >= 1, got {self.shards!r}")
-        self.executor = executor
+        self.executor = executor if executor is not None else SerialExecutor()
+        self.shards = shards
 
     # -- execution ----------------------------------------------------------
 
@@ -287,8 +234,10 @@ class MatchingPipeline:
             raise MatchingError(f"delta_max must be >= 0, got {delta_max!r}")
         queries = list(queries)
         started = perf_counter()
+        executor = self.executor
+        width = executor.width
         stats = PipelineStats(
-            workers=self.workers,
+            width=width,
             shards=0,
             queries=len(queries),
             pairs_total=len(queries) * len(repository),
@@ -299,8 +248,7 @@ class MatchingPipeline:
         if queries:
             matcher.prepare(repository)
             shards = shard_repository(
-                repository,
-                self.shards if self.shards is not None else self.workers,
+                repository, self.shards if self.shards is not None else width
             )
             stats.shards = len(shards)
             units = [
@@ -314,13 +262,6 @@ class MatchingPipeline:
             ]
         if units:
             state = ExecutionState.build(matcher, queries, repository)
-            executor = self.executor
-            if executor is None:
-                executor = (
-                    SerialExecutor()
-                    if self.workers == 1
-                    else ProcessPoolShardExecutor(self.workers)
-                )
             for unit, pairs in executor.execute(state, units, delta_max):
                 collected[unit.query_index].update(pairs)
         answer_sets = [
@@ -511,7 +452,7 @@ class MatchingPipeline:
         return PipelineResult(
             answer_sets=answer_sets,
             stats=PipelineStats(
-                workers=1,
+                width=1,
                 shards=1,
                 queries=len(queries),
                 pairs_total=rematch_stats.pairs_total,

@@ -144,9 +144,10 @@ def batch_match(
     """Run many queries through the sharded pipeline, by matcher name.
 
     Convenience wrapper: ``make_matcher(name, objective, **params)``
-    followed by :meth:`~repro.matching.base.Matcher.batch_match`.  The
-    run is fully described by plain data plus the objective, which is
-    what the CLI and experiment configs need.
+    followed by :meth:`~repro.matching.base.Matcher.batch_match`, which
+    takes the same ``workers``/``shards``/``executor``.  The run is
+    fully described by plain data plus the objective, which is what the
+    CLI and experiment configs need.
     """
     matcher = make_matcher(name, objective, **(params or {}))
     return matcher.batch_match(
@@ -162,9 +163,8 @@ def evolution_session(
     delta_max: float,
     *,
     params: Mapping[str, object] | None = None,
-    workers: int | None = None,
-    shards: int | None = None,
     executor: object | None = None,
+    shards: int | None = None,
 ):
     """An :class:`~repro.matching.evolution.EvolutionSession` by matcher name.
 
@@ -177,8 +177,7 @@ def evolution_session(
 
     matcher = make_matcher(name, objective, **(params or {}))
     return EvolutionSession(
-        matcher, queries, delta_max, workers=workers, shards=shards,
-        executor=executor,
+        matcher, queries, delta_max, executor=executor, shards=shards
     )
 
 
@@ -195,9 +194,9 @@ def matching_service(
     The serving counterpart of :func:`batch_match`: the service is fully
     described by plain data plus the objective.  ``options`` are
     forwarded to the service constructor (``store``, ``max_batch``,
-    ``max_delay``, ``workers``, ``shards``, ``executor``,
-    ``checkpoint_every``); call ``await service.start(repository)`` (or
-    just ``start()`` over a snapshot store) before submitting requests.
+    ``max_delay``, ``executor``, ``shards``, ``checkpoint_every``); call
+    ``await service.start(repository)`` (or just ``start()`` over a
+    snapshot store) before submitting requests.
     """
     from repro.matching.service import MatchingService
 
@@ -223,7 +222,7 @@ def replica_group(
     variants (``bm25``/``dense``/``ensemble``) derive their backends
     inside the factory, so clones stay config-identical there too.
     ``options`` are forwarded to the group constructor (``store``,
-    ``max_batch``, ``max_delay``, ``workers``, ``shards``, ``executor``,
+    ``max_batch``, ``max_delay``, ``executor``, ``shards``,
     ``delivery``); a ``cache`` option accepts only ``None`` or ``False``
     (:func:`~repro.matching.pipeline.reject_cache`).
     """

@@ -24,7 +24,7 @@ answer.  Payloads are pickled dicts with an ``"op"`` key; pickle is an
 explicit trust statement: this protocol connects nodes of *one* cluster
 under one operator, it is not an internet-facing surface.  A
 connection opens with a ``hello`` naming :data:`PROTOCOL_VERSION`
-(currently 5); a worker refuses any other version.
+(currently 6); a worker refuses any other version.
 
 State install is **key-first**: the ``install`` op
 carries only the coordinator's ``state_key``.  A worker already holding
@@ -32,20 +32,9 @@ that key answers ``installed`` and the sweep goes straight to its work
 units; a worker that does not answers ``need_state``, and only then does
 the coordinator send one ``state`` frame.  That frame is built and
 pickled at most once per sweep and shared by every worker that asked.
-Its content depends on the install mode:
-
-* ``inline`` — matcher, queries and schema table, exactly the pool
-  initializer's payload.  Nothing else: a worker mirrors no
-  process-wide settings of the coordinator.
-* ``store`` — only the matcher configuration plus the path of a shared
-  :class:`~repro.schema.store.SnapshotStore` and the expected content
-  digests; the worker **pulls** the repository, queries and the
-  persisted substrate/kernel payload by digest from the store (every
-  read byte-digest-verified) and refuses digests that do not match the
-  coordinator's.  This is how heavy substrate/kernel payloads reach many
-  workers without N copies crossing one socket.  The coordinator checks
-  (and if needed writes) the snapshot only when building this frame, so
-  a sweep over warm workers never touches the store.
+It carries the matcher, the queries and the schema table, exactly the
+pool initializer's payload.  Nothing else: a worker mirrors no
+process-wide settings of the coordinator.
 
 Failure semantics on the coordinator: a worker that dies mid-unit gets
 its unit re-enqueued and picked up by a healthy worker (answers are
@@ -97,20 +86,14 @@ import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 from queue import Queue
 
-from repro.errors import SnapshotError, TransportError
+from repro.errors import TransportError
 from repro.matching.executor import (
     ExecutionState,
     ShardExecutor,
     run_unit_with,
 )
-from repro.matching.similarity.persist import (
-    restore_substrate,
-    save_snapshot,
-)
-from repro.schema.store import SnapshotStore
 
 __all__ = [
     "MAGIC",
@@ -133,9 +116,11 @@ MAGIC = b"RPW1"
 #: 2 = key-first install (``install`` names the key; ``state`` ships it
 #: on demand); 3 = the ``state`` frame carries no ``switches`` field;
 #: 4 = the pickled substrate holds no token index; 5 = a unit that
-#: raises is answered ``unit_error``, not ``error``.  Peers speaking any
-#: other version are refused at ``hello``, before any state unpickles
-PROTOCOL_VERSION = 5
+#: raises is answered ``unit_error``, not ``error``; 6 = no store install:
+#: the ``state`` frame always carries the state and has no ``mode``
+#: field.  Peers speaking any other version are refused at ``hello``,
+#: before any state unpickles
+PROTOCOL_VERSION = 6
 #: frame size cap — far above any real install payload, far below
 #: anything that could be a desynchronised stream read as a length
 MAX_FRAME = 1 << 30
@@ -597,64 +582,14 @@ class WorkerServer:
             if self._state_key == state_key:
                 self.stats.installs_reused += 1
                 return {"op": "installed", "reused": True}
-            mode = message.get("mode", "inline")
-            if mode == "inline":
-                state = {
-                    "matcher": message["matcher"],
-                    "queries": message["queries"],
-                    "schemas": message["schema_table"],
-                }
-            elif mode == "store":
-                state = self._install_from_store(message)
-            else:
-                raise TransportError(f"unknown install mode {mode!r}")
-            self._state = state
+            self._state = {
+                "matcher": message["matcher"],
+                "queries": message["queries"],
+                "schemas": message["schema_table"],
+            }
             self._state_key = state_key
             self.stats.installs += 1
         return {"op": "installed", "reused": False}
-
-    def _install_from_store(self, message: dict) -> dict[str, object]:
-        """Pull repository/queries/substrate by digest from a shared store.
-
-        The coordinator sent only digests and the matcher configuration
-        (without its substrate); every payload read here is
-        byte-digest-verified by the store, and the loaded content
-        digests are compared to the coordinator's — a store holding any
-        other repository version is refused, so a worker can never
-        serve against drifted state.
-        """
-        store = SnapshotStore(message["store_path"])
-        manifest = store.manifest()
-        repository = store.load_repository(manifest)
-        if repository.content_digest() != message["repository_digest"]:
-            raise SnapshotError(
-                "snapshot store holds repository digest "
-                f"{repository.content_digest()}, coordinator expects "
-                f"{message['repository_digest']}"
-            )
-        queries = store.load_queries(manifest)
-        digests = tuple(query.content_digest() for query in queries)
-        if digests != tuple(message["query_digests"]):
-            raise SnapshotError(
-                "snapshot store holds a different query list than the "
-                "coordinator expects (content digests differ)"
-            )
-        matcher = message["matcher"]
-        substrate_section = manifest.get("substrate_section")
-        if substrate_section is not None:
-            restore_substrate(
-                matcher.objective.substrate(),
-                store.read_section(substrate_section, manifest),
-                repository,
-            )
-        # Deterministic rebuild of repository-global matcher state
-        # (cost kernel, clusters) — cold runs derive it the same way.
-        matcher.prepare(repository)
-        return {
-            "matcher": matcher,
-            "queries": queries,
-            "schemas": {s.schema_id: s for s in repository},
-        }
 
     def _run(self, message: dict) -> dict:
         # the key check and the unit under one lock hold: no reinstall
@@ -707,8 +642,7 @@ class DeadlineBudget:
     #: the hello/ready version handshake
     hello: float | None = 10.0
     #: each state-install round trip: the key check, and the ``state``
-    #: frame when the worker asks for it (may ship or pull a large
-    #: payload)
+    #: frame when the worker asks for it (may ship a large payload)
     install: float | None = 120.0
     #: one work unit (request sent → result received)
     run: float | None = 120.0
@@ -776,14 +710,11 @@ class RemoteShardExecutor(ShardExecutor):
     """Fan work units out to socket workers; retry on healthy peers.
 
     ``addresses`` name the workers (``"host:port"`` strings or
-    ``(host, port)`` tuples).  With ``store`` set, state reaches the
-    workers in ``store`` mode: the snapshot is written once (if the
-    store does not already hold this repository version) and each worker
-    pulls repository/queries/substrate **by digest**; otherwise the full
-    state ships inline, exactly like the pool initializer's payload.
-    Either way a worker gets state only when it answers the key-only
-    ``install`` with ``need_state``: a sweep over warm workers ships
-    nothing but work units and never touches the store.
+    ``(host, port)`` tuples); the executor's width is their current
+    count.  A worker gets the state — matcher, queries and schema
+    table, exactly like the pool initializer's payload — only when it
+    answers the key-only ``install`` with ``need_state``: a sweep over
+    warm workers ships nothing but work units.
 
     The fan-out is one asyncio event loop on one background thread —
     one coroutine per worker, N workers cost one thread — pulling units
@@ -823,7 +754,6 @@ class RemoteShardExecutor(ShardExecutor):
         self,
         addresses: Sequence["str | tuple[str, int]"],
         *,
-        store: SnapshotStore | str | Path | None = None,
         deadlines: DeadlineBudget | None = None,
         breaker_backoff: float = 0.5,
         breaker_backoff_cap: float = 30.0,
@@ -846,11 +776,6 @@ class RemoteShardExecutor(ShardExecutor):
                 f"breaker_jitter must be >= 0, got {breaker_jitter!r}"
             )
         self.addresses = [parse_address(address) for address in addresses]
-        self.store = (
-            store
-            if store is None or isinstance(store, SnapshotStore)
-            else SnapshotStore(store)
-        )
         self.deadlines = (
             deadlines if deadlines is not None else DeadlineBudget()
         )
@@ -864,6 +789,10 @@ class RemoteShardExecutor(ShardExecutor):
         # mutations stay behind one lock
         self._health_lock = threading.Lock()
         self._health: dict[tuple[str, int], WorkerHealth] = {}
+
+    @property
+    def width(self) -> int:
+        return len(self.addresses)
 
     # -- worker health / circuit breakers ------------------------------------
 
@@ -991,62 +920,13 @@ class RemoteShardExecutor(ShardExecutor):
         (:meth:`MatchingPipeline.run`) does not touch the matcher until
         the sweep drains, so pickling it there races nothing.
         """
-        message = {
+        return _dumps({
             "op": "state",
             "state_key": state.state_key,
             "matcher": state.matcher,
-        }
-        if self.store is None:
-            message.update(
-                mode="inline",
-                queries=state.queries,
-                schema_table=state.schema_table,
-            )
-            return _dumps(message)
-        repository_digest = state.repository.content_digest()
-        query_digests = tuple(q.content_digest() for q in state.queries)
-        self._ensure_snapshot(state, repository_digest, query_digests)
-        message.update(
-            mode="store",
-            store_path=str(self.store.root),
-            repository_digest=repository_digest,
-            query_digests=query_digests,
-        )
-        # The matcher configuration ships *without* its substrate — the
-        # whole point of store mode is that workers pull the heavy
-        # similarity payloads by digest instead of N copies crossing
-        # this socket.  Detach, pickle, reattach.
-        objective = state.matcher.objective
-        substrate = objective._substrate
-        objective._substrate = None
-        try:
-            return _dumps(message)
-        finally:
-            objective._substrate = substrate
-
-    def _ensure_snapshot(
-        self,
-        state: ExecutionState,
-        repository_digest: str,
-        query_digests: tuple[str, ...],
-    ) -> None:
-        """Write the shared snapshot unless the store already holds it."""
-        try:
-            manifest = self.store.manifest()
-            current = (manifest.get("repository") or {}).get("repository_digest")
-            recorded = tuple(
-                digest for _schema_id, digest in manifest.get("queries") or []
-            )
-            if current == repository_digest and recorded == query_digests:
-                return
-        except SnapshotError:
-            pass  # empty or unreadable-yet store: write fresh below
-        save_snapshot(
-            self.store,
-            state.repository,
-            queries=state.queries,
-            substrate=state.matcher.objective.substrate(),
-        )
+            "queries": state.queries,
+            "schema_table": state.schema_table,
+        })
 
     # -- execution -----------------------------------------------------------
 
@@ -1225,10 +1105,10 @@ class RemoteShardExecutor(ShardExecutor):
                     try:
                         payload = state_frame()
                     except Exception as exc:
-                        # The coordinator cannot build its own state
-                        # (store write, unpicklable matcher): the sweep
-                        # fails with that error; the worker is not at
-                        # fault, so its breaker is left alone.
+                        # The coordinator cannot build its own state (an
+                        # unpicklable matcher): the sweep fails with that
+                        # error; the worker is not at fault, so its
+                        # breaker is left alone.
                         progress["failed"] = True
                         events.put(("fatal", exc))
                         return

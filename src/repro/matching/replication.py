@@ -59,20 +59,18 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Awaitable, Callable, Sequence
+from typing import Awaitable, Callable, Sequence
 
 from repro.core.answers import AnswerSet
 from repro.errors import MatchingError, ReplicationError
 from repro.matching.base import Matcher
-from repro.matching.pipeline import matcher_fingerprint
+from repro.matching.executor import ShardExecutor, matcher_fingerprint
 from repro.matching.service import MatchingService
 from repro.schema.delta import DeltaReport, RepositoryDelta
 from repro.schema.model import Schema
 from repro.schema.repository import SchemaRepository
 from repro.schema.store import SnapshotStore
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.executor import ShardExecutor
 
 __all__ = ["DeltaRecord", "ReplicaGroup", "ReplicaGroupStats"]
 
@@ -160,9 +158,8 @@ class ReplicaGroup:
         store: SnapshotStore | str | Path | None = None,
         max_batch: int = 32,
         max_delay: float = 0.0,
-        workers: int | None = None,
+        executor: ShardExecutor | None = None,
         shards: int | None = None,
-        executor: "ShardExecutor | None" = None,
         delivery: DeliveryHook | None = None,
     ):
         matchers = list(matchers)
@@ -191,9 +188,8 @@ class ReplicaGroup:
         self._service_options = {
             "max_batch": max_batch,
             "max_delay": max_delay,
-            "workers": workers,
-            "shards": shards,
             "executor": executor,
+            "shards": shards,
         }
         self._states = [
             _ReplicaState(

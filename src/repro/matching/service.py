@@ -13,8 +13,8 @@ keeps evolving, from a process that must come back fast after a restart.
   queries by content digest, and dispatches the distinct ones in chunks
   of ``max_batch`` through the session's
   :class:`~repro.matching.pipeline.MatchingPipeline` — the exact engine
-  behind :meth:`~repro.matching.base.Matcher.batch_match`, persistent
-  worker pool included.
+  behind :meth:`~repro.matching.base.Matcher.batch_match`, on whichever
+  executor the service was given.
 * **Retained-state serving** — every answered query's pair results stay
   in the session, so a repeated query is answered from memory without
   any search, and repository deltas re-match all retained queries
@@ -97,11 +97,12 @@ class MatchingService:
         Seconds the dispatcher waits for more requests before
         dispatching a non-full micro-batch (0 = dispatch whatever one
         event-loop tick accumulated).
-    workers, shards, executor:
-        Forwarded to the underlying pipeline, as in
-        :meth:`~repro.matching.base.Matcher.batch_match`; ``executor``
-        selects the shard transport (e.g. a
-        :class:`~repro.matching.remote.RemoteShardExecutor`).
+    executor, shards:
+        Forwarded to the underlying
+        :class:`~repro.matching.pipeline.MatchingPipeline`: the shard
+        transport (default serial; e.g. a
+        :class:`~repro.matching.remote.RemoteShardExecutor`) and the
+        partition count (default one per unit of its width).
     checkpoint_every:
         Write a snapshot automatically after every N applied deltas
         (``None`` = only on explicit :meth:`checkpoint`).
@@ -115,9 +116,8 @@ class MatchingService:
         store: SnapshotStore | str | Path | None = None,
         max_batch: int = 32,
         max_delay: float = 0.0,
-        workers: int | None = None,
-        shards: int | None = None,
         executor: ShardExecutor | None = None,
+        shards: int | None = None,
         checkpoint_every: int | None = None,
     ):
         if delta_max < 0:
@@ -141,9 +141,7 @@ class MatchingService:
         self.max_delay = max_delay
         self.checkpoint_every = checkpoint_every
         self.stats = ServiceStats()
-        self._pipeline_options = {
-            "workers": workers, "shards": shards, "executor": executor,
-        }
+        self._pipeline_options = {"executor": executor, "shards": shards}
         self._session: EvolutionSession | None = None
         self._repository: SchemaRepository | None = None
         self._by_digest: dict[str, int] = {}

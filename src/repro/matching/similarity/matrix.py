@@ -259,7 +259,10 @@ class SimilaritySubstrate:
     shards.  Keys are schema *content* digests: rebuilding an identical
     workload from the same seeds hits, changing one element name misses.
 
-    ``max_matrices`` bounds the matrix cache (LRU, entries).  The
+    ``max_matrices`` bounds the matrix cache (LRU, entries).  An index
+    of the cached keys by schema digest (``_by_schema``: schema digest →
+    query digests) follows every build, eviction and reset, so
+    :meth:`drop_schemas` costs what it drops, not the cache size.  The
     substrate is not thread-safe; it is only touched from one process
     at a time (workers each carry their own pickled copy, pre-warmed
     with whatever the coordinator had built).
@@ -274,6 +277,7 @@ class SimilaritySubstrate:
         self.max_matrices = max_matrices
         self.stats = SubstrateStats()
         self._matrices: OrderedDict[tuple[str, str], ScoreMatrix] = OrderedDict()
+        self._by_schema: dict[str, set[str]] = {}
         self._kernel: CostKernel | None = None
 
     def __len__(self) -> int:
@@ -304,8 +308,7 @@ class SimilaritySubstrate:
             before = objective.corpus_token()
             objective.prepare_corpus(repository)
             if objective.corpus_token() != before:
-                self._matrices.clear()
-                self._kernel = None
+                self.clear()
         return self.kernel(repository)
 
     def kernel(
@@ -345,12 +348,13 @@ class SimilaritySubstrate:
         self._kernel = kernel
 
     def drop_schemas(self, digests: set[str]) -> None:
-        """Drop the cached matrices of these schema content digests, in
-        one pass over the cache.  The re-match passes the schema versions
-        a delta displaced."""
+        """Drop the cached matrices of these schema content digests,
+        found through the schema index.  The re-match passes the schema
+        versions a delta displaced."""
         matrices = self._matrices
-        for key in [key for key in matrices if key[1] in digests]:
-            del matrices[key]
+        for digest in digests:
+            for query_digest in self._by_schema.pop(digest, ()):
+                del matrices[query_digest, digest]
 
     def matrix(self, query: Schema, schema: Schema) -> ScoreMatrix:
         """The (query, schema) score matrix, built on first use."""
@@ -364,13 +368,21 @@ class SimilaritySubstrate:
             self.objective, query, schema, kernel=self.kernel()
         )
         self._matrices[key] = built
+        self._by_schema.setdefault(key[1], set()).add(key[0])
         self.stats.matrices_built += 1
         while len(self._matrices) > self.max_matrices:
-            self._matrices.popitem(last=False)
+            (query_digest, schema_digest), _ = self._matrices.popitem(
+                last=False
+            )
+            queries = self._by_schema[schema_digest]
+            queries.discard(query_digest)
+            if not queries:
+                del self._by_schema[schema_digest]
             self.stats.matrix_evictions += 1
         return built
 
     def clear(self) -> None:
         """Drop matrices and the kernel (counters keep running)."""
         self._matrices.clear()
+        self._by_schema.clear()
         self._kernel = None

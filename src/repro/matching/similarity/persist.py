@@ -46,12 +46,8 @@ from dataclasses import dataclass
 
 from repro.errors import SnapshotError
 from repro.matching.base import Matcher
-from repro.matching.executor import PairResult
-from repro.matching.pipeline import (
-    PipelineResult,
-    PipelineStats,
-    matcher_fingerprint,
-)
+from repro.matching.executor import PairResult, matcher_fingerprint
+from repro.matching.pipeline import PipelineResult, PipelineStats
 from repro.matching.similarity.kernel import CostKernel
 from repro.matching.similarity.matrix import SimilaritySubstrate
 from repro.schema.model import Schema
@@ -237,7 +233,7 @@ def restore_results(
         matcher.assemble(query, repository, by_schema, delta_max)
         for query, by_schema in zip(queries, pair_results)
     ]
-    stats = PipelineStats(workers=0, shards=0, queries=len(queries))
+    stats = PipelineStats(width=0, shards=0, queries=len(queries))
     return PipelineResult(
         answer_sets=answer_sets,
         stats=stats,

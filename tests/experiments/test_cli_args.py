@@ -1,25 +1,50 @@
-"""CLI ``--workers``/``--shards`` validation and error paths.
+"""CLI ``--workers``/``--shards`` validation, error paths and execution.
 
-The happy path (fanning a demo out over workers) is covered by the doc
-examples; these tests pin down the failure modes: invalid counts must
-exit with code 1 and a readable message, must not corrupt the
-process-wide pipeline defaults, and non-numeric values must be rejected
-by the parser itself.
+Invalid counts must exit with code 1 and a readable message, and
+non-numeric values must be rejected by the parser itself.  Valid flags
+build one executor that the subcommand runs on — the pool reaches
+``figure`` and ``serve`` with byte-identical output — and that nothing
+in the process keeps after :func:`~repro.cli.main` returns.
 """
+
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.matching import pipeline
+from repro.evaluation import build_workload
+from repro.evaluation.workloads import small_config
+from repro.matching import (
+    ExhaustiveMatcher,
+    ProcessPoolShardExecutor,
+    SerialExecutor,
+    WorkerServer,
+)
+from repro.matching import remote as remote_module
 
 
-@pytest.fixture(autouse=True)
-def restore_pipeline_defaults():
-    """Snapshot and restore module-wide defaults around every test."""
-    defaults = pipeline.pipeline_defaults()
-    snapshot = (defaults.workers, defaults.shards)
-    yield
-    pipeline.configure(workers=snapshot[0], shards=snapshot[1])
+@pytest.fixture()
+def transports(monkeypatch):
+    """Records ``(transport, shard count)`` of every executor sweep."""
+    sweeps: list[tuple[str, int]] = []
+    for cls in (
+        SerialExecutor,
+        ProcessPoolShardExecutor,
+        remote_module.RemoteShardExecutor,
+    ):
+        monkeypatch.setattr(cls, "execute", _spying(cls.execute, sweeps))
+    return sweeps
+
+
+def _spying(execute, sweeps):
+    def spy(self, state, units, delta_max):
+        units = list(units)
+        sweeps.append(
+            (self.name, len({unit.shard_index for unit in units}))
+        )
+        return execute(self, state, units, delta_max)
+
+    return spy
 
 
 class TestParsing:
@@ -62,37 +87,25 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "error:" in err and "shards must be >= 1" in err
 
-    def test_invalid_workers_leave_defaults_untouched(self):
-        before = pipeline.pipeline_defaults().workers
-        assert main(["--workers", "0", "list"]) == 1
-        assert pipeline.pipeline_defaults().workers == before
-
-    def test_invalid_shards_leave_defaults_untouched(self):
-        before = pipeline.pipeline_defaults().shards
-        assert main(["--shards", "-1", "list"]) == 1
-        assert pipeline.pipeline_defaults().shards == before
-
-    def test_configure_is_atomic_across_flags(self):
-        """Valid --workers + invalid --shards must change *nothing*."""
-        defaults = pipeline.pipeline_defaults()
-        before = (defaults.workers, defaults.shards)
+    def test_valid_workers_with_invalid_shards_fail_cleanly(self, capsys):
         assert main(["--workers", "4", "--shards", "0", "list"]) == 1
-        defaults = pipeline.pipeline_defaults()
-        assert (defaults.workers, defaults.shards) == before
+        assert "shards must be >= 1" in capsys.readouterr().err
 
-    def test_valid_flags_configure_module_defaults(self, capsys):
+    def test_valid_flags_are_accepted(self, capsys):
         assert main(["--workers", "2", "--shards", "3", "list"]) == 0
-        defaults = pipeline.pipeline_defaults()
-        assert defaults.workers == 2
-        assert defaults.shards == 3
         assert "fig08" in capsys.readouterr().out
 
-    def test_shards_alone_keep_serial_workers(self, capsys):
-        workers_before = pipeline.pipeline_defaults().workers
-        assert main(["--shards", "4", "list"]) == 0
-        defaults = pipeline.pipeline_defaults()
-        assert defaults.workers == workers_before
-        assert defaults.shards == 4
+    def test_shards_alone_keep_serial_workers(self, capsys, transports):
+        assert main(["--small", "--shards", "4", "demo"]) == 0
+        assert "contained" in capsys.readouterr().out
+        assert transports
+        assert set(transports) == {("serial", 4)}
+
+    def test_workers_and_remote_workers_refused(self, capsys):
+        assert main(["--small", "--workers", "2", "serve",
+                     "--remote-workers", "127.0.0.1:1"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "--remote-workers" in err
 
 
 class TestShardedRun:
@@ -100,6 +113,68 @@ class TestShardedRun:
         """Serial but sharded: exercises the full pipeline path cheaply."""
         assert main(["--small", "--workers", "1", "--shards", "2", "demo"]) == 0
         assert "contained" in capsys.readouterr().out
+
+    def test_cli_workers_do_not_outlive_the_call(self, capsys, transports):
+        """``--workers`` configures that call only: a later default
+        ``batch_match`` in the same process runs serially."""
+        assert main(["--small", "--workers", "2", "demo"]) == 0
+        assert "contained" in capsys.readouterr().out
+        assert {name for name, _ in transports} == {"pool"}
+        transports.clear()
+
+        workload = build_workload(small_config())
+        queries = [scenario.query for scenario in workload.suite]
+        ExhaustiveMatcher(workload.objective).batch_match(
+            queries, workload.repository, 0.3
+        )
+        assert transports == [("serial", 1)]
+
+    def test_figure_runs_on_the_pool(self, capsys, transports):
+        argv = ["--small", "--seed", "41", "figure", "fig10"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert {name for name, _ in transports} == {"serial"}
+        transports.clear()
+
+        assert main(["--workers", "2", "--shards", "3", *argv]) == 0
+        assert capsys.readouterr().out == serial
+        assert transports
+        assert set(transports) == {("pool", 3)}
+
+    def test_serve_runs_on_the_pool(self, capsys, transports):
+        argv = ["--small", "serve", "--deltas", "1", "--verify"]
+        assert main(argv) == 0
+        serial = _without_timings(capsys.readouterr().out)
+        transports.clear()
+
+        assert main(["--workers", "2", "--shards", "3", *argv]) == 0
+        out = _without_timings(capsys.readouterr().out)
+        assert out == serial
+        assert "identical" in out
+        assert ("pool", 3) in transports
+        assert {name for name, _ in transports} <= {"pool", "serial"}
+
+    def test_remote_serve_cuts_one_shard_per_worker(self, capsys, transports):
+        workers = [WorkerServer().start() for _ in range(2)]
+        addresses = ",".join(f"{host}:{port}" for host, port in (
+            worker.address for worker in workers
+        ))
+        try:
+            assert main(["--small", "serve", "--verify",
+                         "--remote-workers", addresses]) == 0
+        finally:
+            for worker in workers:
+                worker.stop()
+        out = capsys.readouterr().out
+        assert "shard fan-out: 2 remote socket workers" in out
+        assert "identical" in out
+        assert ("remote", 2) in transports
+        assert all(worker.stats.units for worker in workers)
+
+
+def _without_timings(text: str) -> str:
+    """CLI output with its wall-clock figures blanked out."""
+    return re.sub(r"\d+\.\d+s", "<t>", text)
 
 
 class TestMatcherSpecs:

@@ -22,9 +22,14 @@ from repro.matching import (
     shard_repository,
 )
 from repro.matching import batch_match as registry_batch_match
-from repro.matching.executor import ExecutionState, WorkUnit
+from repro.matching.executor import (
+    ExecutionState,
+    WorkUnit,
+    executor_for,
+    matcher_fingerprint,
+    shutdown_workers,
+)
 from repro.matching.objective import ObjectiveFunction
-from repro.matching.pipeline import matcher_fingerprint
 from repro.matching.similarity.name import NameSimilarity, Thesaurus
 from repro.schema.generator import GeneratorConfig, generate_repository
 from repro.schema.model import Datatype, Schema, SchemaElement
@@ -193,6 +198,67 @@ class TestShardedPipeline:
         assert [flatten(a) for a in serial] == [flatten(a) for a in sharded]
 
 
+class TestExecutionValue:
+    """Where units run is a value the caller passes, never a process
+    default: serial unless given, one shard per unit of width."""
+
+    def test_default_is_serial_with_one_shard(self, setup):
+        repo, objective, queries = setup
+        pipeline = MatchingPipeline(ExhaustiveMatcher(objective))
+        assert isinstance(pipeline.executor, SerialExecutor)
+        result = pipeline.run(queries, repo, DELTA)
+        assert (result.stats.width, result.stats.shards) == (1, 1)
+
+    def test_shards_follow_the_width_at_every_run(self, setup):
+        repo, objective, queries = setup
+        spy = _RecordingExecutor()
+        pipeline = MatchingPipeline(ExhaustiveMatcher(objective), executor=spy)
+        spy.width = 3
+        assert pipeline.run(queries, repo, DELTA).stats.shards == 3
+        spy.width = 2
+        assert pipeline.run(queries, repo, DELTA).stats.shards == 2
+        assert {unit.shard_index for unit in spy.units} == {0, 1, 2}
+
+    def test_pool_cuts_one_shard_per_worker(self, setup):
+        repo, objective, queries = setup
+        executor = ProcessPoolShardExecutor(3)
+        try:
+            result = MatchingPipeline(
+                ExhaustiveMatcher(objective), executor=executor
+            ).run(queries, repo, DELTA)
+        finally:
+            shutdown_workers()
+        assert executor.width == 3
+        assert (result.stats.width, result.stats.shards) == (3, 3)
+        serial = ExhaustiveMatcher(objective).batch_match(queries, repo, DELTA)
+        assert [flatten(a) for a in result.answer_sets] == [
+            flatten(a) for a in serial
+        ]
+
+    def test_workers_resolve_in_one_place(self, setup):
+        repo, objective, queries = setup
+        assert executor_for(None) is None
+        given = SerialExecutor()
+        assert executor_for(None, given) is given
+        assert isinstance(executor_for(1), SerialExecutor)
+        pool = executor_for(2)
+        assert isinstance(pool, ProcessPoolShardExecutor)
+        assert pool.width == 2
+        with pytest.raises(MatchingError, match="workers must be >= 1"):
+            executor_for(0)
+        with pytest.raises(MatchingError, match="not both"):
+            executor_for(2, given)
+        with pytest.raises(MatchingError, match="not both"):
+            ExhaustiveMatcher(objective).batch_match(
+                queries, repo, DELTA, workers=1, executor=given
+            )
+
+    def test_invalid_shards_refused(self, setup):
+        _, objective, _ = setup
+        with pytest.raises(MatchingError, match="shards must be >= 1"):
+            MatchingPipeline(ExhaustiveMatcher(objective), shards=0)
+
+
 class TestRepositoryContentChanges:
     def test_stale_clustering_state_cannot_poison_shared_cache(self, setup):
         """Same repository_id, different content: prepare must re-run.
@@ -272,8 +338,6 @@ class TestWorkerPoolReuse:
 
     @pytest.fixture(autouse=True)
     def _clean_pool(self):
-        from repro.matching.pipeline import shutdown_workers
-
         shutdown_workers()
         yield
         shutdown_workers()
@@ -283,7 +347,9 @@ class TestWorkerPoolReuse:
 
         repo, objective, queries = setup
         matcher = ExhaustiveMatcher(objective)
-        runner = MatchingPipeline(matcher, workers=2)
+        runner = MatchingPipeline(
+            matcher, executor=ProcessPoolShardExecutor(2)
+        )
         first = runner.run(queries, repo, DELTA)
         pool = executor_module._POOL
         assert pool is not None
@@ -298,7 +364,9 @@ class TestWorkerPoolReuse:
 
         repo, objective, queries = setup
         matcher = ExhaustiveMatcher(objective)
-        runner = MatchingPipeline(matcher, workers=2)
+        runner = MatchingPipeline(
+            matcher, executor=ProcessPoolShardExecutor(2)
+        )
         runner.run(queries, repo, 0.15)
         pool = executor_module._POOL
         runner.run(queries, repo, DELTA)  # only the threshold changed
@@ -312,7 +380,9 @@ class TestWorkerPoolReuse:
             GeneratorConfig(num_schemas=4, min_size=6, max_size=10, seed=99)
         )
         matcher = ExhaustiveMatcher(objective)
-        runner = MatchingPipeline(matcher, workers=2)
+        runner = MatchingPipeline(
+            matcher, executor=ProcessPoolShardExecutor(2)
+        )
         runner.run(queries, repo, DELTA)
         pool = executor_module._POOL
         runner.run(queries, other, DELTA)
@@ -334,8 +404,6 @@ class TestWorkerPoolReuse:
             assert flatten(a) == flatten(b) == flatten(c)
 
     def test_shutdown_workers_is_idempotent(self):
-        from repro.matching.pipeline import shutdown_workers
-
         shutdown_workers()
         shutdown_workers()
 
@@ -348,7 +416,7 @@ class TestWorkerPoolReuse:
 
         repo, objective, queries = setup
         runner = MatchingPipeline(
-            _ExplodingMatcher(objective), workers=2
+            _ExplodingMatcher(objective), executor=ProcessPoolShardExecutor(2)
         )
         with pytest.raises(ValueError, match="injected worker failure"):
             runner.run(queries, repo, DELTA)

@@ -8,13 +8,15 @@ Three layers of the remote transport, bottom up:
   close between frames is the one tolerated end.
 * **Byte-identity** — answers computed through
   :class:`~repro.matching.remote.RemoteShardExecutor` over live
-  :class:`~repro.matching.remote.WorkerServer` instances, in both
-  ``inline`` and ``store`` install modes, are byte-identical to the
-  serial in-process path, and installed state is reused across sweeps.
+  :class:`~repro.matching.remote.WorkerServer` instances are
+  byte-identical to the serial in-process path, installed state is
+  reused across sweeps, and a pipeline given no shard count cuts one
+  shard per worker.
 * **Key-first install** — a warm sweep sends no state upstream, cold
   workers share one state frame built once per sweep, a restarted
-  worker is re-shipped the state, a warm store-mode sweep never touches
-  the store, and a ``run`` under a stale key is refused.
+  worker is re-shipped the state, a state frame that cannot be built
+  fails the sweep as itself, and a ``run`` under a stale key is
+  refused.
 * **Fault injection** — a worker crashing mid-shard gets its unit
   retried on a healthy worker with identical answers; a tampered or
   truncated stream (through :class:`helpers.faults.TamperProxy`) fails
@@ -38,9 +40,10 @@ from helpers.faults import (
     flip_byte,
     rewrite_frame,
 )
-from repro.errors import MatchingError, SnapshotError, TransportError
+from repro.errors import MatchingError, TransportError
 from repro.matching import (
     ExhaustiveMatcher,
+    MatchingPipeline,
     RemoteShardExecutor,
     WorkerServer,
     make_matcher,
@@ -56,7 +59,6 @@ from repro.matching.remote import (
     recv_message,
     send_message,
 )
-from repro.schema.store import SnapshotStore
 
 pytestmark = pytest.mark.network
 
@@ -287,21 +289,25 @@ class TestRemoteByteIdentity:
         assert _canonical(remote) == _canonical(serial)
         assert sum(w.stats.units for w in workers) == len(queries) * 3
 
-    def test_store_mode_matches_serial(self, small_workload, queries, tmp_path):
-        worker = WorkerServer().start()
+    def test_no_shard_count_cuts_one_shard_per_worker(
+        self, small_workload, queries
+    ):
+        workers = [WorkerServer().start() for _ in range(2)]
         try:
-            executor = RemoteShardExecutor(
-                [worker.address], store=tmp_path / "snap"
-            )
-            remote = _remote_answers(small_workload, queries, executor)
+            executor = RemoteShardExecutor([w.address for w in workers])
+            result = MatchingPipeline(
+                make_matcher("exhaustive", small_workload.objective),
+                executor=executor,
+            ).run(queries, small_workload.repository, 0.3)
         finally:
-            worker.stop()
-        assert _canonical(remote) == _canonical(
+            for worker in workers:
+                worker.stop()
+        assert executor.width == 2
+        assert (result.stats.width, result.stats.shards) == (2, 2)
+        assert sum(w.stats.units for w in workers) == len(queries) * 2
+        assert _canonical(result.answer_sets) == _canonical(
             _serial_answers(small_workload, queries)
         )
-        # The worker pulled state from the store the coordinator wrote.
-        assert (tmp_path / "snap").exists()
-        assert worker.stats.installs == 1
 
     def test_state_reused_across_sweeps(self, small_workload, queries):
         worker = WorkerServer().start()
@@ -432,51 +438,23 @@ class TestKeyFirstInstall:
             _serial_answers(small_workload, queries)
         )
 
-    def test_warm_store_sweep_never_touches_store(
-        self, small_workload, queries, tmp_path, monkeypatch
-    ):
-        """Store mode: a warm sweep neither reads nor writes the snapshot."""
-        worker = WorkerServer().start()
-        try:
-            executor = RemoteShardExecutor(
-                [worker.address], store=tmp_path / "snap"
-            )
-            _remote_answers(small_workload, queries, executor)
+    def test_state_build_failure_fails_sweep(self, small_workload, queries):
+        """A coordinator that cannot build its state frame fails loudly.
 
-            def untouchable(*args, **kwargs):
-                raise SnapshotError("a warm sweep touched the snapshot store")
-
-            monkeypatch.setattr(SnapshotStore, "manifest", untouchable)
-            monkeypatch.setattr(remote_module, "save_snapshot", untouchable)
-            remote = _remote_answers(small_workload, queries, executor)
-        finally:
-            worker.stop()
-        assert _canonical(remote) == _canonical(
-            _serial_answers(small_workload, queries)
-        )
-        assert worker.stats.installs == 1
-        assert worker.stats.installs_reused == 1
-
-    def test_state_build_failure_fails_sweep(
-        self, small_workload, queries, tmp_path, monkeypatch
-    ):
-        """A coordinator that cannot write its snapshot fails loudly.
-
-        The error is the coordinator's own, so it surfaces as itself —
-        not as a dead worker — and the worker's breaker stays closed.
+        Here the matcher cannot be pickled.  The error is the
+        coordinator's own, so it surfaces as itself — not as a dead
+        worker — and the worker's breaker stays closed.
         """
         worker = WorkerServer().start()
-
-        def unwritable(*args, **kwargs):
-            raise SnapshotError("snapshot store is read-only")
-
-        monkeypatch.setattr(remote_module, "save_snapshot", unwritable)
+        matcher = make_matcher("exhaustive", small_workload.objective)
+        matcher.guard = threading.Lock()  # pickle refuses locks
         try:
-            executor = RemoteShardExecutor(
-                [worker.address], store=tmp_path / "snap"
-            )
-            with pytest.raises(SnapshotError, match="read-only"):
-                _remote_answers(small_workload, queries, executor)
+            executor = RemoteShardExecutor([worker.address])
+            with pytest.raises(TypeError, match="pickle"):
+                matcher.batch_match(
+                    queries, small_workload.repository, 0.3,
+                    shards=3, executor=executor,
+                )
         finally:
             worker.stop()
         assert executor.worker_health(worker.address).state == "closed"
@@ -675,7 +653,7 @@ class TestFaultInjection:
 
 class TestVersionAndState:
     def test_version_mismatch_refused(self):
-        """Any other version is refused at hello — v1 to v4 peers included.
+        """Any other version is refused at hello — v1 to v5 peers included.
 
         A v2 coordinator would otherwise pass ``hello`` and then fail its
         install on the ``switches`` field v3 dropped from the ``state``
@@ -683,13 +661,14 @@ class TestVersionAndState:
         substrate carries a token index class v4 no longer has, so it
         would fail at unpickling instead of at ``hello``; a v4
         coordinator would read a raising unit's ``unit_error`` reply as
-        an unexpected op.
+        an unexpected op; a v5 coordinator may send a store-mode
+        ``state`` frame, which v6 workers no longer install.
         """
-        assert PROTOCOL_VERSION == 5
+        assert PROTOCOL_VERSION == 6
         worker = WorkerServer().start()
         replies = []
         try:
-            for version in (1, 2, 3, 4, 999):
+            for version in (1, 2, 3, 4, 5, 999):
                 sock = socket.create_connection(worker.address, timeout=5)
                 send_message(sock, {"op": "hello", "version": version})
                 replies.append(recv_message(sock))

@@ -120,6 +120,47 @@ class TestSimilaritySubstrate:
         substrate.clear()
         assert len(substrate) == 0 and substrate.kernel() is None
 
+    def test_schema_index_follows_the_cache(self, setup):
+        """The drop index equals the cached keys grouped by schema
+        digest after every build, eviction, drop and clear."""
+        repo, objective, query = setup
+        second = extract_personal_schema(
+            rng.make_tagged(78),
+            repo.schemas()[1],
+            None,
+            target_size=3,
+            schema_id="substrate-query-2",
+        )
+        schemas = repo.schemas()
+        substrate = SimilaritySubstrate(objective, max_matrices=4)
+
+        def check() -> None:
+            grouped: dict[str, set[str]] = {}
+            for query_digest, schema_digest in substrate._matrices:
+                grouped.setdefault(schema_digest, set()).add(query_digest)
+            assert substrate._by_schema == grouped
+
+        for schema in schemas[:2]:
+            for q in (query, second):
+                substrate.matrix(q, schema)
+                check()
+        substrate.matrix(query, schemas[2])  # evicts (query, schema 0)
+        check()
+        substrate.matrix(second, schemas[2])  # evicts (second, schema 0)
+        check()
+        assert substrate.stats.matrix_evictions == 2
+        assert schemas[0].content_digest() not in substrate._by_schema
+        substrate.drop_schemas(
+            {schemas[1].content_digest(), schemas[0].content_digest()}
+        )
+        check()
+        assert len(substrate) == 2
+        substrate.matrix(query, schemas[3])
+        check()
+        substrate.clear()
+        check()
+        assert substrate._by_schema == {}
+
     def test_invalid_capacity_rejected(self, setup):
         _, objective, _ = setup
         with pytest.raises(MatchingError):

@@ -291,6 +291,33 @@ MUTANTS = (
         "the matrices of the schema versions a delta displaced",
     ),
     Mutant(
+        name="default-shards-one",
+        path="repro/matching/pipeline.py",
+        snippet="self.shards if self.shards is not None else width",
+        replacement="self.shards if self.shards is not None else 1",
+        tests=("tests/matching/test_pipeline.py",),
+        why="a pipeline given no shard count cuts one shard instead of "
+        "one per unit of its executor's width",
+    ),
+    Mutant(
+        name="hello-accepts-v5",
+        path="repro/matching/remote.py",
+        snippet="if version != PROTOCOL_VERSION:",
+        replacement="if version not in (PROTOCOL_VERSION, 5):",
+        tests=("tests/matching/test_remote.py",),
+        why="a worker accepts a v5 coordinator, whose state frame may ask "
+        "for the retired store install",
+    ),
+    Mutant(
+        name="drop-index-stale-on-eviction",
+        path="repro/matching/similarity/matrix.py",
+        snippet="queries.discard(query_digest)",
+        replacement="queries.copy().discard(query_digest)",
+        tests=("tests/matching/test_substrate.py",),
+        why="an LRU eviction leaves its key in the drop index, so a later "
+        "drop of that schema deletes a matrix that is already gone",
+    ),
+    Mutant(
         name="answers-size-at-exclusive",
         path="repro/core/answers.py",
         snippet="return bisect.bisect_right(self._scores, delta)",
